@@ -1,5 +1,7 @@
 // Micro benchmarks (google-benchmark): per-iteration cost of each main
-// search algorithm and throughput of a whole batch search.
+// search algorithm, of the straight walk, and throughput of a whole batch
+// search.  The K2000 instances show the Step-2 selection cost next to the
+// flip kernel; on K300 the kernel alone dominates.
 #include <benchmark/benchmark.h>
 
 #include "evolve/genetic_ops.hpp"
@@ -7,6 +9,7 @@
 #include "qubo/search_state.hpp"
 #include "search/batch_search.hpp"
 #include "search/registry.hpp"
+#include "search/straight.hpp"
 
 namespace dabs {
 namespace {
@@ -17,9 +20,20 @@ const QuboModel& k300() {
   return m;
 }
 
+const QuboModel& k2000() {
+  static const QuboModel m = problems::maxcut_to_qubo(
+      problems::make_complete_maxcut(2000, 7, "K2000"));
+  return m;
+}
+
+const QuboModel& model_of(std::int64_t n) {
+  return n == 2000 ? k2000() : k300();
+}
+
+/// Args: {MainSearch id, n}.
 void BM_MainSearchIteration(benchmark::State& state) {
   const auto id = static_cast<MainSearch>(state.range(0));
-  const QuboModel& m = k300();
+  const QuboModel& m = model_of(state.range(1));
   SearchState s(m);
   Rng rng(1);
   s.reset_to(random_bit_vector(m.size(), rng));
@@ -32,7 +46,28 @@ void BM_MainSearchIteration(benchmark::State& state) {
   state.SetLabel(std::string(to_string(id)));
 }
 BENCHMARK(BM_MainSearchIteration)
-    ->DenseRange(0, static_cast<int>(kMainSearchCount) - 1);
+    ->ArgsProduct({benchmark::CreateDenseRange(
+                       0, static_cast<int>(kMainSearchCount) - 1, 1),
+                   {300, 2000}});
+
+/// Straight walk (Step 2 restricted to the bits differing from the
+/// target) from one random vector to another; items are flips.
+void BM_StraightWalk(benchmark::State& state) {
+  const QuboModel& m = model_of(state.range(0));
+  SearchState s(m);
+  Rng rng(5);
+  std::uint64_t flips = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    s.reset_to(random_bit_vector(m.size(), rng));
+    const BitVector target = random_bit_vector(m.size(), rng);
+    state.ResumeTiming();
+    flips += straight_walk(s, target);
+    benchmark::DoNotOptimize(s.best_energy());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(flips));
+}
+BENCHMARK(BM_StraightWalk)->Arg(300)->Arg(2000);
 
 void BM_BatchSearchThroughput(benchmark::State& state) {
   const QuboModel& m = k300();

@@ -52,16 +52,14 @@ struct HostContext {
               std::uint64_t merge_interval)
       : engine(e), ctx(c), best(bits), merge_check_interval(merge_interval) {}
 
-  /// Worker-safe stop poll for inner loops (migration entries, inbox
-  /// back-pressure waits): the latch plus the thread-safe StopContext
-  /// subset, no callbacks.
+  /// Worker-safe stop poll for inner loops (migration entries): the latch
+  /// plus the thread-safe StopContext subset.  Only once that subset says
+  /// stop does it latch through check_stop(), so the StopContext records
+  /// whether the token or the clock ended the run; a bare latch here lost
+  /// a token's `cancelled`.
   bool stopping() {
     if (stop.load(std::memory_order_acquire)) return true;
-    if (ctx.expired()) {
-      stop.store(true, std::memory_order_release);
-      return true;
-    }
-    return false;
+    return ctx.expired() && check_stop();
   }
 
   /// Full driving-thread check: budget, wall clock, token, target, ticks.

@@ -116,10 +116,8 @@ PoolDiversity SolutionPool::diversity() const {
 }
 
 void SolutionPool::restart(Rng& rng) {
-  {
-    std::lock_guard lock(mu_);
-    entries_.clear();
-  }
+  // One locked clear-and-refill: a host thread selecting from this pool
+  // (or from it as a Xrossover neighbor) must never see it empty.
   initialize_random(rng);
 }
 

@@ -297,6 +297,17 @@ ApiReply JobApi::status(std::uint64_t id) {
   }
   try {
     const service::JobSnapshot snap = service_.snapshot(local);
+    if (service::is_terminal(snap.state)) {
+      // Finished but not yet reaped: retire it now, so no client sees a
+      // terminal state before its annotations, journal record and
+      // retention exist.
+      retire_locked(local);
+      const auto retired = finished_.find(local);
+      if (retired != finished_.end()) {
+        return {200, render_status(id, retired->second.snap,
+                                   retired->second.fingerprint)};
+      }
+    }
     const auto pend = pending_.find(local);
     return {200, render_status(
                      id, snap,
@@ -458,81 +469,84 @@ void JobApi::reaper_loop() {
       id = service_.wait_any_finished_for(0.05);
       if (!id) continue;
     }
-    const service::JobId local = *id;
     std::lock_guard lock(mu_);
-    service::JobSnapshot snap;
-    try {
-      snap = service_.snapshot(local);
-    } catch (const std::out_of_range&) {
-      continue;  // released elsewhere; nothing to retain
-    }
-    const auto pend = pending_.find(local);
-    std::string fingerprint;
-    if (pend != pending_.end()) {
-      fingerprint = pend->second.fingerprint;
-      // Decode/verify exactly as the batch runner does for problem jobs:
-      // re-evaluate the energy against the cached model rather than
-      // trusting the solver, and never let a verification error take the
-      // report down with it.
-      if (pend->second.problem &&
-          snap.report.best_solution.size() == pend->second.model->size()) {
-        try {
-          const DomainSolution sol =
-              pend->second.problem->decode(snap.report.best_solution);
-          const VerifyResult verdict = pend->second.problem->verify(
-              snap.report.best_solution,
-              pend->second.model->energy(snap.report.best_solution));
-          annotate_extras(*pend->second.problem, sol, verdict,
-                          snap.report.extras);
-        } catch (const std::exception& e) {
-          snap.report.extras["problem"] = pend->second.problem->cache_key();
-          snap.report.extras["verified"] = "false";
-          snap.report.extras["verify_message"] = e.what();
-        }
-      }
-      pending_.erase(pend);
-    }
+    retire_locked(*id);
+  }
+}
 
-    // Terminal journal record, then retention: the snapshot stays
-    // queryable after the service record is released.
-    if (!fingerprint.empty()) {
-      service::JournalRecord record;
-      record.fingerprint = fingerprint;
-      record.tag = snap.tag;
-      switch (snap.state) {
-        case service::JobState::kDone:
-          record.event = service::JournalEvent::kDone;
-          break;
-        case service::JobState::kFailed:
-          record.event = service::JournalEvent::kFailed;
-          record.detail = snap.error;
-          break;
-        case service::JobState::kRejected:
-          record.event = service::JournalEvent::kRejected;
-          record.detail = snap.error;
-          break;
-        default:
-          record.event = service::JournalEvent::kCancelled;
-          record.detail =
-              snap.report.extras.count("deadline_exceeded") != 0
-                  ? "deadline"
-                  : "cancelled";
-          break;
+void JobApi::retire_locked(service::JobId local) {
+  service::JobSnapshot snap;
+  try {
+    snap = service_.snapshot(local);
+  } catch (const std::out_of_range&) {
+    return;  // released elsewhere; nothing to retain
+  }
+  const auto pend = pending_.find(local);
+  std::string fingerprint;
+  if (pend != pending_.end()) {
+    fingerprint = pend->second.fingerprint;
+    // Decode/verify exactly as the batch runner does for problem jobs:
+    // re-evaluate the energy against the cached model rather than
+    // trusting the solver, and never let a verification error take the
+    // report down with it.
+    if (pend->second.problem &&
+        snap.report.best_solution.size() == pend->second.model->size()) {
+      try {
+        const DomainSolution sol =
+            pend->second.problem->decode(snap.report.best_solution);
+        const VerifyResult verdict = pend->second.problem->verify(
+            snap.report.best_solution,
+            pend->second.model->energy(snap.report.best_solution));
+        annotate_extras(*pend->second.problem, sol, verdict,
+                        snap.report.extras);
+      } catch (const std::exception& e) {
+        snap.report.extras["problem"] = pend->second.problem->cache_key();
+        snap.report.extras["verified"] = "false";
+        snap.report.extras["verify_message"] = e.what();
       }
-      journal_append(record);
     }
-    service_.release(local);
-    if (!config_.trace_path.empty()) {
-      obs::JobTrace trace = service::job_trace(snap);
-      trace.job_id = to_global(local);
-      obs::append_job_trace(trace_, trace);
+    pending_.erase(pend);
+  }
+
+  // Terminal journal record, then retention: the snapshot stays
+  // queryable after the service record is released.
+  if (!fingerprint.empty()) {
+    service::JournalRecord record;
+    record.fingerprint = fingerprint;
+    record.tag = snap.tag;
+    switch (snap.state) {
+      case service::JobState::kDone:
+        record.event = service::JournalEvent::kDone;
+        break;
+      case service::JobState::kFailed:
+        record.event = service::JournalEvent::kFailed;
+        record.detail = snap.error;
+        break;
+      case service::JobState::kRejected:
+        record.event = service::JournalEvent::kRejected;
+        record.detail = snap.error;
+        break;
+      default:
+        record.event = service::JournalEvent::kCancelled;
+        record.detail =
+            snap.report.extras.count("deadline_exceeded") != 0
+                ? "deadline"
+                : "cancelled";
+        break;
     }
-    finished_[local] = Finished{std::move(snap), std::move(fingerprint)};
-    finish_order_.push_back(local);
-    while (finish_order_.size() > config_.retention_jobs) {
-      finished_.erase(finish_order_.front());
-      finish_order_.pop_front();
-    }
+    journal_append(record);
+  }
+  service_.release(local);
+  if (!config_.trace_path.empty()) {
+    obs::JobTrace trace = service::job_trace(snap);
+    trace.job_id = to_global(local);
+    obs::append_job_trace(trace_, trace);
+  }
+  finished_[local] = Finished{std::move(snap), std::move(fingerprint)};
+  finish_order_.push_back(local);
+  while (finish_order_.size() > config_.retention_jobs) {
+    finished_.erase(finish_order_.front());
+    finish_order_.pop_front();
   }
 }
 

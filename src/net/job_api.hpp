@@ -164,6 +164,9 @@ class JobApi final : public JobBackend {
   ApiReply submit_internal(const std::string& body,
                            const std::string& forced_fingerprint);
   void reaper_loop();
+  /// Annotates (decode/verify), journals, releases and retains one
+  /// finished job; a no-op if it was already retired.  Caller holds mu_.
+  void retire_locked(service::JobId local);
   void journal_append(const service::JournalRecord& record);
   /// Renders one job's status JSON from a snapshot (global id).
   std::string render_status(std::uint64_t global_id,

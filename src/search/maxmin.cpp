@@ -1,5 +1,7 @@
 #include "search/maxmin.hpp"
 
+#include "search/candidate_mask.hpp"
+
 namespace dabs {
 
 namespace {
@@ -9,14 +11,22 @@ namespace {
 VarIndex sample_below(const SearchState& state, double d, Rng& rng,
                       const TabuList* tabu, std::uint64_t now) {
   const auto n = static_cast<VarIndex>(state.size());
+  const std::span<const Energy> delta = state.deltas();
   VarIndex pick = n;
   std::uint64_t seen = 0;
-  for (VarIndex k = 0; k < n; ++k) {
-    if (double(state.delta(k)) > d) continue;
-    if (tabu && !tabu->allowed(k, now)) continue;
-    ++seen;
-    if (rng.next_index(seen) == 0) pick = k;
-  }
+  for_each_candidate(
+      n,
+      [&](std::size_t base, std::size_t len) {
+        // Compared in double, exactly as the threshold was drawn.
+        return pack_word(base, len, [&](std::size_t k) {
+          return !(double(delta[k]) > d);
+        });
+      },
+      [&](VarIndex k) {
+        if (tabu && !tabu->allowed(k, now)) return;
+        ++seen;
+        if (rng.next_index(seen) == 0) pick = k;
+      });
   return pick;
 }
 

@@ -8,6 +8,12 @@
 // The tabu rule (if enabled) filters Step-2 candidates; when every candidate
 // is tabu the algorithm falls back to ignoring the rule so an iteration
 // always flips exactly one bit.
+//
+// Step 2 rule: a selection draws its random numbers in ascending variable
+// index order, one bit at a time as a plain per-bit loop would.  That is
+// what lets Step 2 build word-at-a-time candidate masks
+// (search/candidate_mask.hpp) and still keep every seeded trajectory
+// bit-identical; a change to the draw order is a change of trajectory.
 #pragma once
 
 #include <cstdint>

@@ -65,7 +65,10 @@ class BitVector {
   /// Readable "010110..." form (bit 0 first).
   std::string to_string() const;
 
-  /// Raw word access (word w holds bits [64w, 64w+63], LSB-first).
+  /// Raw word access (word w holds bits [64w, 64w+63], LSB-first).  The
+  /// bits past size() in the last word are always zero, so word-wise
+  /// compares, xors and popcounts are exact; writers through the mutable
+  /// overload must keep them zero.
   const std::uint64_t* words() const noexcept { return words_.data(); }
   std::uint64_t* words() noexcept { return words_.data(); }
   std::size_t word_count() const noexcept { return words_.size(); }
