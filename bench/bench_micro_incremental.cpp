@@ -5,6 +5,7 @@
 // the fused flip_and_scan entry point.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "evolve/genetic_ops.hpp"
@@ -41,6 +42,27 @@ const QuboModel& k2000(QuboBackend backend) {
   return backend == QuboBackend::kDense ? dense : csr;
 }
 
+/// K2000's terms times 2^20: the same trajectories on the int64 kernel
+/// (its |Delta| bound no longer fits int16), to compare kernel widths.
+const QuboModel& k2000_wide() {
+  static const QuboModel m = [] {
+    const QuboModel& k = k2000(QuboBackend::kDense);
+    constexpr Weight kScale = 1 << 20;
+    QuboBuilder b(k.size());
+    b.set_backend(QuboBackend::kDense);
+    for (VarIndex i = 0; i < k.size(); ++i) {
+      b.add_linear(i, k.diag(i) * kScale);
+      const auto nbrs = k.neighbors(i);
+      const auto w = k.weights(i);
+      for (std::size_t t = 0; t < nbrs.size(); ++t) {
+        if (nbrs[t] > i) b.add_quadratic(i, nbrs[t], w[t] * kScale);
+      }
+    }
+    return b.build();
+  }();
+  return m;
+}
+
 QuboModel sparse_model(std::size_t n, std::size_t deg, std::uint64_t seed) {
   Rng rng(seed);
   QuboBuilder b(n);
@@ -64,7 +86,12 @@ void BM_FullEnergyDense(benchmark::State& state) {
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_FullEnergyDense)->Arg(128)->Arg(512)->Arg(1024)->Complexity();
+BENCHMARK(BM_FullEnergyDense)
+    ->Arg(128)
+    ->Arg(512)
+    ->Arg(1024)
+    ->Arg(2000)
+    ->Complexity();
 
 void BM_IncrementalFlipDense(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -109,9 +136,11 @@ BENCHMARK(BM_FlipK2000)
     ->Arg(static_cast<int>(QuboBackend::kDense));
 
 // Fused Step 3 + Step 1 (one search iteration's kernel work) on K2000.
+// Args: {backend, scale}; scale 2^20 runs the dense int64 kernel on the
+// same trajectory that scale 1 runs at int16.
 void BM_FlipAndScanK2000(benchmark::State& state) {
   const auto backend = static_cast<QuboBackend>(state.range(0));
-  const QuboModel& m = k2000(backend);
+  const QuboModel& m = state.range(1) == 1 ? k2000(backend) : k2000_wide();
   SearchState s(m);
   Rng rng(5);
   s.reset_to(random_bit_vector(m.size(), rng));
@@ -122,11 +151,13 @@ void BM_FlipAndScanK2000(benchmark::State& state) {
     i = static_cast<VarIndex>((i + 1) % n);
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(to_string(backend));
+  state.SetLabel(std::string(to_string(m.backend())) + " delta=" +
+                 to_string(m.delta_width()));
 }
 BENCHMARK(BM_FlipAndScanK2000)
-    ->Arg(static_cast<int>(QuboBackend::kCsr))
-    ->Arg(static_cast<int>(QuboBackend::kDense));
+    ->Args({static_cast<int>(QuboBackend::kCsr), 1})
+    ->Args({static_cast<int>(QuboBackend::kDense), 1})
+    ->Args({static_cast<int>(QuboBackend::kDense), 1 << 20});
 
 // Bulk replica engine on K2000: 64 replicas advance per chunk pass, so one
 // dense row load amortizes across 64 delta updates.  items_per_second

@@ -88,10 +88,13 @@ void BM_BatchSearchThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchSearchThroughput);
 
+/// Greedy descent from a random vector to a local minimum, on K300 or
+/// K2000; items are flips.
 void BM_GreedyDescent(benchmark::State& state) {
-  const QuboModel& m = k300();
+  const QuboModel& m = model_of(state.range(0));
   SearchState s(m);
   Rng rng(3);
+  std::uint64_t flips = 0;
   for (auto _ : state) {
     state.PauseTiming();
     s.reset_to(random_bit_vector(m.size(), rng));
@@ -99,9 +102,11 @@ void BM_GreedyDescent(benchmark::State& state) {
     ScanResult r = s.scan();
     while (r.min_delta < 0) r = s.flip_and_scan(r.argmin);
     benchmark::DoNotOptimize(s.energy());
+    flips += s.flip_count();
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(flips));
 }
-BENCHMARK(BM_GreedyDescent);
+BENCHMARK(BM_GreedyDescent)->Arg(300)->Arg(2000);
 
 void BM_GeneticOperation(benchmark::State& state) {
   const auto op = static_cast<GeneticOp>(state.range(0));

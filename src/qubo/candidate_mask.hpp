@@ -9,6 +9,7 @@
 //
 // Because candidates are visited in ascending order, every RNG draw
 // happens in the same order as a plain per-bit loop would make it.
+// SearchState's Step-1 argmin uses pack_word too, with an equality mask.
 #pragma once
 
 #include <algorithm>

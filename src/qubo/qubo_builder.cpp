@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -23,6 +24,10 @@ Weight checked_narrow(Energy w, const char* what, Weight lo) {
 // reach Delta through Eqs. 3/5 in 64-bit) and keep the full int32 range.
 constexpr Weight kQuadraticLo = -std::numeric_limits<Weight>::max();
 constexpr Weight kLinearLo = std::numeric_limits<Weight>::min();
+
+std::uint64_t magnitude(Weight w) {
+  return static_cast<std::uint64_t>(w < 0 ? -std::int64_t{w} : std::int64_t{w});
+}
 
 }  // namespace
 
@@ -64,8 +69,12 @@ QuboModel QuboBuilder::build() {
   QuboModel m;
   const std::size_t n = diag_.size();
   m.diag_.resize(n);
+  // row_abs[k] accumulates |W_kk| + sum_j |W_kj|; its maximum is the
+  // model's delta_bound().
+  std::vector<std::uint64_t> row_abs(n);
   for (std::size_t i = 0; i < n; ++i) {
     m.diag_[i] = checked_narrow(diag_[i], "linear", kLinearLo);
+    row_abs[i] = magnitude(m.diag_[i]);
   }
 
   // Build symmetric CSR: each edge contributes to both endpoint rows.
@@ -88,12 +97,17 @@ QuboModel QuboBuilder::build() {
     m.val_[cursor[e.i]++] = w;
     m.col_[cursor[e.j]] = e.i;
     m.val_[cursor[e.j]++] = w;
+    row_abs[e.i] += magnitude(w);
+    row_abs[e.j] += magnitude(w);
   }
   m.max_degree_ = deg.empty() ? 0 : *std::max_element(deg.begin(), deg.end());
+  m.delta_bound_ = *std::max_element(row_abs.begin(), row_abs.end());
 
   // Resolve the kernel backend and, when dense, materialize the row-major
   // matrix the flip kernel streams (diagonal slots stay zero; the diagonal
-  // lives in diag_ and enters Delta via Eq. 5, not the row walk).
+  // lives in diag_ and enters Delta via Eq. 5, not the row walk).  The
+  // budget is checked at int32 whatever width the matrix is stored at, so
+  // the kAuto choice does not depend on the weights' magnitude.
   // Overflow-safe test for n * n * sizeof(Weight) <= kDenseMaxBytes.
   const bool fits = n <= QuboModel::kDenseMaxBytes / sizeof(Weight) / n;
   QuboBackend resolved = backend_;
@@ -107,11 +121,20 @@ QuboModel QuboBuilder::build() {
              "QuboModel::kDenseMaxBytes");
   m.backend_ = resolved;
   if (resolved == QuboBackend::kDense) {
-    m.dense_.assign(n * n, 0);
-    for (const Entry& e : edges) {
-      const Weight w = static_cast<Weight>(e.w);  // narrowing checked above
-      m.dense_[std::size_t{e.i} * n + e.j] = w;
-      m.dense_[std::size_t{e.j} * n + e.i] = w;
+    // Narrowing checked above; at kInt16 every |W_ij| <= delta_bound() fits.
+    auto fill = [&](auto& dense) {
+      using T = typename std::decay_t<decltype(dense)>::value_type;
+      dense.assign(n * n, 0);
+      for (const Entry& e : edges) {
+        const auto w = static_cast<T>(e.w);
+        dense[std::size_t{e.i} * n + e.j] = w;
+        dense[std::size_t{e.j} * n + e.i] = w;
+      }
+    };
+    if (m.delta_width() == DeltaWidth::kInt16) {
+      fill(m.dense16_);
+    } else {
+      fill(m.dense32_);
     }
   }
 

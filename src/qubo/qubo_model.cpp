@@ -1,6 +1,7 @@
 #include "qubo/qubo_model.hpp"
 
 #include <sstream>
+#include <type_traits>
 
 #include "util/assert.hpp"
 
@@ -17,13 +18,69 @@ Weight QuboModel::weight(VarIndex i, VarIndex j) const {
   return 0;
 }
 
+namespace {
+
+/// Row sums of int16 weights stay within delta_bound() <= INT16_MAX, so
+/// they accumulate exactly in int32; int32 weights accumulate in int64.
+template <class T>
+using RowSum =
+    std::conditional_t<std::is_same_v<T, std::int16_t>, std::int32_t, Energy>;
+
+/// x as one all-ones/zero mask per variable at the dense row width, so a
+/// row is masked with the solution instead of branching per neighbour.
+template <class T>
+std::vector<T> solution_masks(const BitVector& x) {
+  std::vector<T> mask(x.size());
+  for (std::size_t j = 0; j < mask.size(); ++j) {
+    mask[j] = static_cast<T>(-T{x.get(j)});
+  }
+  return mask;
+}
+
+/// sum_{j in [b, n)} row[j] x_j over a dense row, branch-free.
+template <class T>
+Energy masked_row_sum(const T* __restrict row, const T* __restrict mask,
+                      std::size_t b, std::size_t n) {
+  RowSum<T> s = 0;
+  for (std::size_t j = b; j < n; ++j) s += row[j] & mask[j];
+  return s;
+}
+
+template <class T>
+Energy dense_energy(const QuboModel& m, const BitVector& x) {
+  const std::vector<T> mask = solution_masks<T>(x);
+  const auto n = static_cast<VarIndex>(m.size());
+  Energy e = 0;
+  for (VarIndex i = 0; i < n; ++i) {
+    if (!x.get(i)) continue;
+    // Each edge once: only the (i, j > i) half of the row.
+    e += m.diag(i) + masked_row_sum(m.dense_row<T>(i), mask.data(), i + 1, n);
+  }
+  return e;
+}
+
+template <class T, class D>
+void dense_delta_all(const QuboModel& m, const BitVector& x, D* out) {
+  const std::vector<T> mask = solution_masks<T>(x);
+  const auto n = static_cast<VarIndex>(m.size());
+  for (VarIndex k = 0; k < n; ++k) {
+    // Slot k of row k is zero, so the whole row is the neighbour sum.
+    const Energy s = masked_row_sum(m.dense_row<T>(k), mask.data(), 0, n);
+    out[k] = static_cast<D>(-sigma(x.get(k)) * (s + Energy{m.diag(k)}));
+  }
+}
+
+}  // namespace
+
 Energy QuboModel::energy(const BitVector& x) const {
   DABS_CHECK(x.size() == size(), "solution length mismatch");
+  if (has_dense_rows()) {
+    return delta_width() == DeltaWidth::kInt16
+               ? dense_energy<std::int16_t>(*this, x)
+               : dense_energy<Weight>(*this, x);
+  }
   Energy e = 0;
   const auto n = static_cast<VarIndex>(size());
-#ifdef DABS_HAVE_OPENMP
-#pragma omp parallel for reduction(+ : e) schedule(static)
-#endif
   for (VarIndex i = 0; i < n; ++i) {
     if (!x.get(i)) continue;
     Energy row = diag_[i];
@@ -31,7 +88,8 @@ Energy QuboModel::energy(const BitVector& x) const {
     const auto w = weights(i);
     for (std::size_t t = 0; t < nbrs.size(); ++t) {
       // Count each edge once: only accumulate (i, j>i) pairs.
-      if (nbrs[t] > i && x.get(nbrs[t])) row += w[t];
+      const bool on = (nbrs[t] > i) & x.get(nbrs[t]);
+      row += w[t] & -Weight{on};
     }
     e += row;
   }
@@ -46,21 +104,34 @@ Energy QuboModel::delta(const BitVector& x, VarIndex k) const {
   const auto nbrs = neighbors(k);
   const auto w = weights(k);
   for (std::size_t t = 0; t < nbrs.size(); ++t) {
-    if (x.get(nbrs[t])) s += w[t];
+    s += w[t] & -Weight{x.get(nbrs[t])};
   }
   return -sigma(x.get(k)) * (s + Energy{diag_[k]});
 }
 
-void QuboModel::delta_all(const BitVector& x, std::vector<Energy>& out) const {
+template <class D>
+void QuboModel::delta_all(const BitVector& x, std::span<D> out) const {
   DABS_CHECK(x.size() == size(), "solution length mismatch");
-  const auto n = static_cast<VarIndex>(size());
-  out.resize(n);
-#ifdef DABS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (VarIndex k = 0; k < n; ++k) {
-    out[k] = delta(x, k);
+  DABS_CHECK(out.size() == size(), "delta buffer length mismatch");
+  if (has_dense_rows()) {
+    if (delta_width() == DeltaWidth::kInt16) {
+      dense_delta_all<std::int16_t>(*this, x, out.data());
+    } else {
+      dense_delta_all<Weight>(*this, x, out.data());
+    }
+    return;
   }
+  const auto n = static_cast<VarIndex>(size());
+  for (VarIndex k = 0; k < n; ++k) out[k] = static_cast<D>(delta(x, k));
+}
+
+template void QuboModel::delta_all(const BitVector&,
+                                   std::span<std::int16_t>) const;
+template void QuboModel::delta_all(const BitVector&, std::span<Energy>) const;
+
+void QuboModel::delta_all(const BitVector& x, std::vector<Energy>& out) const {
+  out.resize(size());
+  delta_all(x, std::span<Energy>(out));
 }
 
 Energy QuboModel::flip_bound(VarIndex i) const {
@@ -79,8 +150,17 @@ std::string QuboModel::describe() const {
     // the backend= suffix can never contradict each other.
     os << (density() >= kDenseDensityThreshold ? " dense" : " sparse");
   }
-  os << " backend=" << to_string(backend_);
+  os << " backend=" << to_string(backend_)
+     << " delta=" << to_string(delta_width());
   return os.str();
+}
+
+std::size_t QuboModel::memory_bytes() const noexcept {
+  return sizeof(QuboModel) + diag_.size() * sizeof(Weight) +
+         row_ptr_.size() * sizeof(std::size_t) +
+         col_.size() * sizeof(VarIndex) + val_.size() * sizeof(Weight) +
+         dense16_.size() * sizeof(std::int16_t) +
+         dense32_.size() * sizeof(Weight);
 }
 
 }  // namespace dabs

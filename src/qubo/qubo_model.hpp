@@ -13,12 +13,17 @@
 // instead of chasing CSR columns; see QuboBackend in types.hpp.  The CSR
 // arrays are always present — IO, model analysis, and sparse queries keep
 // using them — so the dense matrix is a kernel-side acceleration structure,
-// not a replacement representation.
+// not a replacement representation.  It is stored once, at the model's
+// DeltaWidth: int16 when every Delta fits int16 (then every weight does
+// too), int32 otherwise.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "qubo/types.hpp"
@@ -64,9 +69,27 @@ class QuboModel {
     return backend_ == QuboBackend::kDense;
   }
   /// Contiguous row i of the dense matrix: n weights, W_{i,j} at slot j,
-  /// zero on the diagonal.  Only valid when has_dense_rows().
-  const Weight* dense_row(VarIndex i) const noexcept {
-    return dense_.data() + std::size_t{i} * size();
+  /// zero on the diagonal.  Only valid when has_dense_rows(), with
+  /// T = std::int16_t when delta_width() is kInt16 and T = Weight otherwise.
+  template <class T>
+  const T* dense_row(VarIndex i) const noexcept {
+    if constexpr (std::is_same_v<T, std::int16_t>) {
+      return dense16_.data() + std::size_t{i} * size();
+    } else {
+      static_assert(std::is_same_v<T, Weight>);
+      return dense32_.data() + std::size_t{i} * size();
+    }
+  }
+
+  /// Worst-case |Delta_k| over every solution and every k:
+  /// max_k (|W_{k,k}| + sum_j |W_{k,j}|).  Every Delta a flip kernel
+  /// stores, and every partial row sum it forms, lies within this bound.
+  std::uint64_t delta_bound() const noexcept { return delta_bound_; }
+  /// kInt16 exactly when delta_bound() <= INT16_MAX.
+  DeltaWidth delta_width() const noexcept {
+    constexpr auto kNarrow =
+        static_cast<std::uint64_t>(std::numeric_limits<std::int16_t>::max());
+    return delta_bound_ <= kNarrow ? DeltaWidth::kInt16 : DeltaWidth::kInt64;
   }
 
   /// Edge density relative to the complete graph (0 for n < 2).
@@ -90,12 +113,20 @@ class QuboModel {
 
   /// All Delta_k(X) from scratch; used to (re)initialize SearchState.
   void delta_all(const BitVector& x, std::vector<Energy>& out) const;
+  /// The same into a buffer of size() elements at a storage width D
+  /// (std::int16_t, valid when delta_width() is kInt16, or Energy).
+  template <class D>
+  void delta_all(const BitVector& x, std::span<D> out) const;
 
   /// Largest possible |E| change of a single flip: bound used by tests.
   Energy flip_bound(VarIndex i) const;
 
+  /// Heap bytes the model owns (CSR arrays, diagonal, dense matrix at its
+  /// stored width) plus the object itself.
+  std::size_t memory_bytes() const noexcept;
+
   /// One-line description, e.g. "QUBO n=2000 edges=1999000 dense
-  /// backend=dense".
+  /// backend=dense delta=int16".
   std::string describe() const;
 
  private:
@@ -105,8 +136,12 @@ class QuboModel {
   std::vector<std::size_t> row_ptr_;  // size n+1
   std::vector<VarIndex> col_;         // size 2*edges
   std::vector<Weight> val_;           // size 2*edges
-  std::vector<Weight> dense_;         // size n*n when backend_ == kDense
+  // Dense matrix, size n*n when backend_ == kDense, in exactly one of
+  // these at the model's DeltaWidth.
+  std::vector<std::int16_t> dense16_;
+  std::vector<Weight> dense32_;
   std::size_t max_degree_ = 0;
+  std::uint64_t delta_bound_ = 0;
   QuboBackend backend_ = QuboBackend::kCsr;
 };
 

@@ -10,14 +10,21 @@
 //
 // Kernel engine: alongside the packed x_ the state caches sigma_ (int8 ±1,
 // kept in sync with x_), so both flip kernels are branchless
-// delta_[k] += w * si * sigma_[k] loops the compiler can auto-vectorize —
+// Delta_k += w * si * sigma_[k] loops the compiler can auto-vectorize —
 // a contiguous row stream on the dense backend, a CSR gather on the sparse
 // one.  scan() is the CPU equivalent of the paper's GPU Step 1: a blocked
 // min/argmin/max reduction over Delta that opportunistically improves BEST.
 // flip_and_scan() fuses Step 3 of one iteration with Step 1 of the next,
 // block by block on the dense backend so each Delta block is reduced while
-// still cache-hot.  All arithmetic is exact int64, so every backend and
-// kernel variant is bit-identical.
+// still cache-hot.
+//
+// Width: Delta is stored at the model's DeltaWidth — int16 when
+// QuboModel::delta_bound() <= INT16_MAX (the dense rows are int16 then
+// too), int64 otherwise — and E is always int64.  Every stored Delta is a
+// true Delta of the current X, so it is bounded by delta_bound() and both
+// widths are exact: every backend, width and kernel variant is
+// bit-identical.  The kernels are written once over the element type and
+// dispatched once per call.
 #pragma once
 
 #include <cstdint>
@@ -36,13 +43,37 @@ struct ScanResult {
   VarIndex argmin;
 };
 
+/// Read-only view of a SearchState's Delta array at its storage width.
+/// visit(f) calls f once, with a std::span<const std::int16_t> or a
+/// std::span<const Energy>, so a Step-2 loop written as a generic lambda
+/// compiles once per width and dispatches once per call, not per element.
+/// The spans stay valid, and see every later flip, for the state's
+/// lifetime.
+class DeltaView {
+ public:
+  DeltaView(std::span<const std::int16_t> narrow,
+            std::span<const Energy> wide, DeltaWidth width) noexcept
+      : narrow_(narrow), wide_(wide), width_(width) {}
+
+  template <class F>
+  decltype(auto) visit(F&& f) const {
+    if (width_ == DeltaWidth::kInt16) return f(narrow_);
+    return f(wide_);
+  }
+
+ private:
+  std::span<const std::int16_t> narrow_;
+  std::span<const Energy> wide_;
+  DeltaWidth width_;
+};
+
 class SearchState {
  public:
   /// Binds to a model; starts at the zero vector (E=0, Delta_k = W_{k,k}).
   explicit SearchState(const QuboModel& model);
 
   const QuboModel& model() const noexcept { return *model_; }
-  std::size_t size() const noexcept { return delta_.size(); }
+  std::size_t size() const noexcept { return sigma_.size(); }
 
   /// Resets to the zero vector in O(n) without touching the matrix
   /// (the paper's batch-search starting point).
@@ -53,8 +84,12 @@ class SearchState {
 
   const BitVector& solution() const noexcept { return x_; }
   Energy energy() const noexcept { return energy_; }
-  Energy delta(VarIndex k) const { return delta_[k]; }
-  std::span<const Energy> deltas() const noexcept { return delta_; }
+  Energy delta(VarIndex k) const {
+    return width_ == DeltaWidth::kInt16 ? Energy{delta16_[k]} : delta64_[k];
+  }
+  DeltaView deltas() const noexcept {
+    return {delta16_, delta64_, width_};
+  }
 
   /// Cached spins sigma(x_k) as int8 ±1, always in sync with solution().
   std::span<const std::int8_t> sigmas() const noexcept { return sigma_; }
@@ -91,25 +126,39 @@ class SearchState {
   /// stays resident in L1/L2.
   static constexpr std::size_t kScanBlock = 1024;
 
+  /// Calls f with the Delta array at its storage width (int16_t* or
+  /// Energy*); the kernels below are instantiated once per width.
+  template <class F>
+  decltype(auto) with_deltas(F&& f) {
+    if (width_ == DeltaWidth::kInt16) return f(delta16_.data());
+    return f(delta64_.data());
+  }
+
   void maybe_record_visited();
   /// Records BEST <- f_{arg}(X) with energy e through the scratch buffer
   /// (word copy + swap; no per-improvement allocation).
   void record_best_neighbor(VarIndex arg, Energy e);
-  /// Eq. 4 over one dense block [b0, b1) of Delta (row streamed, branchless).
-  void dense_update_block(const Weight* row, std::int32_t si, std::size_t b0,
-                          std::size_t b1);
-  /// Branchless min/max over one block; returns {block_min, block_max}.
-  void reduce_block(std::size_t b0, std::size_t b1, Energy& mn,
-                    Energy& mx) const;
+  template <class D>
+  void flip_impl(D* d, VarIndex i);
+  template <class D>
+  ScanResult scan_impl(const D* d);
+  template <class D>
+  ScanResult flip_and_scan_impl(D* d, VarIndex i);
   /// Shared tail of flip()/flip_and_scan(): Eq. 5 and the x/sigma updates.
-  void finish_flip(VarIndex i, std::int32_t si);
-  /// Locates the first argmin in [b0, b1) and applies the BEST update.
-  ScanResult finish_scan(Energy mn, Energy mx, std::size_t mn_block);
+  template <class D>
+  void finish_flip(D* d, VarIndex i, std::int32_t si);
+  /// Locates the first argmin in the block starting at mn_block and
+  /// applies the BEST update.
+  template <class D>
+  ScanResult finish_scan(const D* d, D mn, D mx, std::size_t mn_block);
 
   const QuboModel* model_;
   BitVector x_;
   Energy energy_ = 0;
-  std::vector<Energy> delta_;
+  DeltaWidth width_;
+  // Delta_k at width_: exactly one of the two holds n elements.
+  std::vector<std::int16_t> delta16_;
+  std::vector<Energy> delta64_;
   std::vector<std::int8_t> sigma_;  // sigma_[k] == sigma(x_.get(k))
   std::uint64_t flips_ = 0;
 

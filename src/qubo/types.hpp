@@ -3,7 +3,8 @@
 // Weights are 32-bit integers (every benchmark in the paper uses integral
 // coefficients: ±1 MaxCut weights, flow x distance QAP products, resolution-r
 // Ising values scaled by 4).  Energies are 64-bit to keep sums of up to ~10^7
-// weighted terms exact.
+// weighted terms exact.  A single flip's Delta is stored narrower when the
+// model allows it (DeltaWidth), but every Energy a caller sees is int64.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +39,16 @@ inline constexpr const char* to_string(QuboBackend b) noexcept {
       return "dense";
   }
   return "?";
+}
+
+/// Storage width of the scalar flip kernel, chosen once per model from its
+/// worst-case |Delta| (QuboModel::delta_bound()): kInt16 stores Delta and
+/// the dense rows as int16, kInt64 stores Delta as int64 and the dense
+/// rows as int32.  Both are exact, so the choice never changes a result.
+enum class DeltaWidth : std::uint8_t { kInt16, kInt64 };
+
+inline constexpr const char* to_string(DeltaWidth w) noexcept {
+  return w == DeltaWidth::kInt16 ? "int16" : "int64";
 }
 
 }  // namespace dabs

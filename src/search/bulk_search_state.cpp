@@ -18,27 +18,6 @@ namespace {
 constexpr std::size_t kLanes = BulkSearchState::kLanesPerBlock;
 constexpr std::size_t kChunkMax = BulkSearchState::kMaxChunk;
 
-/// Worst-case |Delta_k| over every solution: |W_kk| + sum_i |W_ik|.  Every
-/// intermediate the kernels compute (stored deltas, rank-B partial sums,
-/// per-chunk replays) is a true Delta of some reachable state or a partial
-/// row sum, so it is bounded by this value — the basis for the narrow-width
-/// engine selection.
-std::uint64_t delta_bound(const QuboModel& model) {
-  std::uint64_t bound = 0;
-  const auto n = static_cast<VarIndex>(model.size());
-  for (VarIndex k = 0; k < n; ++k) {
-    std::uint64_t row = static_cast<std::uint64_t>(
-        model.diag(k) < 0 ? -std::int64_t{model.diag(k)}
-                          : std::int64_t{model.diag(k)});
-    for (const Weight w : model.weights(k)) {
-      row += static_cast<std::uint64_t>(w < 0 ? -std::int64_t{w}
-                                              : std::int64_t{w});
-    }
-    bound = std::max(bound, row);
-  }
-  return bound;
-}
-
 /// Rank-B dense pass (the compute-bound core): for every k, accumulate the
 /// B chunk rows weighted by the k-independent lane factors h, then fold in
 /// sigma_k once.  B is a compile-time constant so the b-loop unrolls and
@@ -184,9 +163,10 @@ class BulkEngine {
 
 template <typename DeltaT>
 class BulkEngineImpl final : public BulkEngine {
-  // int16 lanes read a same-width weight mirror so the multiply-accumulate
-  // stays in one vector width end to end; the wider engines stream the
-  // model's own int32 rows.
+  // int16 lanes read same-width weights so the multiply-accumulate stays
+  // in one vector width end to end: the model's own int16 dense rows, or
+  // an int16 copy of the CSR values.  The wider engines run only on models
+  // whose bound exceeds int16, whose dense rows are int32.
   using WeightT =
       std::conditional_t<std::is_same_v<DeltaT, std::int16_t>, std::int16_t,
                          Weight>;
@@ -197,15 +177,7 @@ class BulkEngineImpl final : public BulkEngine {
         delta_(blocks_ * model.size() * kLanes),
         sval_(blocks_ * model.size() * kLanes) {
     if constexpr (std::is_same_v<DeltaT, std::int16_t>) {
-      if (model.has_dense_rows()) {
-        dense16_.resize(n_ * n_);
-        for (std::size_t i = 0; i < n_; ++i) {
-          const Weight* row = model.dense_row(static_cast<VarIndex>(i));
-          for (std::size_t j = 0; j < n_; ++j) {
-            dense16_[i * n_ + j] = static_cast<std::int16_t>(row[j]);
-          }
-        }
-      } else {
+      if (!model.has_dense_rows()) {
         offs_.resize(n_ + 1, 0);
         for (VarIndex i = 0; i < static_cast<VarIndex>(n_); ++i) {
           offs_[i + 1] = offs_[i] + model.degree(i);
@@ -319,11 +291,7 @@ class BulkEngineImpl final : public BulkEngine {
   };
 
   const WeightT* dense_row_ptr(VarIndex i) const {
-    if constexpr (std::is_same_v<DeltaT, std::int16_t>) {
-      return dense16_.data() + std::size_t{i} * n_;
-    } else {
-      return model_->dense_row(i);
-    }
+    return model_->dense_row<WeightT>(i);
   }
 
   std::span<const WeightT> csr_row_weights(VarIndex i) const {
@@ -577,8 +545,7 @@ class BulkEngineImpl final : public BulkEngine {
   // Replica-major-blocked per-variable arrays: element [b*n + k][lane].
   std::vector<DeltaT> delta_;  // true Delta_k per lane
   std::vector<DeltaT> sval_;   // sigma(x_k) per lane, +-1
-  // int16 engine's same-width weight mirrors (unused by wider engines).
-  std::vector<std::int16_t> dense16_;
+  // int16 engine's same-width CSR weight copy (unused by wider engines).
   std::vector<std::int16_t> val16_;
   std::vector<std::size_t> offs_;
   std::vector<Energy> scratch_delta_;  // reset_to workspace
@@ -588,10 +555,13 @@ namespace {
 
 std::unique_ptr<BulkEngine> make_engine(const QuboModel& model,
                                         std::size_t replicas) {
-  const std::uint64_t bound = delta_bound(model);
-  if (bound <= static_cast<std::uint64_t>(
-                   std::numeric_limits<std::int16_t>::max()) &&
-      model.size() <= 32767) {
+  // Every intermediate the kernels compute (stored deltas, rank-B partial
+  // sums, per-chunk replays) is a true Delta of some reachable state or a
+  // partial row sum, so delta_bound() bounds it.  An int16-width model
+  // whose rows are dense has n <= 8192 (the dense budget), so it always
+  // lands on the int16 engine that reads its int16 rows.
+  const std::uint64_t bound = model.delta_bound();
+  if (model.delta_width() == DeltaWidth::kInt16 && model.size() <= 32767) {
     return std::make_unique<BulkEngineImpl<std::int16_t>>(model, replicas);
   }
   if (bound <= static_cast<std::uint64_t>(

@@ -28,11 +28,11 @@
 // a single-replica SearchState fed the same flip sequence, on both
 // backends and at any SIMD width.
 //
-// Delta storage width is chosen per model: int16 when the worst-case
-// |Delta| bound max_k(|W_kk| + sum_i |W_ik|) fits (true for every +-1
-// MaxCut instance incl. K2000) — quadrupling the lanes per vector register
-// versus the scalar int64 kernel — int32/int64 otherwise.  The choice is
-// an internal optimization; results are identical across widths.
+// Delta storage width is chosen per model: int16 when
+// QuboModel::delta_bound() fits (true for every +-1 MaxCut instance incl.
+// K2000), reading the model's own int16 dense rows, int32/int64
+// otherwise.  The choice is an internal optimization; results are
+// identical across widths.
 #pragma once
 
 #include <cstdint>

@@ -9,6 +9,9 @@ namespace dabs {
 
 namespace {
 
+/// Marks a tabu bit in the non-tabu reduction.  That reduction runs in
+/// int64 at every Delta width, and |Delta| <= delta_bound() < 2^63 - 1 for
+/// any model (n < 2^32 rows of int32 weights), so no real Delta equals it.
 constexpr Energy kNone = std::numeric_limits<Energy>::max();
 
 /// A cyclic window [begin, begin + width) over n slots, split into the
@@ -17,10 +20,11 @@ struct Window {
   std::size_t begin, end1, end2;
 };
 
-/// Minimum of value(k) over the window; branch-free per range.
+/// Minimum of value(k) over the (non-empty) window; branch-free per range.
 template <class Value>
-Energy window_min(const Window& w, Value value) {
-  Energy m = kNone;
+auto window_min(const Window& w, Value value) {
+  using V = decltype(value(w.begin));
+  V m = std::numeric_limits<V>::max();
   for (std::size_t k = w.begin; k < w.end1; ++k) m = std::min(m, value(k));
   for (std::size_t k = 0; k < w.end2; ++k) m = std::min(m, value(k));
   return m;
@@ -57,7 +61,13 @@ void CyclicMinSearch::run(SearchState& state, Rng& rng, TabuList* tabu,
     }
   }
 
-  const std::span<const Energy> delta = state.deltas();
+  state.deltas().visit([&](auto delta) { run_at(state, tabu, T, delta); });
+}
+
+template <class D>
+void CyclicMinSearch::run_at(SearchState& state, TabuList* tabu,
+                             std::uint64_t T, std::span<const D> delta) {
+  const auto n = state.size();
   const bool use_tabu = tabu && tabu->tenure() != 0;
   state.scan();  // Step 1; later iterations fuse it into flip_and_scan
   for (std::uint64_t t = 1; t <= T; ++t) {
@@ -78,23 +88,26 @@ void CyclicMinSearch::run(SearchState& state, Rng& rng, TabuList* tabu,
       return !use_tabu || tabu->allowed(k, now);
     };
     auto select = [&](auto at) {
-      // First bit in window order attaining the window minimum of
-      // value(slot); kNone never qualifies, as in the scalar rule.
-      auto first_min = [&](auto value) {
-        const Energy m = window_min(win, value);
-        if (m == kNone) return static_cast<VarIndex>(n);
+      // First bit in window order whose value(slot) equals m.
+      auto first = [&](auto value, auto m) {
         return static_cast<VarIndex>(at(
             window_find(win, [&](std::size_t s) { return value(s) == m; })));
       };
-      const VarIndex any =
-          first_min([&](std::size_t s) { return delta[at(s)]; });
+      // Over every bit the reduction stays at D's width: the window is
+      // never empty, so its minimum is always a real Delta.
+      const auto any_value = [&](std::size_t s) { return delta[at(s)]; };
+      const VarIndex any = first(any_value, window_min(win, any_value));
       // The first global minimum, when not tabu, is also the first
-      // non-tabu minimum; otherwise reduce again over the non-tabu bits.
-      if (any == n || allowed(any)) return std::pair{any, any};
-      const VarIndex free = first_min([&](std::size_t s) {
-        return allowed(static_cast<VarIndex>(at(s))) ? delta[at(s)] : kNone;
-      });
-      return std::pair{free, any};
+      // non-tabu minimum; otherwise reduce again over the non-tabu bits,
+      // where kNone marks a tabu bit and never qualifies.
+      if (allowed(any)) return std::pair{any, any};
+      const auto free_value = [&](std::size_t s) {
+        const auto k = static_cast<VarIndex>(at(s));
+        return allowed(k) ? Energy{delta[k]} : kNone;
+      };
+      const Energy free_min = window_min(win, free_value);
+      if (free_min == kNone) return std::pair{static_cast<VarIndex>(n), any};
+      return std::pair{first(free_value, free_min), any};
     };
     auto [pick, pick_any] =
         bit_permuted_

@@ -12,6 +12,9 @@
 // whose state survives from one batch search to the next.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "search/search_algorithm.hpp"
 
 namespace dabs {
@@ -34,6 +37,11 @@ class CyclicMinSearch final : public SearchAlgorithm {
   bool bit_permuted() const noexcept { return bit_permuted_; }
 
  private:
+  /// The iterations at one Delta width.
+  template <class D>
+  void run_at(SearchState& state, TabuList* tabu, std::uint64_t T,
+              std::span<const D> delta);
+
   std::uint32_t min_window_;
   bool bit_permuted_;
   std::size_t pos_ = 0;

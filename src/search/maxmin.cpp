@@ -1,6 +1,6 @@
 #include "search/maxmin.hpp"
 
-#include "search/candidate_mask.hpp"
+#include "qubo/candidate_mask.hpp"
 
 namespace dabs {
 
@@ -8,10 +8,10 @@ namespace {
 
 /// Reservoir-samples one index with Delta <= d.  When `tabu` is non-null,
 /// tabu bits are skipped; returns size() if every qualifying bit was tabu.
-VarIndex sample_below(const SearchState& state, double d, Rng& rng,
+template <class D>
+VarIndex sample_below(std::span<const D> delta, double d, Rng& rng,
                       const TabuList* tabu, std::uint64_t now) {
-  const auto n = static_cast<VarIndex>(state.size());
-  const std::span<const Energy> delta = state.deltas();
+  const auto n = static_cast<VarIndex>(delta.size());
   VarIndex pick = n;
   std::uint64_t seen = 0;
   for_each_candidate(
@@ -30,12 +30,9 @@ VarIndex sample_below(const SearchState& state, double d, Rng& rng,
   return pick;
 }
 
-}  // namespace
-
-void MaxMinSearch::run(SearchState& state, Rng& rng, TabuList* tabu,
-                       std::uint64_t iterations) {
-  const std::uint64_t T = iterations;
-  if (T == 0) return;
+template <class D>
+void run_at(SearchState& state, Rng& rng, TabuList* tabu, std::uint64_t T,
+            std::span<const D> delta) {
   ScanResult s = state.scan();  // Step 1 (best update) + min/max
   for (std::uint64_t t = 1; t <= T; ++t) {
     const double u = double(T - t) / double(T);
@@ -45,15 +42,25 @@ void MaxMinSearch::run(SearchState& state, Rng& rng, TabuList* tabu,
     const double d =
         double(s.min_delta) + rng.next_unit() * (upper - double(s.min_delta));
 
-    VarIndex pick = sample_below(state, d, rng, tabu, state.flip_count());
+    VarIndex pick = sample_below(delta, d, rng, tabu, state.flip_count());
     if (pick == state.size()) {
       // Every candidate was tabu; the paper's rule must still flip one bit,
       // so retry ignoring the tabu list (argmin always qualifies).
-      pick = sample_below(state, d, rng, nullptr, state.flip_count());
+      pick = sample_below(delta, d, rng, nullptr, state.flip_count());
     }
     if (tabu) tabu->record(pick, state.flip_count() + 1);
     s = state.flip_and_scan(pick);  // Step 3 fused with the next Step 1
   }
+}
+
+}  // namespace
+
+void MaxMinSearch::run(SearchState& state, Rng& rng, TabuList* tabu,
+                       std::uint64_t iterations) {
+  if (iterations == 0) return;
+  state.deltas().visit([&](auto delta) {
+    run_at(state, rng, tabu, iterations, delta);
+  });
 }
 
 }  // namespace dabs

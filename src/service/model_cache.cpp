@@ -100,14 +100,7 @@ bool ModelCache::same_content(const QuboModel& a, const QuboModel& b) {
 }
 
 std::size_t ModelCache::approximate_bytes(const QuboModel& model) {
-  const std::size_t n = model.size();
-  std::size_t bytes = sizeof(QuboModel);
-  bytes += n * sizeof(Weight);                               // diagonal
-  bytes += (n + 1) * sizeof(std::size_t);                    // row_ptr
-  bytes += 2 * model.edge_count() * sizeof(VarIndex);        // columns
-  bytes += 2 * model.edge_count() * sizeof(Weight);          // values
-  if (model.has_dense_rows()) bytes += n * n * sizeof(Weight);
-  return bytes;
+  return model.memory_bytes();
 }
 
 std::shared_ptr<const QuboModel> ModelCache::intern(QuboModel&& model,

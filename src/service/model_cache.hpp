@@ -78,8 +78,9 @@ class ModelCache {
   /// Structural equality on the same fields content_hash covers.
   static bool same_content(const QuboModel& a, const QuboModel& b);
 
-  /// Approximate resident bytes of a built model (CSR + diagonal + dense
-  /// mirror when present) — the unit the LRU budget is measured in.
+  /// Approximate resident bytes of a built model (QuboModel::memory_bytes:
+  /// CSR + diagonal + the dense matrix at its stored width) — the unit the
+  /// LRU budget is measured in.
   static std::size_t approximate_bytes(const QuboModel& model);
 
  private:

@@ -44,8 +44,10 @@ TEST_P(BackendEquivalence, DenseRowsMatchCsrWeights) {
   const QuboModel a = csr(), b = dense();
   ASSERT_EQ(a.size(), b.size());
   const auto n = static_cast<VarIndex>(a.size());
+  // Weights in [-9, 9] on at most 129 variables: stored at int16.
+  ASSERT_EQ(b.delta_width(), DeltaWidth::kInt16);
   for (VarIndex i = 0; i < n; ++i) {
-    const Weight* row = b.dense_row(i);
+    const std::int16_t* row = b.dense_row<std::int16_t>(i);
     for (VarIndex j = 0; j < n; ++j) {
       EXPECT_EQ(row[j], i == j ? 0 : a.weight(i, j)) << i << "," << j;
     }

@@ -45,6 +45,17 @@ TEST(BuilderOverflow, ExactBoundaryValuesSurvive) {
   EXPECT_EQ(m.diag(1), std::numeric_limits<Weight>::min());
 }
 
+TEST(BuilderOverflow, DeltaBoundIsExactPastInt32) {
+  // |INT32_MIN| + 3 * INT32_MAX needs 64 bits; the bound must not wrap.
+  QuboBuilder b(4);
+  b.add_linear(0, std::numeric_limits<Weight>::min());
+  b.add_quadratic(0, 1, kMaxW).add_quadratic(0, 2, -kMaxW)
+      .add_quadratic(0, 3, kMaxW);
+  const QuboModel m = b.build();
+  EXPECT_EQ(m.delta_bound(), (std::uint64_t{1} << 33) - 3);
+  EXPECT_EQ(m.delta_width(), DeltaWidth::kInt64);
+}
+
 TEST(RunStatsJson, EmitsWellFormedObject) {
   RunStats stats;
   stats.record_batch(MainSearch::kCyclicMin, GeneticOp::kXrossover);

@@ -44,6 +44,24 @@ TEST(ModelCache, ApproximateBytesCoversArrays) {
                        m.size() * sizeof(Weight));
 }
 
+TEST(ModelCache, ApproximateBytesChargesDenseRowsAtTheirWidth) {
+  // The same dense structure stored at int16 and, scaled past the int16
+  // bound, at int32: the charge is the model's own footprint and differs
+  // by exactly the n x n matrix width.
+  const std::size_t n = 40;
+  const QuboModel narrow =
+      testing::random_model(n, 0.9, 5, 4, QuboBackend::kDense);
+  const QuboModel wide =
+      testing::random_model(n, 0.9, 5, 4, QuboBackend::kDense, 1 << 20);
+  ASSERT_EQ(narrow.delta_width(), DeltaWidth::kInt16);
+  ASSERT_EQ(wide.delta_width(), DeltaWidth::kInt64);
+  EXPECT_EQ(ModelCache::approximate_bytes(narrow), narrow.memory_bytes());
+  EXPECT_EQ(ModelCache::approximate_bytes(wide), wide.memory_bytes());
+  EXPECT_EQ(ModelCache::approximate_bytes(wide) -
+                ModelCache::approximate_bytes(narrow),
+            n * n * (sizeof(Weight) - sizeof(std::int16_t)));
+}
+
 TEST(ModelCache, InternDedupesEqualContent) {
   ModelCache cache;
   bool hit = true;

@@ -1,7 +1,10 @@
 // Unit + property tests for the QUBO model, builder, and Ising conversion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "qubo/conversion.hpp"
 #include "qubo/ising_model.hpp"
@@ -142,6 +145,111 @@ TEST(QuboModel, DescribeMentionsSizeAndDensity) {
   EXPECT_NE(dense.describe().find("dense"), std::string::npos);
   const QuboModel sparse = random_model(50, 0.05, 3, 2);
   EXPECT_NE(sparse.describe().find("sparse"), std::string::npos);
+}
+
+TEST(QuboModel, DescribeNamesDeltaWidth) {
+  EXPECT_NE(random_model(10, 1.0, 3, 2).describe().find("delta=int16"),
+            std::string::npos);
+  EXPECT_NE(random_model(10, 1.0, 3, 2, QuboBackend::kAuto, 1 << 20)
+                .describe()
+                .find("delta=int64"),
+            std::string::npos);
+}
+
+TEST(QuboModel, DeltaBoundIsTheLargestFlipBound) {
+  for (const double density : {0.1, 0.5, 1.0}) {
+    const QuboModel m = random_model(40, density, 9, 56);
+    Energy expected = 0;
+    for (VarIndex k = 0; k < m.size(); ++k) {
+      expected = std::max(expected, m.flip_bound(k));
+    }
+    EXPECT_EQ(m.delta_bound(), static_cast<std::uint64_t>(expected))
+        << density;
+  }
+}
+
+TEST(QuboModel, WidthSwitchesAboveInt16Max) {
+  // Row 0 sums |2| + |-5| + |W_00|; the bound decides the width exactly at
+  // INT16_MAX, and the dense matrix is stored once at that width.
+  constexpr Weight kMax16 = std::numeric_limits<std::int16_t>::max();
+  for (const Weight extra : {0, 1}) {
+    QuboBuilder b(3);
+    b.add_linear(0, -(kMax16 - 7 + extra));
+    b.add_quadratic(0, 1, 2).add_quadratic(0, 2, -5);
+    b.set_backend(QuboBackend::kDense);
+    const QuboModel m = b.build();
+    EXPECT_EQ(m.delta_bound(), static_cast<std::uint64_t>(kMax16 + extra));
+    const bool narrow = extra == 0;
+    EXPECT_EQ(m.delta_width(),
+              narrow ? DeltaWidth::kInt16 : DeltaWidth::kInt64);
+    const std::size_t row_bytes = narrow ? 2 : 4;
+    QuboBuilder csr(3);
+    csr.add_linear(0, -(kMax16 - 7 + extra));
+    csr.add_quadratic(0, 1, 2).add_quadratic(0, 2, -5);
+    csr.set_backend(QuboBackend::kCsr);
+    EXPECT_EQ(m.memory_bytes() - csr.build().memory_bytes(), 9 * row_bytes);
+    const Weight w01 = narrow ? m.dense_row<std::int16_t>(0)[1]
+                              : m.dense_row<Weight>(0)[1];
+    EXPECT_EQ(w01, 2);
+  }
+}
+
+/// Complete model with couplings of +-INT32_MAX and diagonals alternating
+/// INT32_MIN / INT32_MAX: the int64 kernel and the widest sums.
+QuboModel extreme_model(std::size_t n, QuboBackend backend) {
+  constexpr Weight kMax = std::numeric_limits<Weight>::max();
+  Rng rng(77);
+  QuboBuilder b(n);
+  b.set_backend(backend);
+  for (VarIndex i = 0; i < n; ++i) {
+    b.add_linear(i, i % 2 == 0 ? std::numeric_limits<Weight>::min() : kMax);
+    for (VarIndex j = i + 1; j < n; ++j) {
+      b.add_quadratic(i, j, rng.next_bit() ? kMax : -kMax);
+    }
+  }
+  return b.build();
+}
+
+TEST(QuboModel, EnergyAndDeltasExactAtExtremeWeights) {
+  // The branch-free dense (row mask) and CSR energy and Delta loops agree
+  // with each other and with the naive reference at the int32 extremes.
+  for (const std::size_t n : {2u, 63u, 130u}) {
+    SCOPED_TRACE(n);
+    const QuboModel dense = extreme_model(n, QuboBackend::kDense);
+    const QuboModel csr = extreme_model(n, QuboBackend::kCsr);
+    ASSERT_EQ(dense.delta_width(), DeltaWidth::kInt64);
+    Rng rng(n);
+    for (int trial = 0; trial < 6; ++trial) {
+      BitVector x = random_solution(n, rng);
+      if (trial == 0) x.fill(true);
+      EXPECT_EQ(dense.energy(x), csr.energy(x));
+      EXPECT_EQ(csr.energy(x), naive_energy(csr, x));
+      std::vector<Energy> dd, dc;
+      dense.delta_all(x, dd);
+      csr.delta_all(x, dc);
+      EXPECT_EQ(dd, dc);
+      for (VarIndex k = 0; k < n; ++k) {
+        ASSERT_EQ(dc[k], csr.delta(x, k)) << k;
+      }
+    }
+  }
+}
+
+TEST(QuboModel, Int16DenseEnergyMatchesCsr) {
+  for (const std::size_t n : {1u, 64u, 129u}) {
+    const QuboModel dense = random_model(n, 0.7, 9, 57, QuboBackend::kDense);
+    const QuboModel csr = random_model(n, 0.7, 9, 57, QuboBackend::kCsr);
+    ASSERT_EQ(dense.delta_width(), DeltaWidth::kInt16);
+    Rng rng(n + 3);
+    for (int trial = 0; trial < 6; ++trial) {
+      const BitVector x = random_solution(n, rng);
+      EXPECT_EQ(dense.energy(x), csr.energy(x)) << n;
+      std::vector<Energy> dd, dc;
+      dense.delta_all(x, dd);
+      csr.delta_all(x, dc);
+      EXPECT_EQ(dd, dc) << n;
+    }
+  }
 }
 
 TEST(IsingModel, HamiltonianDirectEvaluation) {

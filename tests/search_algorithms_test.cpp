@@ -11,6 +11,7 @@
 
 #include "evolve/genetic_ops.hpp"
 #include "evolve/solution_pool.hpp"
+#include "qubo/qubo_builder.hpp"
 #include "qubo/search_state.hpp"
 #include "search/cyclicmin.hpp"
 #include "search/greedy.hpp"
@@ -58,8 +59,24 @@ TEST(TabuList, ClearForgetsHistory) {
   EXPECT_TRUE(t.allowed(1, 51));
 }
 
-TEST(Greedy, TerminatesAtLocalMinimum) {
-  const QuboModel m = random_model(50, 0.3, 9, 1000);
+/// Weight scales: 1 keeps the test models on the int16 kernel, 2^20
+/// moves the same terms onto the int64 kernel.
+constexpr Weight kWideScale = 1 << 20;
+const auto kScales = ::testing::Values(Weight{1}, kWideScale);
+
+class Greedy : public ::testing::TestWithParam<Weight> {
+ protected:
+  QuboModel model(std::size_t n, double density, std::uint64_t seed) const {
+    const QuboModel m =
+        random_model(n, density, 9, seed, QuboBackend::kAuto, GetParam());
+    EXPECT_EQ(m.delta_width(), GetParam() == 1 ? DeltaWidth::kInt16
+                                               : DeltaWidth::kInt64);
+    return m;
+  }
+};
+
+TEST_P(Greedy, TerminatesAtLocalMinimum) {
+  const QuboModel m = model(50, 0.3, 1000);
   SearchState s(m);
   Rng rng(1);
   s.reset_to(random_solution(50, rng));
@@ -67,8 +84,8 @@ TEST(Greedy, TerminatesAtLocalMinimum) {
   EXPECT_TRUE(s.is_local_minimum());
 }
 
-TEST(Greedy, EveryFlipStrictlyImproves) {
-  const QuboModel m = random_model(40, 0.5, 9, 1001);
+TEST_P(Greedy, EveryFlipStrictlyImproves) {
+  const QuboModel m = model(40, 0.5, 1001);
   SearchState s(m);
   Rng rng(2);
   s.reset_to(random_solution(40, rng));
@@ -79,6 +96,12 @@ TEST(Greedy, EveryFlipStrictlyImproves) {
     prev = s.energy();
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Scales, Greedy, kScales,
+                         [](const auto& info) {
+                           return std::string("x").append(
+                               std::to_string(info.param));
+                         });
 
 TEST(Greedy, MaxFlipsRespected) {
   const QuboModel m = random_model(60, 0.5, 9, 1002);
@@ -586,14 +609,14 @@ void expect_same_runs(SearchAlgorithm& got_algo, SearchAlgorithm& want_algo,
 constexpr std::initializer_list<std::uint64_t> kSchedule = {1, 1, 2, 5,
                                                             17, 64, 3, 150};
 
-using DiffParam = std::tuple<QuboBackend, std::size_t, std::uint32_t>;
+using DiffParam = std::tuple<QuboBackend, std::size_t, std::uint32_t, Weight>;
 
 class Step2Differential : public ::testing::TestWithParam<DiffParam> {
  protected:
   QuboModel model() const {
-    const auto [backend, n, tenure] = GetParam();
+    const auto [backend, n, tenure, scale] = GetParam();
     return random_model(n, backend == QuboBackend::kDense ? 0.5 : 0.08, 9,
-                        2000 + n, backend);
+                        2000 + n, backend, scale);
   }
   std::uint32_t tenure() const { return std::get<2>(GetParam()); }
 };
@@ -667,7 +690,8 @@ std::string diff_param_name(
     const ::testing::TestParamInfo<DiffParam>& info) {
   return std::string(to_string(std::get<0>(info.param))) + "_n" +
          std::to_string(std::get<1>(info.param)) + "_tenure" +
-         std::to_string(std::get<2>(info.param));
+         std::to_string(std::get<2>(info.param)) + "_x" +
+         std::to_string(std::get<3>(info.param));
 }
 
 const auto kBackends =
@@ -677,13 +701,219 @@ const auto kSizes =
 
 INSTANTIATE_TEST_SUITE_P(DenseAndCsr, Step2Differential,
                          ::testing::Combine(kBackends, kSizes,
-                                            ::testing::Values(0u, 8u)),
+                                            ::testing::Values(0u, 8u),
+                                            kScales),
                          diff_param_name);
 
 INSTANTIATE_TEST_SUITE_P(DenseAndCsr, StraightWalkDifferential,
                          ::testing::Combine(kBackends, kSizes,
-                                            ::testing::Values(0u)),
+                                            ::testing::Values(0u), kScales),
                          diff_param_name);
+
+// ---------------------------------------------------------------------------
+// Width equivalence.  A model and its 2^20-scaled copy run different
+// kernels — int16 Delta for the original, int64 for the copy — yet every
+// decision compares Deltas (or, in MaxMin, a double threshold that a
+// power-of-two scale keeps exact), so both must make the same flips: the
+// same solutions, flip clock, generator state and tabu clock, with every
+// energy differing by exactly the scale.
+void expect_scaled_walk(const Side& narrow, const Side& wide) {
+  EXPECT_EQ(narrow.state.solution(), wide.state.solution());
+  EXPECT_EQ(narrow.state.energy() * kWideScale, wide.state.energy());
+  EXPECT_EQ(narrow.state.best(), wide.state.best());
+  EXPECT_EQ(narrow.state.best_energy() * kWideScale,
+            wide.state.best_energy());
+  EXPECT_EQ(narrow.state.flip_count(), wide.state.flip_count());
+  EXPECT_EQ(narrow.rng.state(), wide.rng.state());
+  const std::size_t n = narrow.state.size();
+  EXPECT_EQ(tabu_clock(narrow.tabu, n, narrow.state.flip_count()),
+            tabu_clock(wide.tabu, n, wide.state.flip_count()));
+}
+
+using WidthParam = std::tuple<MainSearch, QuboBackend>;
+
+class WidthEquivalence : public ::testing::TestWithParam<WidthParam> {};
+
+TEST_P(WidthEquivalence, ScaledModelMakesTheSameFlips) {
+  const auto [id, backend] = GetParam();
+  const double density = backend == QuboBackend::kDense ? 0.5 : 0.08;
+  const QuboModel m = random_model(130, density, 9, 2200, backend);
+  const QuboModel scaled =
+      random_model(130, density, 9, 2200, backend, kWideScale);
+  ASSERT_EQ(m.delta_width(), DeltaWidth::kInt16);
+  ASSERT_EQ(scaled.delta_width(), DeltaWidth::kInt64);
+  Rng start_rng(46);
+  const BitVector start = random_solution(m.size(), start_rng);
+  Side narrow(m, start, 47, 8), wide(scaled, start, 47, 8);
+  expect_scaled_walk(narrow, wide);
+  auto algo_narrow = make_search_algorithm(id);
+  auto algo_wide = make_search_algorithm(id);
+  // One batch's phases by hand: walk, greedy, then the main search.
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    const BitVector target = random_solution(m.size(), start_rng);
+    EXPECT_EQ(straight_walk(narrow.state, target),
+              straight_walk(wide.state, target));
+    expect_scaled_walk(narrow, wide);
+    EXPECT_EQ(greedy_descent(narrow.state), greedy_descent(wide.state));
+    expect_scaled_walk(narrow, wide);
+    for (const std::uint64_t T : {1u, 17u, 130u}) {
+      algo_narrow->run(narrow.state, narrow.rng, &narrow.tabu, T);
+      algo_wide->run(wide.state, wide.rng, &wide.tabu, T);
+      expect_scaled_walk(narrow, wide);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllAlgorithms, WidthEquivalence,
+    ::testing::Combine(::testing::ValuesIn(kAllMainSearches), kBackends),
+    [](const auto& info) {
+      return std::string(to_string(std::get<0>(info.param))) + "_" +
+             to_string(std::get<1>(info.param));
+    });
+
+// ---------------------------------------------------------------------------
+// Sentinel edge: at int16 a real Delta can equal INT16_MAX, so no Step-2
+// reduction may use that value to mean "no candidate".  The edge model has
+// "heavy" bits whose only term is a diagonal of kHeavy: while such a bit
+// is 0 its Delta is exactly +kHeavy.  kHeavy = INT16_MAX makes the bound
+// exactly INT16_MAX (int16 kernel); INT16_MAX + 1 selects int64.
+constexpr Weight kMax16 = std::numeric_limits<std::int16_t>::max();
+
+bool is_heavy(VarIndex k) { return k % 41 == 5; }  // 5, 46, 87, 128
+
+/// 130 bits: heavy bits as above, the others coupled with weights in
+/// [-max_w, max_w] at density 0.5 (row sums far below kHeavy).
+QuboModel edge_model(QuboBackend backend, Weight heavy, Weight max_w) {
+  Rng rng(2300);
+  const std::size_t n = 130;
+  QuboBuilder b(n);
+  b.set_backend(backend);
+  auto w = [&]() {
+    return static_cast<Weight>(
+        static_cast<Weight>(rng.next_index(2 * max_w + 1)) - max_w);
+  };
+  for (VarIndex i = 0; i < n; ++i) {
+    if (is_heavy(i)) {
+      b.add_linear(i, heavy);
+      continue;
+    }
+    b.add_linear(i, w());
+    for (VarIndex j = i + 1; j < n; ++j) {
+      if (!is_heavy(j) && rng.next_unit() < 0.5) b.add_quadratic(i, j, w());
+    }
+  }
+  return b.build();
+}
+
+BitVector with_heavy(BitVector x, bool value) {
+  for (VarIndex k = 0; k < x.size(); ++k) {
+    if (is_heavy(k)) x.set(k, value);
+  }
+  return x;
+}
+
+using EdgeParam = std::tuple<QuboBackend, Weight>;
+
+class Int16Edge : public ::testing::TestWithParam<EdgeParam> {
+ protected:
+  QuboModel model(Weight max_w = 3) const {
+    const auto [backend, heavy] = GetParam();
+    QuboModel m = edge_model(backend, heavy, max_w);
+    EXPECT_EQ(m.delta_bound(), static_cast<std::uint64_t>(heavy));
+    EXPECT_EQ(m.delta_width(),
+              heavy == kMax16 ? DeltaWidth::kInt16 : DeltaWidth::kInt64);
+    return m;
+  }
+};
+
+TEST_P(Int16Edge, WalkFlipsBitsAtTheBound) {
+  // The heavy bits differ from the target and keep Delta == +heavy, the
+  // largest Delta on the model, so they are the walk's last flips: at the
+  // end they are the only differing bits.
+  const QuboModel m = model();
+  Rng rng(48);
+  for (int trial = 0; trial < 4; ++trial) {
+    const BitVector start = with_heavy(random_solution(m.size(), rng), false);
+    BitVector target = with_heavy(start, true);
+    if (trial > 0) target = with_heavy(random_solution(m.size(), rng), true);
+    Side got(m, start, 1, 0), want(m, start, 1, 0);
+    ASSERT_EQ(got.state.delta(5), std::get<1>(GetParam()));
+    EXPECT_EQ(straight_walk(got.state, target),
+              start.hamming_distance(target));
+    EXPECT_EQ(got.state.solution(), target);
+    ref::straight_walk(want.state, target);
+    expect_same_walk(got, want);
+  }
+}
+
+TEST_P(Int16Edge, CyclicMinPicksFreeBitsAtTheBound) {
+  // Whole-ring windows and permanent tabu: every bit flips once, cheapest
+  // first, so the last flips choose among heavy bits at Delta == +heavy
+  // while every other bit is tabu.
+  const QuboModel m = model();
+  for (const bool permuted : {false, true}) {
+    SCOPED_TRACE(permuted);
+    Rng rng(49);
+    const BitVector start = with_heavy(random_solution(m.size(), rng), false);
+    Side got(m, start, 50, 100000), want(m, start, 50, 100000);
+    CyclicMinSearch got_algo(130, permuted);
+    ref::CyclicMin want_algo(130, permuted);
+    got_algo.run(got.state, got.rng, &got.tabu, m.size());
+    want_algo.run(want.state, want.rng, &want.tabu, m.size());
+    expect_same_walk(got, want);
+    EXPECT_EQ(got.state.solution().hamming_distance(start), m.size());
+    EXPECT_EQ(want_algo.fallbacks, 0);
+  }
+}
+
+TEST_P(Int16Edge, PositiveMinWithOnlyBoundPositive) {
+  // Uncoupled light bits (Delta 0) next to heavy bits at +heavy: posmin is
+  // the bound itself, so every bit is a candidate, heavy bits included.
+  const QuboModel m = model(/*max_w=*/0);
+  const BitVector start = with_heavy(BitVector(m.size()), false);
+  Side got(m, start, 51, 8), want(m, start, 51, 8);
+  ASSERT_EQ(got.state.delta(5), std::get<1>(GetParam()));
+  PositiveMinSearch got_algo;
+  ref::PositiveMin want_algo;
+  // PositiveMin has no t/T schedule, so single iterations are its whole
+  // behaviour; they show when a heavy bit is picked.
+  int heavy_flips = 0;
+  for (int it = 0; it < 200; ++it) {
+    const BitVector before = got.state.solution();
+    got_algo.run(got.state, got.rng, &got.tabu, 1);
+    want_algo.run(want.state, want.rng, &want.tabu, 1);
+    heavy_flips += is_heavy(static_cast<VarIndex>(
+        got.state.solution().first_difference(before)));
+  }
+  expect_same_walk(got, want);
+  EXPECT_GT(heavy_flips, 0);
+}
+
+TEST_P(Int16Edge, EveryStep2RuleMatchesReference) {
+  const QuboModel m = model();
+  RandomMinSearch rm;
+  ref::RandomMin rm_ref;
+  expect_same_runs(rm, rm_ref, m, 8, 52, kSchedule);
+  MaxMinSearch mm;
+  ref::MaxMin mm_ref;
+  expect_same_runs(mm, mm_ref, m, 8, 53, kSchedule);
+  PositiveMinSearch pm;
+  ref::PositiveMin pm_ref;
+  expect_same_runs(pm, pm_ref, m, 8, 54, kSchedule);
+  CyclicMinSearch cm;
+  ref::CyclicMin cm_ref;
+  expect_same_runs(cm, cm_ref, m, 8, 55, kSchedule);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AtAndPastInt16Max, Int16Edge,
+    ::testing::Combine(kBackends, ::testing::Values(kMax16, kMax16 + 1)),
+    [](const auto& info) {
+      return std::string(to_string(std::get<0>(info.param))) + "_heavy" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(Step2DifferentialEdge, CyclicMinWindowsWrap) {
   // Minimum width 50 on 63 bits: every window after the first wraps.

@@ -96,7 +96,8 @@ TEST(SearchState, Eq4CrossUpdate) {
   for (int trial = 0; trial < 40; ++trial) {
     const auto i = static_cast<VarIndex>(rng.next_index(20));
     const auto& x = s.solution();
-    std::vector<Energy> before(s.deltas().begin(), s.deltas().end());
+    std::vector<Energy> before(20);
+    for (VarIndex k = 0; k < 20; ++k) before[k] = s.delta(k);
     std::vector<int> sig(20);
     for (VarIndex k = 0; k < 20; ++k) sig[k] = sigma(x.get(k));
     s.flip(i);

@@ -13,17 +13,21 @@ namespace dabs::testing {
 
 /// Random QUBO: every pair is an edge with probability `density`; weights
 /// uniform in [-max_w, max_w] (zeros dropped by the builder), diagonals in
-/// the same range.  `backend` forces the kernel backend (kAuto = pick by
-/// density, the production default).
+/// the same range, all multiplied by `scale`.  `backend` forces the kernel
+/// backend (kAuto = pick by density, the production default).  The same
+/// seed with another scale gives the same terms scaled, so a large scale
+/// moves the same model onto the int64 kernel.
 inline QuboModel random_model(std::size_t n, double density, int max_w,
                               std::uint64_t seed,
-                              QuboBackend backend = QuboBackend::kAuto) {
+                              QuboBackend backend = QuboBackend::kAuto,
+                              Weight scale = 1) {
   Rng rng(seed);
   QuboBuilder b(n);
   b.set_backend(backend);
   auto w = [&]() {
     return static_cast<Weight>(
-        static_cast<long long>(rng.next_index(2 * max_w + 1)) - max_w);
+        (static_cast<long long>(rng.next_index(2 * max_w + 1)) - max_w) *
+        scale);
   };
   for (VarIndex i = 0; i < n; ++i) b.add_linear(i, w());
   for (VarIndex i = 0; i + 1 < n; ++i) {
