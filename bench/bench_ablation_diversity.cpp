@@ -1,4 +1,4 @@
-// Ablation bench (DESIGN.md): quantify each diversity feature the paper
+// Ablation bench: quantify each diversity feature the paper
 // motivates qualitatively —
 //   (1) full algorithm portfolio vs each single algorithm,
 //   (2) eight genetic ops vs the ABS single op,
@@ -21,7 +21,8 @@ double run_with(const QuboModel& m, SolverConfig c) {
   const int kSeeds = 3;
   for (int s = 0; s < kSeeds; ++s) {
     c.seed = 1000 + 7919 * s;
-    sum += double(DabsSolver(c).solve(m).best_energy);
+    DabsSolver solver(c);
+    sum += double(bench::solve_on(solver, m, c.stop).best_energy);
   }
   return sum / kSeeds;
 }

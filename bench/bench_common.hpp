@@ -9,9 +9,10 @@
 //   DABS_BENCH_FULL=1          switches to the paper's full instance sizes
 //
 // Protocol for "potentially optimal" reference values (paper §I-B): the
-// best energy any solver ever attains within the bench becomes the
-// reference; DABS TTS/success statistics are then measured against it,
-// matching the paper's operational definition at bench scale.
+// best energy any solver ever attains within the bench becomes the row's
+// reference.  Campaign TTS/success statistics are measured against the
+// pre-pass reference (the runs before the campaigns); a `ref_beaten`
+// cell and metric mark rows where a campaign beat it.
 // JSON emission (the tracked paper harness): when DABS_BENCH_JSON names a
 // file, each bench writes its headline metrics and table rows there via
 // JsonSink; bench/run_paper.sh merges the per-suite files into
@@ -27,13 +28,13 @@
 #include <utility>
 #include <vector>
 
+#include "core/campaign.hpp"
 #include "core/dabs_solver.hpp"
 #include "core/solver.hpp"
 #include "core/solver_registry.hpp"
 #include "io/json_writer.hpp"
 #include "io/results_writer.hpp"
 #include "qubo/qubo_model.hpp"
-#include "util/stats.hpp"
 
 namespace dabs::bench {
 
@@ -72,17 +73,25 @@ inline SolverConfig bench_config(std::uint64_t seed, double s_factor,
   return c;
 }
 
-/// The registry-option spelling of bench_config(): the paper benches
-/// construct their solvers through SolverRegistry so the harness exercises
-/// the exact surface the CLI and server expose.
-inline SolverOptions bulk_options(std::uint64_t seed, double s_factor,
-                                  double b_factor) {
+/// The registry-option spelling of bench_config() without a seed: the
+/// paper benches construct their solvers through SolverRegistry so the
+/// harness exercises the exact surface the CLI and server expose.
+/// Campaign solvers take this form, since run_campaign() gives every trial
+/// a seed derived from the campaign request's.
+inline SolverOptions bulk_options(double s_factor, double b_factor) {
   return SolverOptions{{"devices", "2"},
                        {"blocks", "2"},
                        {"pool", "100"},
                        {"s", std::to_string(s_factor)},
-                       {"b", std::to_string(b_factor)},
-                       {"seed", std::to_string(seed)}};
+                       {"b", std::to_string(b_factor)}};
+}
+
+/// bulk_options() for a single seeded run.
+inline SolverOptions bulk_options(std::uint64_t seed, double s_factor,
+                                  double b_factor) {
+  SolverOptions opts = bulk_options(s_factor, b_factor);
+  opts.set("seed", std::to_string(seed));
+  return opts;
 }
 
 /// Registry construction, by the same path as `dabs-cli --solver`.
@@ -100,60 +109,16 @@ inline SolveReport solve_on(Solver& solver, const QuboModel& model,
   return solver.solve(req);
 }
 
-struct TrialCampaign {
-  Energy best_energy = kInfiniteEnergy;  // best over all trials
-  SummaryStats tts;                      // seconds, successful trials only
-  std::size_t successes = 0;
-  std::size_t runs = 0;
-  std::vector<double> tts_samples;
-
-  double success_rate() const {
-    return runs ? double(successes) / double(runs) : 0.0;
-  }
-};
-
-/// Runs `n_trials` independent DABS executions against a known target.
-/// Each trial stops at the target or at the batch/time budget in `proto`.
-template <typename MakeSolver>
-TrialCampaign run_campaign(const QuboModel& model, Energy target,
-                           std::size_t n_trials, MakeSolver&& make_solver) {
-  TrialCampaign camp;
-  for (std::size_t t = 0; t < n_trials; ++t) {
-    auto solver = make_solver(t);
-    const SolveResult r = solver.solve(model);
-    ++camp.runs;
-    if (r.best_energy < camp.best_energy) camp.best_energy = r.best_energy;
-    if (r.reached_target && r.best_energy <= target) {
-      ++camp.successes;
-      camp.tts.add(r.tts_seconds);
-      camp.tts_samples.push_back(r.tts_seconds);
-    }
-  }
-  return camp;
-}
-
-/// Registry-side twin of run_campaign(): `make_solver(t)` returns a
-/// std::unique_ptr<Solver>; every trial runs through the SolveRequest
-/// protocol against `target` under `time_budget` seconds.
-template <typename MakeSolver>
-TrialCampaign run_registry_campaign(const QuboModel& model, Energy target,
-                                    double time_budget, std::size_t n_trials,
-                                    MakeSolver&& make_solver) {
-  TrialCampaign camp;
-  for (std::size_t t = 0; t < n_trials; ++t) {
-    StopCondition stop;
-    stop.target_energy = target;
-    stop.time_limit_seconds = time_budget;
-    const SolveReport r = solve_on(*make_solver(t), model, stop);
-    ++camp.runs;
-    if (r.best_energy < camp.best_energy) camp.best_energy = r.best_energy;
-    if (r.reached_target && r.best_energy <= target) {
-      ++camp.successes;
-      camp.tts.add(r.tts_seconds);
-      camp.tts_samples.push_back(r.tts_seconds);
-    }
-  }
-  return camp;
+/// The per-trial request of a bench campaign: `seed` is the prototype
+/// seed the runner derives every trial's seed from, and each trial stops
+/// at the campaign's target or after `time_budget` seconds.
+inline SolveRequest campaign_request(const QuboModel& model,
+                                     double time_budget, std::uint64_t seed) {
+  SolveRequest req;
+  req.model = &model;
+  req.stop.time_limit_seconds = time_budget;
+  req.seed = seed;
+  return req;
 }
 
 /// Collects a bench's headline metrics and table rows, then writes them as

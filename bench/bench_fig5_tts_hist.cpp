@@ -37,10 +37,9 @@ void run() {
   sink.metric("ref_energy", double(ref));
 
   const std::size_t n_trials = bench::trials(30);
-  const auto camp = bench::run_registry_campaign(
-      m, ref, 8.0 * bench::scale(), n_trials, [&](std::size_t t) {
-        return bench::make_solver("dabs", bench::bulk_options(1000 + t, 0.1, 10.0));
-      });
+  const CampaignResult camp = run_campaign(
+      *bench::make_solver("dabs", bench::bulk_options(0.1, 10.0)),
+      bench::campaign_request(m, 8.0 * bench::scale(), 1000), ref, n_trials);
   sink.metric("trials", double(camp.runs));
   sink.metric("success_rate", camp.success_rate());
 

@@ -1,7 +1,8 @@
 // Fig. 6 reproduction: histogram of best solutions found within fixed time
 // limits T, 2T, 4T.  The paper runs the D-Wave Hybrid solver at T = 50, 100,
-// 200 s; our comparator is the "sa" registry solver (DESIGN.md §2) — the
-// shape to reproduce is "longer limits shift mass toward the optimum".
+// 200 s; our comparator is the "sa" registry solver (README
+// "Substitutions") — the shape to reproduce is "longer limits shift mass
+// toward the optimum".
 #include <array>
 #include <map>
 

@@ -33,11 +33,10 @@ void run() {
             inst.qubo, ref_stop)
             .best_energy;
 
-    const auto camp = bench::run_registry_campaign(
-        inst.qubo, ref, time_budget, n_trials, [&](std::size_t t) {
-          return bench::make_solver(
-              "dabs", bench::bulk_options(7000 + 100 * r + t, 0.1, 1.0));
-        });
+    const std::uint64_t seed = 7000 + 100 * r;
+    const CampaignResult camp = run_campaign(
+        *bench::make_solver("dabs", bench::bulk_options(0.1, 1.0)),
+        bench::campaign_request(inst.qubo, time_budget, seed), ref, n_trials);
     std::cout << "QASP" << r << " ref=" << io::fmt_energy(ref) << " ("
               << camp.successes << " hits, " << (camp.runs - camp.successes)
               << " misses)\n";

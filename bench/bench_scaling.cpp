@@ -33,7 +33,8 @@ void run() {
       c.device.blocks = blocks;
       c.mode = ExecutionMode::kThreaded;
       c.stop.time_limit_seconds = budget;
-      const SolveResult r = DabsSolver(c).solve(m);
+      DabsSolver solver(c);
+      const SolveReport r = bench::solve_on(solver, m, c.stop);
       const auto rate =
           static_cast<long long>(double(r.batches) / r.elapsed_seconds);
       table.add_row({std::to_string(devices), std::to_string(blocks),

@@ -2,10 +2,10 @@
 //
 // Paper row set: potentially optimal cut, DABS (TTS), ABS (TTS + success
 // probability), comparator solvers' gaps (Gurobi / D-Wave Hybrid / CIM ->
-// here the "sa" / "tabu" / "greedy-restart" registry solvers; DESIGN.md §2).
+// here the "sa" / "tabu" / "greedy-restart" registry solvers; README
+// "Substitutions").
 #include <algorithm>
 
-#include "baseline/baseline_result.hpp"  // energy_gap
 #include "bench_common.hpp"
 #include "problems/maxcut.hpp"
 
@@ -40,9 +40,9 @@ void run() {
   bench::print_banner("Table II — MaxCut (K2000 / G22 / G39 family)");
   bench::JsonSink sink("table2_maxcut");
   io::ResultsTable table("Table II");
-  table.columns({"instance", "ref(best)", "DABS best", "DABS TTS",
-                 "DABS succ", "ABS best", "ABS succ", "SA gap", "Tabu gap",
-                 "Greedy gap"});
+  table.columns({"instance", "ref(best)", "ref beaten", "DABS best",
+                 "DABS TTS", "DABS succ", "ABS best", "ABS succ", "SA gap",
+                 "Tabu gap", "Greedy gap"});
 
   const double time_budget = 4.0 * bench::scale();
   const std::size_t n_trials = bench::trials(5);
@@ -76,34 +76,41 @@ void run() {
     best_known = std::min({best_known, sa.best_energy, tb.best_energy,
                            gr.best_energy});
 
-    // DABS campaign against the reference.
-    const auto dabs_camp = bench::run_registry_campaign(
-        m, best_known, time_budget, n_trials, [&](std::size_t t) {
-          return bench::make_solver("dabs", bulk_options(100 + t, 0.1, 10.0));
-        });
-    // ABS campaign (restricted feature set), same budget.
-    const auto abs_camp = bench::run_registry_campaign(
-        m, best_known, time_budget, n_trials, [&](std::size_t t) {
-          return bench::make_solver("abs", bulk_options(200 + t, 0.1, 10.0));
-        });
+    // DABS and ABS (restricted feature set) campaigns against the
+    // pre-pass reference, same budget.
+    const CampaignResult dabs_camp = run_campaign(
+        *bench::make_solver("dabs", bulk_options(0.1, 10.0)),
+        bench::campaign_request(m, time_budget, 100), best_known, n_trials);
+    const CampaignResult abs_camp = run_campaign(
+        *bench::make_solver("abs", bulk_options(0.1, 10.0)),
+        bench::campaign_request(m, time_budget, 200), best_known, n_trials);
+
+    // The row's reference is the best energy any solver attained; flag a
+    // campaign that beat the pre-pass reference its successes were
+    // scored against.
+    const Energy reference = std::min(
+        {best_known, dabs_camp.best_energy, abs_camp.best_energy});
+    const bool ref_beaten = reference < best_known;
 
     table.add_row(
-        {row.name, io::fmt_energy(best_known),
+        {row.name, io::fmt_energy(reference), ref_beaten ? "yes" : "no",
          io::fmt_energy(dabs_camp.best_energy),
          dabs_camp.successes ? io::fmt_seconds(dabs_camp.tts.mean()) : "-",
          io::fmt_percent(dabs_camp.success_rate()),
          io::fmt_energy(abs_camp.best_energy),
          io::fmt_percent(abs_camp.success_rate()),
-         io::fmt_gap(energy_gap(sa.best_energy, best_known)),
-         io::fmt_gap(energy_gap(tb.best_energy, best_known)),
-         io::fmt_gap(energy_gap(gr.best_energy, best_known))});
+         io::fmt_gap(energy_gap(sa.best_energy, reference)),
+         io::fmt_gap(energy_gap(tb.best_energy, reference)),
+         io::fmt_gap(energy_gap(gr.best_energy, reference))});
     sink.metric("success_rate_dabs_" + row.name, dabs_camp.success_rate());
     sink.metric("success_rate_abs_" + row.name, abs_camp.success_rate());
+    sink.metric("ref_beaten_" + row.name, ref_beaten ? 1.0 : 0.0);
     if (dabs_camp.successes) {
       sink.metric("tts_mean_dabs_" + row.name, dabs_camp.tts.mean());
     }
     sink.row({{"instance", row.name},
-              {"ref_energy", std::to_string(best_known)},
+              {"ref_energy", std::to_string(reference)},
+              {"ref_beaten", ref_beaten ? "yes" : "no"},
               {"dabs_best", std::to_string(dabs_camp.best_energy)},
               {"abs_best", std::to_string(abs_camp.best_energy)},
               {"sa_best", std::to_string(sa.best_energy)},

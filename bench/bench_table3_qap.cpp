@@ -4,10 +4,11 @@
 // DABS TTS, ABS TTS + success probability, comparator gaps.  Real QAPLIB
 // files can be placed next to the binary and loaded with io::read_qaplib;
 // by default the bench uses generator instances from the same families
-// (uniform/Taillard-like and grid/Nugent-like; DESIGN.md §2).
+// (uniform/Taillard-like and grid/Nugent-like; README "Substitutions").
 #include <algorithm>
+#include <utility>
+#include <vector>
 
-#include "baseline/baseline_result.hpp"  // energy_gap
 #include "bench_common.hpp"
 #include "problems/qap.hpp"
 
@@ -38,9 +39,9 @@ void run() {
   bench::print_banner("Table III — QAP (tai / tho / nug families)");
   bench::JsonSink sink("table3_qap");
   io::ResultsTable table("Table III");
-  table.columns({"instance", "penalty", "QUBO ref", "DABS best", "DABS TTS",
-                 "DABS succ", "ABS best", "ABS succ", "SA gap", "Tabu gap",
-                 "subQUBO gap", "feasible"});
+  table.columns({"instance", "penalty", "QUBO ref", "ref beaten",
+                 "DABS best", "DABS TTS", "DABS succ", "ABS best", "ABS succ",
+                 "SA gap", "Tabu gap", "subQUBO gap", "feasible"});
 
   const double time_budget = 4.0 * bench::scale();
   const std::size_t n_trials = bench::trials(5);
@@ -77,46 +78,58 @@ void run() {
     best_known = std::min({best_known, sa.best_energy, tb.best_energy,
                            sq.best_energy});
 
-    const auto dabs_camp = bench::run_registry_campaign(
-        q.model, best_known, time_budget, n_trials, [&](std::size_t t) {
-          return bench::make_solver("dabs", bulk_options(300 + t, 0.1, 1.0));
-        });
-    const auto abs_camp = bench::run_registry_campaign(
-        q.model, best_known, time_budget, n_trials, [&](std::size_t t) {
-          return bench::make_solver("abs", bulk_options(400 + t, 0.1, 1.0));
-        });
+    const CampaignResult dabs_camp = run_campaign(
+        *bench::make_solver("dabs", bulk_options(0.1, 1.0)),
+        bench::campaign_request(q.model, time_budget, 300), best_known,
+        n_trials);
+    const CampaignResult abs_camp = run_campaign(
+        *bench::make_solver("abs", bulk_options(0.1, 1.0)),
+        bench::campaign_request(q.model, time_budget, 400), best_known,
+        n_trials);
+
+    // The row's reference is the best energy any solver attained; flag a
+    // campaign that beat the pre-pass reference its successes were
+    // scored against.
+    const std::vector<std::pair<Energy, const BitVector*>> found = {
+        {ref.best_energy, &ref.best_solution},
+        {sa.best_energy, &sa.best_solution},
+        {tb.best_energy, &tb.best_solution},
+        {sq.best_energy, &sq.best_solution},
+        {dabs_camp.best_energy, &dabs_camp.best_solution},
+        {abs_camp.best_energy, &abs_camp.best_solution}};
+    const auto attained = *std::min_element(
+        found.begin(), found.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    const Energy reference = attained.first;
+    const bool ref_beaten = reference < best_known;
 
     // Feasibility of the reference solution (one-hot decode).
-    StopCondition chk_stop;
-    chk_stop.target_energy = best_known;
-    chk_stop.time_limit_seconds = 2.0 * time_budget;
-    const SolveReport chk = bench::solve_on(
-        *bench::make_solver("dabs", bulk_options(12, 0.1, 1.0)), q.model,
-        chk_stop);
     const bool feasible =
-        chk.best_energy == best_known &&
-        pr::decode_assignment(chk.best_solution, row.inst.n).has_value();
+        pr::decode_assignment(*attained.second, row.inst.n).has_value();
 
     table.add_row(
         {row.inst.name, std::to_string(q.penalty),
-         io::fmt_energy(best_known), io::fmt_energy(dabs_camp.best_energy),
+         io::fmt_energy(reference), ref_beaten ? "yes" : "no",
+         io::fmt_energy(dabs_camp.best_energy),
          dabs_camp.successes ? io::fmt_seconds(dabs_camp.tts.mean()) : "-",
          io::fmt_percent(dabs_camp.success_rate()),
          io::fmt_energy(abs_camp.best_energy),
          io::fmt_percent(abs_camp.success_rate()),
-         io::fmt_gap(energy_gap(sa.best_energy, best_known)),
-         io::fmt_gap(energy_gap(tb.best_energy, best_known)),
-         io::fmt_gap(energy_gap(sq.best_energy, best_known)),
+         io::fmt_gap(energy_gap(sa.best_energy, reference)),
+         io::fmt_gap(energy_gap(tb.best_energy, reference)),
+         io::fmt_gap(energy_gap(sq.best_energy, reference)),
          feasible ? "yes" : "NO"});
     sink.metric("success_rate_dabs_" + row.inst.name,
                 dabs_camp.success_rate());
     sink.metric("success_rate_abs_" + row.inst.name, abs_camp.success_rate());
+    sink.metric("ref_beaten_" + row.inst.name, ref_beaten ? 1.0 : 0.0);
     if (dabs_camp.successes) {
       sink.metric("tts_mean_dabs_" + row.inst.name, dabs_camp.tts.mean());
     }
     sink.row({{"instance", row.inst.name},
               {"penalty", std::to_string(q.penalty)},
-              {"ref_energy", std::to_string(best_known)},
+              {"ref_energy", std::to_string(reference)},
+              {"ref_beaten", ref_beaten ? "yes" : "no"},
               {"dabs_best", std::to_string(dabs_camp.best_energy)},
               {"abs_best", std::to_string(abs_camp.best_energy)},
               {"feasible", feasible ? "yes" : "no"}});

@@ -42,7 +42,9 @@ int main(int argc, char** argv) {
   config.mode = dabs::ExecutionMode::kThreaded;
   config.stop.time_limit_seconds = 5.0;
 
-  const dabs::SolveResult r = dabs::DabsSolver(config).solve(inst.qubo);
+  dabs::SolveRequest request;
+  request.model = &inst.qubo;
+  const dabs::SolveReport r = dabs::DabsSolver(config).solve(request);
 
   // Report in Ising terms, the way an annealer would.
   const dabs::Energy hamiltonian =

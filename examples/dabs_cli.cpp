@@ -33,7 +33,7 @@
 #include <fstream>
 #include <iostream>
 
-#include "core/parallel_campaign.hpp"
+#include "core/campaign.hpp"
 #include "core/solve_report.hpp"
 #include "core/solver.hpp"
 #include "core/solver_registry.hpp"
@@ -496,13 +496,10 @@ int main(int argc, char** argv) {
         return 2;
       }
       const Energy target = *req.stop.target_energy;
-      SolverConfig base;
-      base.seed = req.seed.value_or(base.seed);
-      base.stop = req.stop;
-      const ParallelCampaign camp(base, trials, workers);
-      // `req` rides along as the prototype so --progress (and a future
-      // cancellation hook) reach every trial.
-      const CampaignResult r = camp.run_solver(model, target, *solver, req);
+      // `req` is the prototype: its stop condition and seed shape every
+      // trial, and --progress (and a future cancellation hook) reach each.
+      const CampaignResult r =
+          run_campaign(*solver, req, target, trials, workers);
       if (as_json) {
         io::JsonWriter json(std::cout);
         json.begin_object()
@@ -515,8 +512,7 @@ int main(int argc, char** argv) {
             .value("best_energy", r.best_energy);
         if (r.successes > 0) {
           json.value("tts_mean_seconds", r.tts.mean())
-              .value("tts_at_99",
-                     tts_at_confidence(r.tts.mean(), r.success_rate()));
+              .value("tts_at_99", r.tts_at(0.99));
         }
         json.end_object();
         std::cout << "\n";
@@ -525,9 +521,7 @@ int main(int argc, char** argv) {
                   << " trials reached " << target << "\n";
         if (r.successes > 0) {
           std::cout << "TTS " << r.tts.to_string() << "\n"
-                    << "TTS@99% = "
-                    << tts_at_confidence(r.tts.mean(), r.success_rate())
-                    << "s\n";
+                    << "TTS@99% = " << r.tts_at(0.99) << "s\n";
         }
         std::cout << "best energy over campaign: " << r.best_energy << "\n";
       }

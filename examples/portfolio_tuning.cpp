@@ -8,36 +8,42 @@
 // prints which algorithms/operations the solver actually exercised —
 // a miniature of the paper's Tables V and VI.
 #include <iostream>
+#include <string>
 
 #include "baseline/abs_solver.hpp"
 #include "core/dabs_solver.hpp"
+#include "core/solve_report.hpp"
 #include "problems/qap.hpp"
 
 namespace {
 
-void report(const std::string& label, const dabs::SolveResult& r) {
+/// Prints the report extras under `prefix` (freq_algo_, freq_op_) as
+/// rounded percentages, skipping unused entries.
+void print_usage(const dabs::SolveReport& r, const std::string& prefix) {
+  for (const auto& [key, value] : r.extras) {
+    if (key.rfind(prefix, 0) != 0 || std::stod(value) == 0) continue;
+    std::cout << "  " << key.substr(prefix.size()) << " "
+              << int(std::stod(value) * 100 + 0.5) << "%";
+  }
+}
+
+void report(const std::string& label, dabs::Solver&& solver,
+            const dabs::QuboModel& model) {
+  dabs::SolveRequest req;
+  req.model = &model;
+  const dabs::SolveReport r = solver.solve(req);
   std::cout << "\n--- " << label << " ---\n"
             << "best energy " << r.best_energy << " in " << r.batches
             << " batches, " << r.restarts << " pool restarts\n";
   std::cout << "algorithm usage:";
-  for (const dabs::MainSearch s : dabs::kAllMainSearches) {
-    std::cout << "  " << dabs::to_string(s) << " "
-              << int(r.stats.algo_fraction(s) * 100 + 0.5) << "%";
-  }
+  print_usage(r, "freq_algo_");
   std::cout << "\noperation usage :";
-  for (std::size_t i = 0; i < dabs::kGeneticOpCount; ++i) {
-    const auto op = static_cast<dabs::GeneticOp>(i);
-    const double f = r.stats.op_fraction(op);
-    if (f > 0) {
-      std::cout << "  " << dabs::to_string(op) << " "
-                << int(f * 100 + 0.5) << "%";
-    }
-  }
-  dabs::MainSearch fa{};
-  dabs::GeneticOp fo{};
-  if (r.stats.first_finder(fa, fo)) {
-    std::cout << "\nbest solution first found by " << dabs::to_string(fa)
-              << " + " << dabs::to_string(fo) << "\n";
+  print_usage(r, "freq_op_");
+  const auto algo = r.extras.find("first_finder_algo");
+  const auto op = r.extras.find("first_finder_op");
+  if (algo != r.extras.end() && op != r.extras.end()) {
+    std::cout << "\nbest solution first found by " << algo->second << " + "
+              << op->second << "\n";
   } else {
     std::cout << "\n";
   }
@@ -60,8 +66,8 @@ int main() {
   base.seed = 11;
 
   // 1. Full DABS diversity.
-  report("full DABS (5 algorithms, 8 operations)",
-         dabs::DabsSolver(base).solve(q.model));
+  report("full DABS (5 algorithms, 8 operations)", dabs::DabsSolver(base),
+         q.model);
 
   // 2. A hand-picked two-algorithm portfolio.
   {
@@ -71,11 +77,11 @@ int main() {
     c.operations = {dabs::GeneticOp::kCrossover, dabs::GeneticOp::kZero,
                     dabs::GeneticOp::kBest};
     report("custom portfolio (PositiveMin+RandomMin, 3 ops)",
-           dabs::DabsSolver(c).solve(q.model));
+           dabs::DabsSolver(c), q.model);
   }
 
   // 3. The ABS baseline (single algorithm, single operation).
   report("ABS baseline (CyclicMin + MutateCrossover)",
-         dabs::AbsSolver(base).solve(q.model));
+         dabs::AbsSolver(base), q.model);
   return 0;
 }

@@ -21,9 +21,7 @@ class AbsSolver : public Solver {
 
   const SolverConfig& config() const noexcept { return inner_.config(); }
 
-  SolveResult solve(const QuboModel& model) { return inner_.solve(model); }
-
-  /// Unified-interface entry; see DabsSolver::solve(const SolveRequest&).
+  /// See DabsSolver::solve.
   SolveReport solve(const SolveRequest& request) override {
     SolveReport report = inner_.solve(request);
     report.solver = name();

@@ -2,17 +2,17 @@
 
 #include <bit>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "qubo/search_state.hpp"
 #include "util/assert.hpp"
-#include "util/timer.hpp"
 
 namespace dabs {
 
-BaselineResult ExhaustiveSolver::solve_block(
+SolveReport ExhaustiveSolver::solve_block(
     const QuboModel& model, std::uint64_t prefix, std::size_t prefix_bits,
-    const StopContext* ctx, std::atomic<std::uint64_t>* work_done) const {
+    const StopContext& ctx, std::atomic<std::uint64_t>& work_done) const {
   const std::size_t n = model.size();
   const std::size_t suffix_bits = n - prefix_bits;
 
@@ -27,12 +27,12 @@ BaselineResult ExhaustiveSolver::solve_block(
   BitVector best = state.solution();
   Energy best_e = state.energy();
   const std::uint64_t total = std::uint64_t{1} << suffix_bits;
-  const std::uint64_t work_budget = ctx ? ctx->condition().max_batches : 0;
+  const std::uint64_t work_budget = ctx.condition().max_batches;
   for (std::uint64_t s = 1; s < total; ++s) {
-    if (ctx && (s & 8191) == 0) {
-      if (ctx->expired()) break;
+    if ((s & 8191) == 0) {
+      if (ctx.expired()) break;
       if (work_budget != 0 &&
-          work_done->fetch_add(8192, std::memory_order_relaxed) + 8192 >=
+          work_done.fetch_add(8192, std::memory_order_relaxed) + 8192 >=
               work_budget) {
         break;
       }
@@ -43,14 +43,17 @@ BaselineResult ExhaustiveSolver::solve_block(
       best = state.solution();
     }
   }
-  return {best, best_e, state.flip_count(), 0.0};
+  SolveReport block;
+  block.best_solution = std::move(best);
+  block.best_energy = best_e;
+  block.flips = state.flip_count();
+  return block;
 }
 
-BaselineResult ExhaustiveSolver::run(const QuboModel& model,
-                                     const StopContext* ctx) const {
+SolveReport ExhaustiveSolver::run(const QuboModel& model,
+                                  const StopContext& ctx) const {
   const std::size_t n = model.size();
   DABS_CHECK(n <= max_bits_, "model too large for exhaustive enumeration");
-  Stopwatch clock;
 
   // Round the worker count down to a power of two, capped so every worker
   // has at least one suffix bit to enumerate.
@@ -65,24 +68,20 @@ BaselineResult ExhaustiveSolver::run(const QuboModel& model,
   // the run across all workers (checked once per 8192-step stride).
   std::atomic<std::uint64_t> work_done{0};
 
-  if (prefix_bits == 0) {
-    BaselineResult r = solve_block(model, 0, 0, ctx, &work_done);
-    r.elapsed_seconds = clock.elapsed_seconds();
-    return r;
-  }
+  if (prefix_bits == 0) return solve_block(model, 0, 0, ctx, work_done);
 
   const std::size_t workers = std::size_t{1} << prefix_bits;
-  std::vector<BaselineResult> results(workers);
+  std::vector<SolveReport> results(workers);
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&, w] {
-      results[w] = solve_block(model, w, prefix_bits, ctx, &work_done);
+      results[w] = solve_block(model, w, prefix_bits, ctx, work_done);
     });
   }
   for (auto& t : pool) t.join();
 
-  BaselineResult out = results[0];
+  SolveReport out = std::move(results[0]);
   for (std::size_t w = 1; w < workers; ++w) {
     out.flips += results[w].flips;
     if (results[w].best_energy < out.best_energy) {
@@ -90,22 +89,19 @@ BaselineResult ExhaustiveSolver::run(const QuboModel& model,
       out.best_solution = results[w].best_solution;
     }
   }
-  out.elapsed_seconds = clock.elapsed_seconds();
   return out;
-}
-
-BaselineResult ExhaustiveSolver::solve(const QuboModel& model) const {
-  return run(model, nullptr);
 }
 
 SolveReport ExhaustiveSolver::solve(const SolveRequest& request) {
   const QuboModel& model = request_model(request);
   StopContext ctx = StopContext::for_request(request);
-  BaselineResult r = run(model, &ctx);
-  ctx.add_work(r.flips);
-  ctx.note_best(r.best_energy);
+  SolveReport report = run(model, ctx);
+  ctx.add_work(report.flips);
+  ctx.note_best(report.best_energy);
   (void)ctx.should_stop();  // latch cancellation for the report
-  return make_report(name(), std::move(r), ctx);
+  report.solver = name();
+  ctx.stamp(report);
+  return report;
 }
 
 }  // namespace dabs

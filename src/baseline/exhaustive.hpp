@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cstdint>
 
-#include "baseline/baseline_result.hpp"
 #include "core/solve_report.hpp"
 #include "core/solver.hpp"
 #include "qubo/qubo_model.hpp"
@@ -28,24 +27,21 @@ class ExhaustiveSolver : public Solver {
                             std::uint32_t threads = 1)
       : max_bits_(max_bits), threads_(threads == 0 ? 1 : threads) {}
 
-  /// Legacy entry: runs the enumeration to completion.
-  BaselineResult solve(const QuboModel& model) const;
-
-  /// Unified-interface entry.  An exact enumerator ignores seeds and warm
-  /// starts; a time limit, work budget, or fired stop token ends the run
-  /// early with the best-so-far (the report's `cancelled`/partial flips
-  /// say so).  Workers poll the stop protocol every 8192 steps.
+  /// An exact enumerator ignores seeds and warm starts; a time limit,
+  /// work budget, or fired stop token ends the run early with the
+  /// best-so-far (the report's `cancelled`/partial flips say so).  Workers
+  /// poll the stop protocol every 8192 steps.
   SolveReport solve(const SolveRequest& request) override;
 
   std::string_view name() const noexcept override { return "exhaustive"; }
 
  private:
-  /// `ctx` may be null (no early exit); workers use the thread-safe
-  /// polling subset plus the shared `work_done` step counter only.
-  BaselineResult solve_block(const QuboModel& model, std::uint64_t prefix,
-                             std::size_t prefix_bits, const StopContext* ctx,
-                             std::atomic<std::uint64_t>* work_done) const;
-  BaselineResult run(const QuboModel& model, const StopContext* ctx) const;
+  /// Workers use the thread-safe polling subset of `ctx` plus the shared
+  /// `work_done` step counter only.
+  SolveReport solve_block(const QuboModel& model, std::uint64_t prefix,
+                          std::size_t prefix_bits, const StopContext& ctx,
+                          std::atomic<std::uint64_t>& work_done) const;
+  SolveReport run(const QuboModel& model, const StopContext& ctx) const;
 
   std::size_t max_bits_;
   std::uint32_t threads_;

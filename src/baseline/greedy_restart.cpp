@@ -4,7 +4,6 @@
 #include "qubo/search_state.hpp"
 #include "search/greedy.hpp"
 #include "util/assert.hpp"
-#include "util/timer.hpp"
 
 namespace dabs {
 
@@ -12,28 +11,23 @@ GreedyRestart::GreedyRestart(GreedyRestartParams params) : params_(params) {
   DABS_CHECK(params_.restarts > 0, "at least one restart");
 }
 
-BaselineResult GreedyRestart::solve(const QuboModel& model) const {
-  StopCondition stop;
-  stop.time_limit_seconds = params_.time_limit_seconds;
-  StopContext ctx(stop);
-  return run(model, params_.seed, {}, ctx);
-}
-
 SolveReport GreedyRestart::solve(const SolveRequest& request) {
   const QuboModel& model = request_model(request);
   StopContext ctx =
       StopContext::for_request(request, params_.time_limit_seconds);
-  BaselineResult r = run(model, request.seed.value_or(params_.seed),
-                         request.warm_start, ctx);
-  return make_report(name(), std::move(r), ctx);
+  SolveReport report = run(model, request.seed.value_or(params_.seed),
+                           request.warm_start, ctx);
+  report.solver = name();
+  ctx.stamp(report);
+  return report;
 }
 
-BaselineResult GreedyRestart::run(const QuboModel& model, std::uint64_t seed,
-                                  const std::vector<BitVector>& warm_start,
-                                  StopContext& ctx) const {
+SolveReport GreedyRestart::run(const QuboModel& model, std::uint64_t seed,
+                               const std::vector<BitVector>& warm_start,
+                               StopContext& ctx) const {
   Rng rng(seed);
   SearchState state(model);
-  BaselineResult result;
+  SolveReport result;
 
   for (std::uint64_t r = 0; r < params_.restarts; ++r) {
     state.reset_to(r < warm_start.size()
@@ -49,7 +43,6 @@ BaselineResult GreedyRestart::run(const QuboModel& model, std::uint64_t seed,
     result.flips += state.flip_count();
     if (ctx.should_stop()) break;
   }
-  result.elapsed_seconds = ctx.elapsed_seconds();
   return result;
 }
 

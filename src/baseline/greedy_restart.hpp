@@ -5,7 +5,6 @@
 
 #include <cstdint>
 
-#include "baseline/baseline_result.hpp"
 #include "core/solve_report.hpp"
 #include "core/solver.hpp"
 #include "qubo/qubo_model.hpp"
@@ -22,19 +21,16 @@ class GreedyRestart : public Solver {
  public:
   explicit GreedyRestart(GreedyRestartParams params = {});
 
-  /// Legacy entry: budget and seed come from GreedyRestartParams alone.
-  BaselineResult solve(const QuboModel& model) const;
-
-  /// Unified-interface entry: request stop/seed/warm-start/observer win
-  /// over the params; restart r descends from warm_start[r] when provided.
+  /// Request stop/seed/warm-start/observer win over the params; restart r
+  /// descends from warm_start[r] when provided.
   SolveReport solve(const SolveRequest& request) override;
 
   std::string_view name() const noexcept override { return "greedy-restart"; }
 
  private:
-  BaselineResult run(const QuboModel& model, std::uint64_t seed,
-                     const std::vector<BitVector>& warm_start,
-                     StopContext& ctx) const;
+  SolveReport run(const QuboModel& model, std::uint64_t seed,
+                  const std::vector<BitVector>& warm_start,
+                  StopContext& ctx) const;
 
   GreedyRestartParams params_;
 };

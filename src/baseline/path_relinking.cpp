@@ -8,7 +8,6 @@
 #include "search/greedy.hpp"
 #include "search/straight.hpp"
 #include "util/assert.hpp"
-#include "util/timer.hpp"
 
 namespace dabs {
 
@@ -17,28 +16,23 @@ PathRelinking::PathRelinking(PathRelinkingParams params) : params_(params) {
   DABS_CHECK(params_.relinks > 0, "at least one relink");
 }
 
-BaselineResult PathRelinking::solve(const QuboModel& model) const {
-  StopCondition stop;
-  stop.time_limit_seconds = params_.time_limit_seconds;
-  StopContext ctx(stop);
-  return run(model, params_.seed, {}, ctx);
-}
-
 SolveReport PathRelinking::solve(const SolveRequest& request) {
   const QuboModel& model = request_model(request);
   StopContext ctx =
       StopContext::for_request(request, params_.time_limit_seconds);
-  BaselineResult r = run(model, request.seed.value_or(params_.seed),
-                         request.warm_start, ctx);
-  return make_report(name(), std::move(r), ctx);
+  SolveReport report = run(model, request.seed.value_or(params_.seed),
+                           request.warm_start, ctx);
+  report.solver = name();
+  ctx.stamp(report);
+  return report;
 }
 
-BaselineResult PathRelinking::run(const QuboModel& model, std::uint64_t seed,
-                                  const std::vector<BitVector>& warm_start,
-                                  StopContext& ctx) const {
+SolveReport PathRelinking::run(const QuboModel& model, std::uint64_t seed,
+                               const std::vector<BitVector>& warm_start,
+                               StopContext& ctx) const {
   Rng rng(seed);
   SearchState state(model);
-  BaselineResult result;
+  SolveReport result;
 
   auto consider = [&](const BitVector& x, Energy e) {
     if (e < result.best_energy) {
@@ -64,10 +58,7 @@ BaselineResult PathRelinking::run(const QuboModel& model, std::uint64_t seed,
     consider(state.best(), state.best_energy());
     result.flips += state.flip_count();
   }
-  if (elite.size() < 2) {
-    result.elapsed_seconds = ctx.elapsed_seconds();
-    return result;
-  }
+  if (elite.size() < 2) return result;
 
   // Phase 2: relink random elite pairs; polish the path's best point.
   for (std::uint64_t r = 0; r < params_.relinks && !ctx.should_stop(); ++r) {
@@ -90,7 +81,6 @@ BaselineResult PathRelinking::run(const QuboModel& model, std::uint64_t seed,
       *worst = {state.best(), state.best_energy()};
     }
   }
-  result.elapsed_seconds = ctx.elapsed_seconds();
   return result;
 }
 

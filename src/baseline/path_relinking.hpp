@@ -7,7 +7,6 @@
 
 #include <cstdint>
 
-#include "baseline/baseline_result.hpp"
 #include "core/solve_report.hpp"
 #include "core/solver.hpp"
 #include "qubo/qubo_model.hpp"
@@ -25,19 +24,16 @@ class PathRelinking : public Solver {
  public:
   explicit PathRelinking(PathRelinkingParams params = {});
 
-  /// Legacy entry: budget and seed come from PathRelinkingParams alone.
-  BaselineResult solve(const QuboModel& model) const;
-
-  /// Unified-interface entry: request stop/seed/warm-start/observer win
-  /// over the params; warm starts seed the elite set (after polishing).
+  /// Request stop/seed/warm-start/observer win over the params; warm starts
+  /// seed the elite set (after polishing).
   SolveReport solve(const SolveRequest& request) override;
 
   std::string_view name() const noexcept override { return "path-relinking"; }
 
  private:
-  BaselineResult run(const QuboModel& model, std::uint64_t seed,
-                     const std::vector<BitVector>& warm_start,
-                     StopContext& ctx) const;
+  SolveReport run(const QuboModel& model, std::uint64_t seed,
+                  const std::vector<BitVector>& warm_start,
+                  StopContext& ctx) const;
 
   PathRelinkingParams params_;
 };

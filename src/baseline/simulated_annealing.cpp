@@ -6,7 +6,6 @@
 #include "qubo/search_state.hpp"
 #include "rng/seeder.hpp"
 #include "util/assert.hpp"
-#include "util/timer.hpp"
 
 namespace dabs {
 
@@ -30,29 +29,23 @@ double calibrate_t0(const SearchState& state) {
 
 }  // namespace
 
-BaselineResult SimulatedAnnealing::solve(const QuboModel& model) const {
-  StopCondition stop;
-  stop.time_limit_seconds = params_.time_limit_seconds;
-  StopContext ctx(stop);
-  return run(model, params_.seed, {}, ctx);
-}
-
 SolveReport SimulatedAnnealing::solve(const SolveRequest& request) {
   const QuboModel& model = request_model(request);
   StopContext ctx =
       StopContext::for_request(request, params_.time_limit_seconds);
-  BaselineResult r = run(model, request.seed.value_or(params_.seed),
-                         request.warm_start, ctx);
-  return make_report(name(), std::move(r), ctx);
+  SolveReport report = run(model, request.seed.value_or(params_.seed),
+                           request.warm_start, ctx);
+  report.solver = name();
+  ctx.stamp(report);
+  return report;
 }
 
-BaselineResult SimulatedAnnealing::run(const QuboModel& model,
-                                       std::uint64_t seed,
-                                       const std::vector<BitVector>& warm_start,
-                                       StopContext& ctx) const {
+SolveReport SimulatedAnnealing::run(const QuboModel& model, std::uint64_t seed,
+                                    const std::vector<BitVector>& warm_start,
+                                    StopContext& ctx) const {
   MersenneSeeder seeder(seed);
   SearchState state(model);
-  BaselineResult result;
+  SolveReport result;
   const auto n = static_cast<VarIndex>(model.size());
 
   // Restart 0 always runs (its first sweep at least), so even a pre-fired
@@ -100,7 +93,6 @@ BaselineResult SimulatedAnnealing::run(const QuboModel& model,
     }
     result.flips += state.flip_count();
   }
-  result.elapsed_seconds = ctx.elapsed_seconds();
   return result;
 }
 

@@ -4,13 +4,12 @@
 // random start so early sweeps accept most moves.
 //
 // Serves as the repo's stand-in for the external reference solvers in the
-// paper's tables (see DESIGN.md §2) and generates the Fig. 6 style
+// paper's tables (see README "Substitutions") and generates the Fig. 6 style
 // time-limited solution histograms.
 #pragma once
 
 #include <cstdint>
 
-#include "baseline/baseline_result.hpp"
 #include "core/solve_report.hpp"
 #include "core/solver.hpp"
 #include "qubo/qubo_model.hpp"
@@ -30,19 +29,16 @@ class SimulatedAnnealing : public Solver {
  public:
   explicit SimulatedAnnealing(SaParams params = {});
 
-  /// Legacy entry: budget and seed come from SaParams alone.
-  BaselineResult solve(const QuboModel& model) const;
-
-  /// Unified-interface entry: request stop/seed/warm-start/observer win
-  /// over the params; restart r starts from warm_start[r] when provided.
+  /// Request stop/seed/warm-start/observer win over the params; restart r
+  /// starts from warm_start[r] when provided.
   SolveReport solve(const SolveRequest& request) override;
 
   std::string_view name() const noexcept override { return "sa"; }
 
  private:
-  BaselineResult run(const QuboModel& model, std::uint64_t seed,
-                     const std::vector<BitVector>& warm_start,
-                     StopContext& ctx) const;
+  SolveReport run(const QuboModel& model, std::uint64_t seed,
+                  const std::vector<BitVector>& warm_start,
+                  StopContext& ctx) const;
 
   SaParams params_;
 };

@@ -9,7 +9,6 @@
 #include "qubo/transforms.hpp"
 #include "rng/seeder.hpp"
 #include "util/assert.hpp"
-#include "util/timer.hpp"
 
 namespace dabs {
 
@@ -46,31 +45,26 @@ std::vector<VarIndex> biased_subset(const SearchState& state, std::size_t k,
 
 }  // namespace
 
-BaselineResult SubQuboSolver::solve(const QuboModel& model) const {
-  StopCondition stop;
-  stop.time_limit_seconds = params_.time_limit_seconds;
-  StopContext ctx(stop);
-  return run(model, params_.seed, {}, ctx);
-}
-
 SolveReport SubQuboSolver::solve(const SolveRequest& request) {
   const QuboModel& model = request_model(request);
   StopContext ctx =
       StopContext::for_request(request, params_.time_limit_seconds);
-  BaselineResult r = run(model, request.seed.value_or(params_.seed),
-                         request.warm_start, ctx);
-  return make_report(name(), std::move(r), ctx);
+  SolveReport report = run(model, request.seed.value_or(params_.seed),
+                           request.warm_start, ctx);
+  report.solver = name();
+  ctx.stamp(report);
+  return report;
 }
 
-BaselineResult SubQuboSolver::run(const QuboModel& model, std::uint64_t seed,
-                                  const std::vector<BitVector>& warm_start,
-                                  StopContext& ctx) const {
+SolveReport SubQuboSolver::run(const QuboModel& model, std::uint64_t seed,
+                               const std::vector<BitVector>& warm_start,
+                               StopContext& ctx) const {
   MersenneSeeder seeder(seed);
   const std::size_t k =
       std::min<std::size_t>(params_.subset_size, model.size());
-  const ExhaustiveSolver exact(26);
+  ExhaustiveSolver exact(26);
 
-  BaselineResult result;
+  SolveReport result;
   for (std::uint64_t r = 0; r < params_.restarts; ++r) {
     Rng rng = seeder.next_rng();
     SearchState state(model);
@@ -82,7 +76,9 @@ BaselineResult SubQuboSolver::run(const QuboModel& model, std::uint64_t seed,
       if (ctx.should_stop()) break;
       const std::vector<VarIndex> subset = biased_subset(state, k, rng);
       const SubQubo sub = extract_subqubo(model, state.solution(), subset);
-      const BaselineResult best_sub = exact.solve(sub.model);
+      SolveRequest sub_request;
+      sub_request.model = &sub.model;
+      const SolveReport best_sub = exact.solve(sub_request);
       const Energy candidate = best_sub.best_energy + sub.offset;
       if (candidate < state.energy()) {
         state.reset_to(
@@ -103,7 +99,6 @@ BaselineResult SubQuboSolver::run(const QuboModel& model, std::uint64_t seed,
     }
     if (ctx.should_stop()) break;
   }
-  result.elapsed_seconds = ctx.elapsed_seconds();
   return result;
 }
 

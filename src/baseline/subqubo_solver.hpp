@@ -8,7 +8,6 @@
 
 #include <cstdint>
 
-#include "baseline/baseline_result.hpp"
 #include "core/solve_report.hpp"
 #include "core/solver.hpp"
 #include "qubo/qubo_model.hpp"
@@ -27,19 +26,16 @@ class SubQuboSolver : public Solver {
  public:
   explicit SubQuboSolver(SubQuboParams params = {});
 
-  /// Legacy entry: budget and seed come from SubQuboParams alone.
-  BaselineResult solve(const QuboModel& model) const;
-
-  /// Unified-interface entry: request stop/seed/warm-start/observer win
-  /// over the params; restart r's incumbent is warm_start[r] when provided.
+  /// Request stop/seed/warm-start/observer win over the params; restart r's
+  /// incumbent is warm_start[r] when provided.
   SolveReport solve(const SolveRequest& request) override;
 
   std::string_view name() const noexcept override { return "subqubo"; }
 
  private:
-  BaselineResult run(const QuboModel& model, std::uint64_t seed,
-                     const std::vector<BitVector>& warm_start,
-                     StopContext& ctx) const;
+  SolveReport run(const QuboModel& model, std::uint64_t seed,
+                  const std::vector<BitVector>& warm_start,
+                  StopContext& ctx) const;
 
   SubQuboParams params_;
 };

@@ -6,7 +6,6 @@
 #include "qubo/search_state.hpp"
 #include "search/tabu_list.hpp"
 #include "util/assert.hpp"
-#include "util/timer.hpp"
 
 namespace dabs {
 
@@ -14,25 +13,20 @@ TabuSearch::TabuSearch(TabuSearchParams params) : params_(params) {
   DABS_CHECK(params_.iterations > 0, "at least one iteration");
 }
 
-BaselineResult TabuSearch::solve(const QuboModel& model) const {
-  StopCondition stop;
-  stop.time_limit_seconds = params_.time_limit_seconds;
-  StopContext ctx(stop);
-  return run(model, params_.seed, {}, ctx);
-}
-
 SolveReport TabuSearch::solve(const SolveRequest& request) {
   const QuboModel& model = request_model(request);
   StopContext ctx =
       StopContext::for_request(request, params_.time_limit_seconds);
-  BaselineResult r = run(model, request.seed.value_or(params_.seed),
-                         request.warm_start, ctx);
-  return make_report(name(), std::move(r), ctx);
+  SolveReport report = run(model, request.seed.value_or(params_.seed),
+                           request.warm_start, ctx);
+  report.solver = name();
+  ctx.stamp(report);
+  return report;
 }
 
-BaselineResult TabuSearch::run(const QuboModel& model, std::uint64_t seed,
-                               const std::vector<BitVector>& warm_start,
-                               StopContext& ctx) const {
+SolveReport TabuSearch::run(const QuboModel& model, std::uint64_t seed,
+                            const std::vector<BitVector>& warm_start,
+                            StopContext& ctx) const {
   Rng rng(seed);
   SearchState state(model);
   state.reset_to(warm_start.empty() ? random_bit_vector(model.size(), rng)
@@ -70,8 +64,11 @@ BaselineResult TabuSearch::run(const QuboModel& model, std::uint64_t seed,
     }
   }
 
-  return {state.best(), state.best_energy(), state.flip_count(),
-          ctx.elapsed_seconds()};
+  SolveReport result;
+  result.best_solution = state.best();
+  result.best_energy = state.best_energy();
+  result.flips = state.flip_count();
+  return result;
 }
 
 }  // namespace dabs

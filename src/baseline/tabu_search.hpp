@@ -6,7 +6,6 @@
 
 #include <cstdint>
 
-#include "baseline/baseline_result.hpp"
 #include "core/solve_report.hpp"
 #include "core/solver.hpp"
 #include "qubo/qubo_model.hpp"
@@ -24,19 +23,16 @@ class TabuSearch : public Solver {
  public:
   explicit TabuSearch(TabuSearchParams params = {});
 
-  /// Legacy entry: budget and seed come from TabuSearchParams alone.
-  BaselineResult solve(const QuboModel& model) const;
-
-  /// Unified-interface entry: request stop/seed/warm-start/observer win
-  /// over the params; the walk starts from warm_start[0] when provided.
+  /// Request stop/seed/warm-start/observer win over the params; the walk
+  /// starts from warm_start[0] when provided.
   SolveReport solve(const SolveRequest& request) override;
 
   std::string_view name() const noexcept override { return "tabu"; }
 
  private:
-  BaselineResult run(const QuboModel& model, std::uint64_t seed,
-                     const std::vector<BitVector>& warm_start,
-                     StopContext& ctx) const;
+  SolveReport run(const QuboModel& model, std::uint64_t seed,
+                  const std::vector<BitVector>& warm_start,
+                  StopContext& ctx) const;
 
   TabuSearchParams params_;
 };

@@ -1,82 +1,81 @@
 #include "core/campaign.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <exception>
+#include <functional>
 #include <limits>
+#include <numeric>
+#include <utility>
 
+#include "core/solve_report.hpp"
 #include "util/assert.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dabs {
 
-void accumulate_trial(CampaignResult& out, Energy target, Energy best_energy,
-                      bool reached_target, double tts_seconds) {
-  ++out.runs;
-  out.final_energies.push_back(best_energy);
-  if (best_energy < out.best_energy) out.best_energy = best_energy;
-  if (reached_target && best_energy <= target) {
-    ++out.successes;
-    out.tts.add(tts_seconds);
-    out.tts_samples.push_back(tts_seconds);
-  }
+double CampaignResult::mean_trial_seconds() const {
+  if (trial_seconds.empty()) return 0.0;
+  return std::accumulate(trial_seconds.begin(), trial_seconds.end(), 0.0) /
+         double(trial_seconds.size());
 }
 
-CampaignResult Campaign::run(const QuboModel& model, Energy target) const {
-  return run_with(model, target,
-                  [&model](std::size_t, const SolverConfig& cfg) {
-                    return DabsSolver(cfg).solve(model);
-                  });
+double CampaignResult::tts_at(double confidence) const {
+  return tts_at_confidence(mean_trial_seconds(), success_rate(), confidence);
 }
 
-CampaignResult Campaign::run_with(
-    const QuboModel& model, Energy target,
-    const std::function<SolveResult(std::size_t, const SolverConfig&)>&
-        solve_trial) const {
-  DABS_CHECK(trials_ > 0, "campaign needs at least one trial");
-  CampaignResult out;
-  for (std::size_t t = 0; t < trials_; ++t) {
-    SolverConfig cfg = base_;
-    cfg.seed = base_.seed + 0x9e3779b97f4a7c15ull * (t + 1);
-    cfg.stop.target_energy = target;
-    const SolveResult r = solve_trial(t, cfg);
-    accumulate_trial(out, target, r.best_energy, r.reached_target,
-                     r.tts_seconds);
-  }
-  (void)model;
-  return out;
-}
-
-SolveRequest Campaign::make_trial_request(const QuboModel& model,
-                                          Energy target, std::size_t trial,
-                                          const SolveRequest& proto) const {
-  SolveRequest req = proto;  // keeps stop_token / observer / tick_seconds
-  req.model = &model;
-  req.seed = base_.seed + 0x9e3779b97f4a7c15ull * (trial + 1);
-  req.stop = base_.stop;
+SolveRequest trial_request(const SolveRequest& proto, Energy target,
+                           std::size_t trial) {
+  SolveRequest req = proto;  // keeps model / stop / warm start / hooks
+  req.seed = proto.seed.value_or(SolverConfig{}.seed) +
+             0x9e3779b97f4a7c15ull * (trial + 1);
   req.stop.target_energy = target;
-  req.warm_start = base_.warm_start;
   return req;
 }
 
-CampaignResult Campaign::run_solver(const QuboModel& model, Energy target,
-                                    Solver& solver,
-                                    const SolveRequest& proto) const {
-  DABS_CHECK(trials_ > 0, "campaign needs at least one trial");
+CampaignResult run_campaign(Solver& solver, const SolveRequest& proto,
+                            Energy target, std::size_t trials,
+                            std::size_t threads) {
+  DABS_CHECK(trials > 0, "campaign needs at least one trial");
+  std::vector<SolveReport> reports(trials);
+  // Each task writes only its own slot, once, at task end; a throwing
+  // trial is rethrown here in slot order instead of escaping a worker.
+  std::vector<std::exception_ptr> errors(trials);
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(trials);
+  for (std::size_t t = 0; t < trials; ++t) {
+    tasks.push_back([&, t] {
+      try {
+        SolveReport local = solver.solve(trial_request(proto, target, t));
+        reports[t] = std::move(local);
+      } catch (...) {
+        errors[t] = std::current_exception();
+      }
+    });
+  }
+  ThreadPool pool(std::max<std::size_t>(1, threads));
+  pool.submit_batch(std::move(tasks));
+  pool.wait_idle();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+
   CampaignResult out;
-  for (std::size_t t = 0; t < trials_; ++t) {
-    const SolveReport r =
-        solver.solve(make_trial_request(model, target, t, proto));
-    accumulate_trial(out, target, r.best_energy, r.reached_target,
-                     r.tts_seconds);
+  for (const SolveReport& r : reports) {
+    ++out.runs;
+    out.final_energies.push_back(r.best_energy);
+    out.trial_seconds.push_back(r.elapsed_seconds);
+    if (r.best_energy < out.best_energy) {
+      out.best_energy = r.best_energy;
+      out.best_solution = r.best_solution;
+    }
+    if (r.reached_target && r.best_energy <= target) {
+      ++out.successes;
+      out.tts.add(r.tts_seconds);
+      out.tts_samples.push_back(r.tts_seconds);
+    }
   }
   return out;
-}
-
-Energy establish_reference(const QuboModel& model, const SolverConfig& base,
-                           double budget_seconds) {
-  DABS_CHECK(budget_seconds > 0, "reference budget must be positive");
-  SolverConfig cfg = base;
-  cfg.stop = {};
-  cfg.stop.time_limit_seconds = budget_seconds;
-  return DabsSolver(cfg).solve(model).best_energy;
 }
 
 double tts_at_confidence(double trial_seconds, double success_rate,

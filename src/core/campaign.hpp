@@ -1,85 +1,64 @@
 // Repeated-trial campaign runner — the measurement protocol behind the
-// paper's tables: run N independent solver executions against a target
-// energy, recording time-to-solution statistics and the success
-// probability within the per-trial budget (paper §VI: "the TTS does not
-// count the execution time of a trial if it fails to find the potential
-// optimal solution within the time limit").
+// paper's tables and figures: run N independent executions of one solver
+// against a target energy, recording time-to-solution statistics and the
+// success probability within the per-trial budget (paper §VI: "the TTS
+// does not count the execution time of a trial if it fails to find the
+// potential optimal solution within the time limit").
+//
+// run_campaign() is the one way to run trials; the CLI's --campaign, the
+// paper benches and the tests all go through it.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "core/dabs_solver.hpp"
 #include "core/solver.hpp"
-#include "qubo/qubo_model.hpp"
+#include "qubo/types.hpp"
+#include "util/bit_vector.hpp"
 #include "util/stats.hpp"
 
 namespace dabs {
 
 struct CampaignResult {
   Energy best_energy = kInfiniteEnergy;  // best across all trials
+  BitVector best_solution;               // first trial to attain it
   std::size_t runs = 0;
   std::size_t successes = 0;             // trials that reached the target
   SummaryStats tts;                      // over successful trials only
   std::vector<double> tts_samples;       // per-success TTS (histograms)
   std::vector<Energy> final_energies;    // per-trial best (Fig. 6 style)
+  std::vector<double> trial_seconds;     // per-trial elapsed, every trial
 
   double success_rate() const {
     return runs ? double(successes) / double(runs) : 0.0;
   }
+
+  /// Mean wall time of one trial, failed trials (which run to the budget)
+  /// included: the t_trial of tts_at_confidence().
+  double mean_trial_seconds() const;
+
+  /// TTS(confidence) over this campaign's trials; +infinity when no trial
+  /// succeeded.
+  double tts_at(double confidence = 0.99) const;
 };
 
-class Campaign {
- public:
-  /// `base` carries the per-trial budget (time limit / max batches); the
-  /// target and per-trial seeds are filled in by run().
-  Campaign(SolverConfig base, std::size_t n_trials)
-      : base_(std::move(base)), trials_(n_trials) {}
+/// The request trial `trial` of a campaign issues: `proto` with its stop
+/// condition, warm start and run-scoped hooks (stop token, observer, tick
+/// period), the target installed, and a seed derived from the prototype's
+/// (or SolverConfig's default) seed so every trial explores differently.
+SolveRequest trial_request(const SolveRequest& proto, Energy target,
+                           std::size_t trial);
 
-  /// Runs the campaign with DABS solvers.
-  CampaignResult run(const QuboModel& model, Energy target) const;
-
-  /// Runs with an arbitrary solver factory (e.g. AbsSolver) so baselines
-  /// use the identical protocol.  The factory receives the trial index and
-  /// the pre-seeded config.
-  CampaignResult run_with(
-      const QuboModel& model, Energy target,
-      const std::function<SolveResult(std::size_t, const SolverConfig&)>&
-          solve_trial) const;
-
-  /// Runs any registry solver through the identical protocol: trial t gets
-  /// the same derived seed and per-trial budget (the base config's stop
-  /// condition) as run() would hand a DabsSolver, with the target energy
-  /// installed, via the unified Solver interface.  `proto` contributes the
-  /// run-scoped hooks shared by every trial — stop token, observer, tick
-  /// period — while its model/seed/stop fields are overridden by the
-  /// protocol.
-  CampaignResult run_solver(const QuboModel& model, Energy target,
-                            Solver& solver,
-                            const SolveRequest& proto = {}) const;
-
-  /// The SolveRequest trial t of this campaign would issue — exposed so
-  /// parallel runners and tests reproduce the exact protocol.
-  SolveRequest make_trial_request(const QuboModel& model, Energy target,
-                                  std::size_t trial,
-                                  const SolveRequest& proto = {}) const;
-
- private:
-  SolverConfig base_;
-  std::size_t trials_;
-};
-
-/// Folds one trial outcome into the aggregate (shared by the campaign
-/// runners so every solver is scored by the identical rules).
-void accumulate_trial(CampaignResult& out, Energy target, Energy best_energy,
-                      bool reached_target, double tts_seconds);
-
-/// Establishes a "potentially optimal" reference (paper §I-B, condition 1):
-/// the best energy found by one long exploration run with `budget_seconds`.
-/// Callers typically min() this with comparator results.
-Energy establish_reference(const QuboModel& model, const SolverConfig& base,
-                           double budget_seconds);
+/// Runs `trials` independent trials of `solver` against `target` on a pool
+/// of max(1, `threads`) workers.  One worker runs the trials serially in
+/// trial order; more rely on the Solver contract that solve() is safe to
+/// call concurrently on one instance (an observer in `proto` must then be
+/// thread-safe too).  Every trial runs; the first failed trial's exception
+/// (in trial order) is then rethrown.  Reports are kept by trial slot, so
+/// the aggregate does not depend on the thread count.
+CampaignResult run_campaign(Solver& solver, const SolveRequest& proto,
+                            Energy target, std::size_t trials,
+                            std::size_t threads = 1);
 
 /// Standard annealing-literature time-to-solution at confidence p:
 ///

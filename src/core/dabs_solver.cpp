@@ -181,7 +181,7 @@ void run_synchronous(HostContext& hc, DeviceGroup& group,
 /// One full framework run driven through the unified stop/progress
 /// protocol; both execution modes share the HostContext surface, so
 /// synchronous runs stay bit-identical with or without token/observer.
-SolveResult run_dabs(const SolverConfig& cfg, const QuboModel& model,
+SolveReport run_dabs(const SolverConfig& cfg, const QuboModel& model,
                      StopContext& ctx) {
   DABS_CHECK(model.size() > 0, "cannot solve an empty model");
   DABS_CHECK(!cfg.stop.unbounded(),
@@ -226,17 +226,12 @@ SolveResult run_dabs(const SolverConfig& cfg, const QuboModel& model,
     run_synchronous(hc, group, seeder);
   }
 
-  SolveResult r;
+  SolveReport r;
   r.best_solution = hc.best;
   r.best_energy = hc.best_energy;
-  r.reached_target = ctx.reached_target();
-  r.tts_seconds = ctx.tts_seconds();
-  r.elapsed_seconds = ctx.elapsed_seconds();
   r.batches = ctx.work();
   r.restarts = static_cast<std::uint32_t>(engine.restarts());
-  r.migrations = engine.migrations();
-  r.cancelled = ctx.cancelled();
-  r.stats = engine.stats();
+  ctx.stamp(r);
   engine.fill_extras(r.extras);
   return r;
 }
@@ -247,11 +242,6 @@ DabsSolver::DabsSolver(SolverConfig config) : config_(std::move(config)) {
   config_.validate();
 }
 
-SolveResult DabsSolver::solve(const QuboModel& model) {
-  StopContext ctx(config_.stop);
-  return run_dabs(config_, model, ctx);
-}
-
 SolveReport DabsSolver::solve(const SolveRequest& request) {
   const QuboModel& model = request_model(request);
   SolverConfig cfg = config_;
@@ -260,8 +250,9 @@ SolveReport DabsSolver::solve(const SolveRequest& request) {
   if (!request.warm_start.empty()) cfg.warm_start = request.warm_start;
   StopContext ctx(cfg.stop, request.stop_token, request.observer,
                   request.tick_seconds);
-  const SolveResult r = run_dabs(cfg, model, ctx);
-  return make_report(name(), r);
+  SolveReport report = run_dabs(cfg, model, ctx);
+  report.solver = name();
+  return report;
 }
 
 }  // namespace dabs

@@ -24,38 +24,12 @@
 // bit-reproducibly (used by tests and deterministic ablations).
 #pragma once
 
-#include <map>
-#include <string>
-
-#include "core/run_stats.hpp"
 #include "core/solve_report.hpp"
 #include "core/solver.hpp"
 #include "core/solver_config.hpp"
 #include "qubo/qubo_model.hpp"
-#include "util/bit_vector.hpp"
 
 namespace dabs {
-
-struct SolveResult {
-  BitVector best_solution;
-  Energy best_energy = kInfiniteEnergy;
-  bool reached_target = false;
-  /// Seconds from start until the target energy was first attained
-  /// (meaningful only when reached_target).
-  double tts_seconds = 0.0;
-  double elapsed_seconds = 0.0;
-  std::uint64_t batches = 0;
-  std::uint32_t restarts = 0;
-  /// Pool entries migrated between ring neighbors (0 unless the config
-  /// enables migration).
-  std::uint64_t migrations = 0;
-  /// True when the run ended because a SolveRequest stop token fired.
-  bool cancelled = false;
-  RunStatsSnapshot stats;
-  /// Diversity-engine summary (pool entropy / Hamming spread, per-operator
-  /// win counts, ...), merged verbatim into SolveReport::extras.
-  std::map<std::string, std::string> extras;
-};
 
 class DabsSolver : public Solver {
  public:
@@ -63,14 +37,11 @@ class DabsSolver : public Solver {
 
   const SolverConfig& config() const noexcept { return config_; }
 
-  /// Runs the framework on `model` until a stop condition fires.
-  /// Re-entrant: each call builds fresh pools/devices.  The config's stop
-  /// condition must be bounded.
-  SolveResult solve(const QuboModel& model);
-
-  /// Unified-interface entry: the request's stop condition / seed /
-  /// warm-start override the config's when set, and the stop token and
-  /// observer are honored by both execution modes.
+  /// Runs the framework on the request's model until a stop condition
+  /// fires.  The request's stop condition / seed / warm-start override the
+  /// config's when set (the resulting stop condition must be bounded), and
+  /// the stop token and observer are honored by both execution modes.
+  /// Re-entrant: each call builds fresh pools/devices.
   SolveReport solve(const SolveRequest& request) override;
 
   std::string_view name() const noexcept override { return "dabs"; }

@@ -1,9 +1,5 @@
 #include "core/run_stats.hpp"
 
-#include <sstream>
-
-#include "evolve/genetic_ops.hpp"
-
 namespace dabs {
 
 double RunStatsSnapshot::algo_fraction(MainSearch s) const {
@@ -22,56 +18,6 @@ bool RunStatsSnapshot::first_finder(MainSearch& algo_out,
   algo_out = improvements.back().algo;
   op_out = improvements.back().op;
   return true;
-}
-
-std::string RunStatsSnapshot::to_string() const {
-  std::ostringstream os;
-  os << "batches=" << batches << "\n  algorithms:";
-  for (const MainSearch s : kAllMainSearches) {
-    os << ' ' << dabs::to_string(s) << '='
-       << algo_executed[static_cast<std::size_t>(s)];
-  }
-  os << "\n  operations:";
-  for (std::size_t i = 0; i < kGeneticOpCount; ++i) {
-    os << ' ' << dabs::to_string(static_cast<GeneticOp>(i)) << '='
-       << op_executed[i];
-  }
-  os << "\n  improvements=" << improvements.size();
-  if (!improvements.empty()) {
-    os << " final=" << improvements.back().energy << " by "
-       << dabs::to_string(improvements.back().algo) << '/'
-       << dabs::to_string(improvements.back().op);
-  }
-  return os.str();
-}
-
-void RunStatsSnapshot::write_json(io::JsonWriter& json,
-                                  const std::string& key) const {
-  json.begin_object(key);
-  json.value("batches", batches);
-  json.begin_object("algorithms");
-  for (const MainSearch s : kAllMainSearches) {
-    json.value(std::string(dabs::to_string(s)),
-               algo_executed[static_cast<std::size_t>(s)]);
-  }
-  json.end_object();
-  json.begin_object("operations");
-  for (std::size_t i = 0; i < kGeneticOpCount; ++i) {
-    json.value(std::string(dabs::to_string(static_cast<GeneticOp>(i))),
-               op_executed[i]);
-  }
-  json.end_object();
-  json.begin_array("improvements");
-  for (const ImprovementEvent& e : improvements) {
-    json.begin_object()
-        .value("t", e.at_seconds)
-        .value("energy", e.energy)
-        .value("algorithm", std::string(dabs::to_string(e.algo)))
-        .value("operation", std::string(dabs::to_string(e.op)))
-        .end_object();
-  }
-  json.end_array();
-  json.end_object();
 }
 
 void RunStats::record_batch(MainSearch algo, GeneticOp op) {

@@ -12,11 +12,9 @@
 #include <array>
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "evolve/op_ids.hpp"
-#include "io/json_writer.hpp"
 #include "qubo/types.hpp"
 #include "search/registry.hpp"
 
@@ -43,12 +41,6 @@ struct RunStatsSnapshot {
   /// Last improvement = the record that first attained the final best
   /// (Table VI attribution).  Returns false when nothing improved.
   bool first_finder(MainSearch& algo_out, GeneticOp& op_out) const;
-
-  std::string to_string() const;
-
-  /// Emits the snapshot as a JSON object (batches, frequency maps,
-  /// improvement trace) into an already-open writer scope position.
-  void write_json(io::JsonWriter& json, const std::string& key = "") const;
 };
 
 class RunStats {

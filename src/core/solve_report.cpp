@@ -1,10 +1,8 @@
 #include "core/solve_report.hpp"
 
+#include <cmath>
 #include <sstream>
 
-#include "baseline/baseline_result.hpp"
-#include "core/dabs_solver.hpp"
-#include "core/solver.hpp"
 #include "io/json_writer.hpp"
 
 namespace dabs {
@@ -41,50 +39,9 @@ std::string SolveReport::to_string() const {
   return os.str();
 }
 
-SolveReport make_report(std::string_view solver, const SolveResult& result) {
-  SolveReport rep;
-  rep.solver = std::string(solver);
-  rep.best_solution = result.best_solution;
-  rep.best_energy = result.best_energy;
-  rep.reached_target = result.reached_target;
-  rep.tts_seconds = result.tts_seconds;
-  rep.elapsed_seconds = result.elapsed_seconds;
-  rep.batches = result.batches;
-  rep.restarts = result.restarts;
-  rep.cancelled = result.cancelled;
-  // Solver-provided extras first (diversity, win rates); the generic
-  // attribution keys below only fill gaps and never overwrite them.
-  rep.extras = result.extras;
-  MainSearch algo;
-  GeneticOp op;
-  if (result.stats.first_finder(algo, op)) {
-    rep.extras.emplace("first_finder_algo", to_string(algo));
-    rep.extras.emplace("first_finder_op", to_string(op));
-  }
-  rep.extras.emplace("improvements",
-                     std::to_string(result.stats.improvements.size()));
-  return rep;
-}
-
-SolveReport make_report(std::string_view solver, BaselineResult result,
-                        const StopContext& ctx) {
-  SolveReport rep;
-  rep.solver = std::string(solver);
-  rep.best_solution = std::move(result.best_solution);
-  rep.best_energy = result.best_energy;
-  rep.flips = result.flips;
-  rep.elapsed_seconds = result.elapsed_seconds;
-  rep.cancelled = ctx.cancelled();
-  rep.reached_target = ctx.reached_target();
-  rep.tts_seconds = ctx.tts_seconds();
-  // Belt-and-braces: a solver that only discovered its best at merge time
-  // (e.g. exhaustive workers) still reports the target correctly.
-  const auto& target = ctx.condition().target_energy;
-  if (!rep.reached_target && target && rep.best_energy <= *target) {
-    rep.reached_target = true;
-    rep.tts_seconds = rep.elapsed_seconds;
-  }
-  return rep;
+double energy_gap(Energy found, Energy reference) {
+  if (reference == 0) return found == 0 ? 0.0 : 1.0;
+  return double(found - reference) / std::abs(double(reference));
 }
 
 }  // namespace dabs

@@ -1,16 +1,14 @@
 // Unified result type returned by every Solver — the single report the
-// CLI, campaigns, and any future server layer consume.  Subsumes both the
-// bulk-solver SolveResult (batches, restarts, adaptive stats) and the
-// baseline BaselineResult (flips): a solver fills the work counters that
-// apply and leaves the rest zero.  Anything solver-specific beyond that
-// travels in `extras`, a small string key/value map emitted verbatim into
-// the JSON report.
+// CLI, campaigns, and the service layer consume.  A solver fills the work
+// counters that apply (batches and restarts for the bulk solvers, flips
+// for the baselines) and leaves the rest zero.  Anything solver-specific
+// beyond that travels in `extras`, a small string key/value map emitted
+// verbatim into the JSON report.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 
 #include "qubo/types.hpp"
 #include "util/bit_vector.hpp"
@@ -20,10 +18,6 @@ class JsonWriter;
 }  // namespace dabs::io
 
 namespace dabs {
-
-struct SolveResult;
-struct BaselineResult;
-class StopContext;
 
 struct SolveReport {
   /// Registry name of the solver that produced this report.
@@ -61,10 +55,8 @@ struct SolveReport {
   std::string to_string() const;
 };
 
-/// Conversions from the era-specific result structs.  `ctx` supplies the
-/// stop/progress protocol outcome (cancellation, reached-target, TTS).
-SolveReport make_report(std::string_view solver, const SolveResult& result);
-SolveReport make_report(std::string_view solver, BaselineResult result,
-                        const StopContext& ctx);
+/// Relative gap of `found` above a reference optimum, as the paper reports
+/// it (both energies negative; gap = (found - ref) / |ref|).
+double energy_gap(Energy found, Energy reference);
 
 }  // namespace dabs

@@ -1,5 +1,6 @@
 #include "core/solver.hpp"
 
+#include "core/solve_report.hpp"
 #include "util/assert.hpp"
 
 namespace dabs {
@@ -56,6 +57,18 @@ void StopContext::note_best(Energy energy) {
     tts_seconds_ = now;
   }
   if (observer_) observer_->on_new_best({now, energy, work_});
+}
+
+void StopContext::stamp(SolveReport& report) const {
+  report.cancelled = cancelled_;
+  report.reached_target = reached_target_;
+  report.tts_seconds = tts_seconds_;
+  report.elapsed_seconds = clock_.elapsed_seconds();
+  if (!report.reached_target && stop_.target_energy &&
+      report.best_energy <= *stop_.target_energy) {
+    report.reached_target = true;
+    report.tts_seconds = report.elapsed_seconds;
+  }
 }
 
 const QuboModel& request_model(const SolveRequest& request) {

@@ -13,8 +13,9 @@
 //
 // Thread-safety contract: Solver implementations keep all per-run state
 // local to solve(), so one instance may serve concurrent solve() calls
-// (ParallelCampaign relies on this).  Observer callbacks may arrive from
-// any host thread of a threaded solver — keep them fast and thread-safe.
+// (run_campaign's threaded trials rely on this).  Observer callbacks may
+// arrive from any host thread of a threaded solver — keep them fast and
+// thread-safe.
 #pragma once
 
 #include <atomic>
@@ -120,7 +121,8 @@ class Solver {
 ///   - reports work units via add_work() (counted against
 ///     StopCondition::max_batches);
 ///   - reports improvements via note_best(), which latches the target /
-///     TTS and fires ProgressObserver::on_new_best.
+///     TTS and fires ProgressObserver::on_new_best;
+///   - stamps the protocol outcome onto its finished report via stamp().
 ///
 /// Worker threads that must not fire callbacks poll the const, thread-safe
 /// subset expired() instead (token + wall clock only).
@@ -151,6 +153,12 @@ class StopContext {
   /// Records a (possibly) improved best energy; cheap no-op when `energy`
   /// does not improve.  Latches reached-target / TTS, fires on_new_best.
   void note_best(Energy energy);
+
+  /// Writes the protocol outcome onto a finished report: `cancelled`,
+  /// `reached_target`, `tts_seconds` and `elapsed_seconds`.  A best that
+  /// reaches the target without passing through note_best() (one found
+  /// only when worker results merge) still latches it, at elapsed time.
+  void stamp(SolveReport& report) const;
 
   std::uint64_t work() const noexcept { return work_; }
   Energy best_energy() const noexcept { return best_energy_; }

@@ -1,4 +1,4 @@
-// Virtual device: the CPU stand-in for one GPU (see DESIGN.md §2).
+// Virtual device: the CPU stand-in for one GPU (see README "Substitutions").
 //
 // A real DABS device is a GPU on which many CUDA blocks independently run
 // batch searches on packets received from the host.  The virtual device

@@ -206,6 +206,13 @@ void DiversityEngine::fill_extras(
   extras["packets_accepted"] = std::to_string(accepted());
 
   const RunStatsSnapshot snap = stats_.snapshot();
+  MainSearch finder_algo;
+  GeneticOp finder_op;
+  if (snap.first_finder(finder_algo, finder_op)) {
+    extras["first_finder_algo"] = to_string(finder_algo);
+    extras["first_finder_op"] = to_string(finder_op);
+  }
+  extras["improvements"] = std::to_string(snap.improvements.size());
   for (MainSearch s : cfg_.algorithms) {
     extras["freq_algo_" + std::string(to_string(s))] =
         format_fraction(snap.algo_fraction(s));

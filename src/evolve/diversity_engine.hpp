@@ -120,9 +120,10 @@ class DiversityEngine {
     return accepted_total_.load(std::memory_order_relaxed);
   }
 
-  /// Pool-diversity and win-rate summary for SolveReport::extras
-  /// (pool_min_hamming, pool_entropy, win_op_<Name>, ...) and the matching
-  /// end-of-run dabs_evolve_* histogram observations.
+  /// Pool-diversity, win-rate and attribution summary for
+  /// SolveReport::extras (pool_min_hamming, pool_entropy, win_op_<Name>,
+  /// first_finder_algo/op, improvements, ...) and the matching end-of-run
+  /// dabs_evolve_* histogram observations.
   void fill_extras(std::map<std::string, std::string>& extras) const;
 
  private:

@@ -8,7 +8,7 @@
 // Instances: generators reproducing the published constructions of the
 // three benchmark graphs (K2000 and Gset G22/G39) by node/edge count and
 // weight distribution; the real files can be loaded via io/gset.hpp when
-// available.  See DESIGN.md §2 for the substitution rationale.
+// available.  See README "Substitutions" for the rationale.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 // Dense-vs-CSR backend equivalence: both kernel backends must be bit-exact
 // on every observable — energy, delta_all, post-flip incremental deltas,
-// scan results, BEST bookkeeping, and whole SolveResults — across sizes
+// scan results, BEST bookkeeping, and whole solve reports — across sizes
 // (including the n % 64 != 0 tail-word cases) and densities.  All
 // arithmetic is integral, so "close" is not acceptable: EXPECT_EQ only.
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@ namespace {
 
 using testing::random_model;
 using testing::random_solution;
+using testing::solve_on;
 
 class BackendEquivalence
     : public ::testing::TestWithParam<std::tuple<int, double>> {
@@ -172,9 +173,9 @@ TEST(BackendSelection, QuadraticInt32MinIsRejected) {
   EXPECT_EQ(m.diag(0), std::numeric_limits<Weight>::min());
 }
 
-TEST(BackendRegression, SolveResultBitIdenticalAcrossBackendSwitch) {
+TEST(BackendRegression, ReportBitIdenticalAcrossBackendSwitch) {
   // The determinism_test guarantee must survive the backend switch: the
-  // same solver config on the same terms produces the same SolveResult
+  // same solver config on the same terms produces the same report
   // whether the kernel walks CSR rows or dense rows.
   const QuboModel a = random_model(64, 0.3, 9, 11004, QuboBackend::kCsr);
   const QuboModel b = random_model(64, 0.3, 9, 11004, QuboBackend::kDense);
@@ -184,16 +185,14 @@ TEST(BackendRegression, SolveResultBitIdenticalAcrossBackendSwitch) {
   c.mode = ExecutionMode::kSynchronous;
   c.stop.max_batches = 120;
   c.seed = 0xD1CED1CE;
-  const SolveResult ra = DabsSolver(c).solve(a);
-  const SolveResult rb = DabsSolver(c).solve(b);
+  const SolveReport ra = solve_on(DabsSolver(c), a);
+  const SolveReport rb = solve_on(DabsSolver(c), b);
   EXPECT_EQ(ra.best_energy, rb.best_energy);
   EXPECT_EQ(ra.best_solution, rb.best_solution);
   EXPECT_EQ(ra.batches, rb.batches);
   EXPECT_EQ(ra.restarts, rb.restarts);
   EXPECT_EQ(ra.reached_target, rb.reached_target);
-  EXPECT_EQ(ra.stats.algo_executed, rb.stats.algo_executed);
-  EXPECT_EQ(ra.stats.op_executed, rb.stats.op_executed);
-  EXPECT_EQ(ra.stats.improvements.size(), rb.stats.improvements.size());
+  EXPECT_EQ(ra.extras, rb.extras);
 }
 
 }  // namespace

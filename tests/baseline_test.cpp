@@ -14,6 +14,7 @@ namespace {
 
 using testing::naive_energy;
 using testing::random_model;
+using testing::solve_on;
 
 // Brute-force reference completely independent of the library internals.
 Energy dumb_optimum(const QuboModel& m) {
@@ -30,7 +31,7 @@ Energy dumb_optimum(const QuboModel& m) {
 TEST(Exhaustive, MatchesDumbEnumeration) {
   for (int n : {1, 2, 3, 7, 12}) {
     const QuboModel m = random_model(n, 0.6, 9, 5000 + n);
-    const BaselineResult r = ExhaustiveSolver().solve(m);
+    const SolveReport r = solve_on(ExhaustiveSolver(), m);
     EXPECT_EQ(r.best_energy, dumb_optimum(m)) << "n=" << n;
     EXPECT_EQ(m.energy(r.best_solution), r.best_energy);
     EXPECT_EQ(r.flips, (std::uint64_t{1} << n) - 1);
@@ -39,17 +40,17 @@ TEST(Exhaustive, MatchesDumbEnumeration) {
 
 TEST(Exhaustive, RefusesOversizedModels) {
   const QuboModel m = random_model(30, 0.1, 3, 5050);
-  EXPECT_THROW((void)ExhaustiveSolver(26).solve(m), std::invalid_argument);
+  EXPECT_THROW((void)solve_on(ExhaustiveSolver(26), m), std::invalid_argument);
 }
 
 TEST(SimulatedAnnealing, FindsOptimumOnSmallModel) {
   const QuboModel m = random_model(16, 0.6, 9, 5100);
-  const Energy truth = ExhaustiveSolver().solve(m).best_energy;
+  const Energy truth = solve_on(ExhaustiveSolver(), m).best_energy;
   SaParams p;
   p.sweeps = 300;
   p.restarts = 5;
   p.seed = 3;
-  const BaselineResult r = SimulatedAnnealing(p).solve(m);
+  const SolveReport r = solve_on(SimulatedAnnealing(p), m);
   EXPECT_EQ(r.best_energy, truth);
   EXPECT_EQ(m.energy(r.best_solution), r.best_energy);
 }
@@ -61,10 +62,10 @@ TEST(SimulatedAnnealing, MoreSweepsNeverHurtOnAverage) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     SaParams quick{.sweeps = 10, .seed = seed};
     SaParams slow{.sweeps = 500, .seed = seed};
-    quick_best =
-        std::min(quick_best, SimulatedAnnealing(quick).solve(m).best_energy);
-    long_best =
-        std::min(long_best, SimulatedAnnealing(slow).solve(m).best_energy);
+    quick_best = std::min(quick_best,
+                          solve_on(SimulatedAnnealing(quick), m).best_energy);
+    long_best = std::min(long_best,
+                         solve_on(SimulatedAnnealing(slow), m).best_energy);
   }
   EXPECT_LE(long_best, quick_best);
 }
@@ -75,7 +76,7 @@ TEST(SimulatedAnnealing, TimeLimitShortensRun) {
   p.sweeps = 100000;
   p.restarts = 100;
   p.time_limit_seconds = 0.1;
-  const BaselineResult r = SimulatedAnnealing(p).solve(m);
+  const SolveReport r = solve_on(SimulatedAnnealing(p), m);
   EXPECT_LT(r.elapsed_seconds, 5.0);
 }
 
@@ -90,30 +91,30 @@ TEST(SimulatedAnnealing, RejectsBadParams) {
 
 TEST(TabuSearchBaseline, FindsOptimumOnSmallModel) {
   const QuboModel m = random_model(14, 0.6, 9, 5200);
-  const Energy truth = ExhaustiveSolver().solve(m).best_energy;
+  const Energy truth = solve_on(ExhaustiveSolver(), m).best_energy;
   TabuSearchParams p;
   p.iterations = 5000;
   p.seed = 5;
-  const BaselineResult r = TabuSearch(p).solve(m);
+  const SolveReport r = solve_on(TabuSearch(p), m);
   EXPECT_EQ(r.best_energy, truth);
 }
 
 TEST(TabuSearchBaseline, ResultEnergyIsConsistent) {
   const QuboModel m = random_model(50, 0.4, 9, 5201);
-  const BaselineResult r = TabuSearch({.iterations = 2000}).solve(m);
+  const SolveReport r = solve_on(TabuSearch({.iterations = 2000}), m);
   EXPECT_EQ(m.energy(r.best_solution), r.best_energy);
 }
 
 TEST(GreedyRestartBaseline, FindsOptimumWithManyRestarts) {
   const QuboModel m = random_model(12, 0.6, 9, 5300);
-  const Energy truth = ExhaustiveSolver().solve(m).best_energy;
-  const BaselineResult r = GreedyRestart({.restarts = 500}).solve(m);
+  const Energy truth = solve_on(ExhaustiveSolver(), m).best_energy;
+  const SolveReport r = solve_on(GreedyRestart({.restarts = 500}), m);
   EXPECT_EQ(r.best_energy, truth);
 }
 
 TEST(GreedyRestartBaseline, BestIsAlwaysALocalMinimumEnergy) {
   const QuboModel m = random_model(40, 0.4, 9, 5301);
-  const BaselineResult r = GreedyRestart({.restarts = 10}).solve(m);
+  const SolveReport r = solve_on(GreedyRestart({.restarts = 10}), m);
   // Verify 1-flip local minimality of the reported solution.
   for (VarIndex k = 0; k < m.size(); ++k) {
     EXPECT_GE(m.delta(r.best_solution, k), 0);
@@ -122,11 +123,11 @@ TEST(GreedyRestartBaseline, BestIsAlwaysALocalMinimumEnergy) {
 
 TEST(PathRelinkingBaseline, FindsOptimumOnSmallModel) {
   const QuboModel m = random_model(14, 0.6, 9, 5400);
-  const Energy truth = ExhaustiveSolver().solve(m).best_energy;
+  const Energy truth = solve_on(ExhaustiveSolver(), m).best_energy;
   PathRelinkingParams p;
   p.elite_size = 8;
   p.relinks = 200;
-  const BaselineResult r = PathRelinking(p).solve(m);
+  const SolveReport r = solve_on(PathRelinking(p), m);
   EXPECT_EQ(r.best_energy, truth);
 }
 
@@ -136,9 +137,9 @@ TEST(PathRelinkingBaseline, AtLeastAsGoodAsItsEliteSeeds) {
   pr_params.elite_size = 10;
   pr_params.relinks = 50;
   pr_params.seed = 7;
-  const BaselineResult pr = PathRelinking(pr_params).solve(m);
-  const BaselineResult gr =
-      GreedyRestart({.restarts = 10, .seed = 7}).solve(m);
+  const SolveReport pr = solve_on(PathRelinking(pr_params), m);
+  const SolveReport gr =
+      solve_on(GreedyRestart({.restarts = 10, .seed = 7}), m);
   EXPECT_LE(pr.best_energy, gr.best_energy);
 }
 

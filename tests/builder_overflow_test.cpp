@@ -1,11 +1,8 @@
-// Overflow-hardening tests for QuboBuilder and RunStats JSON output.
+// Overflow-hardening tests for QuboBuilder.
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <sstream>
 
-#include "core/run_stats.hpp"
-#include "io/json_writer.hpp"
 #include "qubo/qubo_builder.hpp"
 
 namespace dabs {
@@ -54,38 +51,6 @@ TEST(BuilderOverflow, DeltaBoundIsExactPastInt32) {
   const QuboModel m = b.build();
   EXPECT_EQ(m.delta_bound(), (std::uint64_t{1} << 33) - 3);
   EXPECT_EQ(m.delta_width(), DeltaWidth::kInt64);
-}
-
-TEST(RunStatsJson, EmitsWellFormedObject) {
-  RunStats stats;
-  stats.record_batch(MainSearch::kCyclicMin, GeneticOp::kXrossover);
-  stats.record_batch(MainSearch::kCyclicMin, GeneticOp::kBest);
-  stats.record_improvement(0.25, -42, MainSearch::kCyclicMin,
-                           GeneticOp::kXrossover);
-  std::ostringstream out;
-  {
-    io::JsonWriter json(out);
-    stats.snapshot().write_json(json);
-    EXPECT_TRUE(json.complete());
-  }
-  const std::string s = out.str();
-  EXPECT_NE(s.find("\"batches\":2"), std::string::npos);
-  EXPECT_NE(s.find("\"CyclicMin\":2"), std::string::npos);
-  EXPECT_NE(s.find("\"Xrossover\":1"), std::string::npos);
-  EXPECT_NE(s.find("\"energy\":-42"), std::string::npos);
-}
-
-TEST(RunStatsJson, NestsUnderAKeyInsideAnObject) {
-  RunStats stats;
-  stats.record_batch(MainSearch::kMaxMin, GeneticOp::kZero);
-  std::ostringstream out;
-  {
-    io::JsonWriter json(out);
-    json.begin_object().value("run", std::int64_t{1});
-    stats.snapshot().write_json(json, "stats");
-    json.end_object();
-  }
-  EXPECT_NE(out.str().find("\"stats\":{"), std::string::npos);
 }
 
 }  // namespace

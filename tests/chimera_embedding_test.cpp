@@ -14,6 +14,7 @@ namespace dabs {
 namespace {
 
 namespace pr = problems;
+using testing::solve_on;
 
 TEST(Chimera, NodeAndEdgeCountsClosedForm) {
   for (std::size_t m : {1u, 2u, 4u, 8u}) {
@@ -144,7 +145,7 @@ TEST(EmbedQubo, PhysicalOptimumDecodesToLogicalOptimum) {
   // End-to-end: solve the embedded problem, decode, compare with the exact
   // logical optimum.
   const QuboModel logical = testing::random_model(6, 1.0, 4, 44);
-  const Energy truth = ExhaustiveSolver().solve(logical).best_energy;
+  const Energy truth = solve_on(ExhaustiveSolver(), logical).best_energy;
 
   const pr::ChimeraGraph g(2);
   const pr::Embedding emb = pr::chimera_clique_embedding(g, 6);
@@ -156,7 +157,7 @@ TEST(EmbedQubo, PhysicalOptimumDecodesToLogicalOptimum) {
   c.mode = ExecutionMode::kSynchronous;
   c.stop.target_energy = truth;  // physical E == logical E when intact
   c.stop.max_batches = 4000;
-  const SolveResult r = DabsSolver(c).solve(physical);
+  const SolveReport r = solve_on(DabsSolver(c), physical);
   ASSERT_TRUE(r.reached_target)
       << "best " << r.best_energy << " vs truth " << truth;
   const BitVector decoded = pr::unembed(r.best_solution, emb);
@@ -170,7 +171,7 @@ TEST(EmbedQubo, AutoChainStrengthIsPositive) {
   // Auto strength must embed without throwing and produce a model whose
   // optimum is chain-consistent (checked via exhaustive on 8 qubits).
   const QuboModel physical = pr::embed_qubo(logical, g, emb, 0);
-  const BaselineResult r = ExhaustiveSolver().solve(physical);
+  const SolveReport r = solve_on(ExhaustiveSolver(), physical);
   EXPECT_TRUE(pr::chains_intact(r.best_solution, emb));
   EXPECT_EQ(logical.energy(pr::unembed(r.best_solution, emb)),
             r.best_energy);

@@ -2,15 +2,20 @@
 // diversity, determinism, and correctness against exhaustive optima.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "baseline/abs_solver.hpp"
 #include "baseline/exhaustive.hpp"
 #include "core/dabs_solver.hpp"
+#include "core/run_stats.hpp"
 #include "test_helpers.hpp"
 
 namespace dabs {
 namespace {
 
 using testing::random_model;
+using testing::solve_on;
 
 SolverConfig quick_config() {
   SolverConfig c;
@@ -31,7 +36,6 @@ TEST(SolverConfig, ValidateRejectsUnboundedRuns) {
   SolverConfig c = quick_config();
   c.stop = {};
   DabsSolver solver{c};  // construction is configuration: no throw
-  EXPECT_THROW((void)solver.solve(m), std::invalid_argument);
   SolveRequest req;
   req.model = &m;
   EXPECT_THROW((void)solver.solve(req), std::invalid_argument);
@@ -53,13 +57,12 @@ TEST(SolverConfig, ValidateRejectsNonsense) {
 
 TEST(DabsSolver, FindsExhaustiveOptimumOnSmallModel) {
   const QuboModel m = random_model(18, 0.5, 9, 4000);
-  const BaselineResult truth = ExhaustiveSolver().solve(m);
+  const SolveReport truth = solve_on(ExhaustiveSolver(), m);
 
   SolverConfig c = quick_config();
   c.stop.max_batches = 400;
   c.stop.target_energy = truth.best_energy;
-  DabsSolver solver(c);
-  const SolveResult r = solver.solve(m);
+  const SolveReport r = solve_on(DabsSolver(c), m);
   EXPECT_TRUE(r.reached_target);
   EXPECT_EQ(r.best_energy, truth.best_energy);
   EXPECT_EQ(m.energy(r.best_solution), r.best_energy);
@@ -69,7 +72,7 @@ TEST(DabsSolver, MaxBatchesStopsTheRun) {
   const QuboModel m = random_model(30, 0.5, 9, 4001);
   SolverConfig c = quick_config();
   c.stop.max_batches = 50;
-  const SolveResult r = DabsSolver(c).solve(m);
+  const SolveReport r = solve_on(DabsSolver(c), m);
   EXPECT_GE(r.batches, 50u);
   EXPECT_LE(r.batches, 50u + c.devices);  // at most one overshoot per pool
   EXPECT_FALSE(r.reached_target);
@@ -80,7 +83,7 @@ TEST(DabsSolver, TargetEnergyRecordsTts) {
   SolverConfig c = quick_config();
   c.stop.max_batches = 1000;
   c.stop.target_energy = 0;  // trivially reachable (zero vector energy 0)
-  const SolveResult r = DabsSolver(c).solve(m);
+  const SolveReport r = solve_on(DabsSolver(c), m);
   EXPECT_TRUE(r.reached_target);
   EXPECT_GE(r.tts_seconds, 0.0);
   EXPECT_LE(r.tts_seconds, r.elapsed_seconds + 1e-9);
@@ -92,7 +95,7 @@ TEST(DabsSolver, TimeLimitStopsTheRun) {
   SolverConfig c = quick_config();
   c.stop.max_batches = 0;
   c.stop.time_limit_seconds = 0.2;
-  const SolveResult r = DabsSolver(c).solve(m);
+  const SolveReport r = solve_on(DabsSolver(c), m);
   EXPECT_GE(r.elapsed_seconds, 0.2);
   EXPECT_LT(r.elapsed_seconds, 5.0);
 }
@@ -101,40 +104,58 @@ TEST(DabsSolver, StatsCountEveryBatch) {
   const QuboModel m = random_model(24, 0.5, 9, 4004);
   SolverConfig c = quick_config();
   c.stop.max_batches = 60;
-  const SolveResult r = DabsSolver(c).solve(m);
-  std::uint64_t algo_total = 0, op_total = 0;
-  for (const auto v : r.stats.algo_executed) algo_total += v;
-  for (const auto v : r.stats.op_executed) op_total += v;
-  EXPECT_EQ(algo_total, r.batches);
-  EXPECT_EQ(op_total, r.batches);
-  EXPECT_EQ(r.stats.batches, r.batches);
+  const SolveReport r = solve_on(DabsSolver(c), m);
+  // One packet per batch; evolve_test pins that RunStats records one batch
+  // per generated packet, so RunStats counts exactly r.batches.
+  EXPECT_EQ(r.extras.at("packets_generated"), std::to_string(r.batches));
+  double algo_sum = 0, op_sum = 0;
+  for (const auto& [key, value] : r.extras) {
+    if (key.starts_with("freq_algo_")) algo_sum += std::stod(value);
+    if (key.starts_with("freq_op_")) op_sum += std::stod(value);
+  }
+  EXPECT_NEAR(algo_sum, 1.0, 1e-4);
+  EXPECT_NEAR(op_sum, 1.0, 1e-4);
 }
+
+/// Records the on_new_best stream: the report-side improvement trace.
+struct BestRecorder : ProgressObserver {
+  std::vector<ProgressEvent> events;
+  void on_new_best(const ProgressEvent& event) override {
+    events.push_back(event);
+  }
+};
 
 TEST(DabsSolver, ImprovementTraceIsMonotone) {
   const QuboModel m = random_model(32, 0.5, 9, 4005);
   SolverConfig c = quick_config();
   c.stop.max_batches = 100;
-  const SolveResult r = DabsSolver(c).solve(m);
-  ASSERT_FALSE(r.stats.improvements.empty());
-  for (std::size_t i = 1; i < r.stats.improvements.size(); ++i) {
-    EXPECT_LT(r.stats.improvements[i].energy,
-              r.stats.improvements[i - 1].energy);
-    EXPECT_GE(r.stats.improvements[i].at_seconds,
-              r.stats.improvements[i - 1].at_seconds);
+  BestRecorder trace;
+  SolveRequest req;
+  req.model = &m;
+  req.observer = &trace;
+  const SolveReport r = DabsSolver(c).solve(req);
+  ASSERT_FALSE(trace.events.empty());
+  for (std::size_t i = 1; i < trace.events.size(); ++i) {
+    EXPECT_LT(trace.events[i].best_energy, trace.events[i - 1].best_energy);
+    EXPECT_GE(trace.events[i].elapsed_seconds,
+              trace.events[i - 1].elapsed_seconds);
   }
-  EXPECT_EQ(r.stats.improvements.back().energy, r.best_energy);
+  EXPECT_EQ(trace.events.back().best_energy, r.best_energy);
 }
 
-TEST(DabsSolver, FirstFinderMatchesFinalImprovement) {
+TEST(DabsSolver, AttributionCoversEveryImprovement) {
   const QuboModel m = random_model(20, 0.5, 9, 4006);
   SolverConfig c = quick_config();
   c.stop.max_batches = 80;
-  const SolveResult r = DabsSolver(c).solve(m);
-  MainSearch algo{};
-  GeneticOp op{};
-  ASSERT_TRUE(r.stats.first_finder(algo, op));
-  EXPECT_EQ(algo, r.stats.improvements.back().algo);
-  EXPECT_EQ(op, r.stats.improvements.back().op);
+  BestRecorder trace;
+  SolveRequest req;
+  req.model = &m;
+  req.observer = &trace;
+  const SolveReport r = DabsSolver(c).solve(req);
+  ASSERT_FALSE(trace.events.empty());
+  EXPECT_EQ(r.extras.at("improvements"), std::to_string(trace.events.size()));
+  EXPECT_TRUE(r.extras.contains("first_finder_algo"));
+  EXPECT_TRUE(r.extras.contains("first_finder_op"));
 }
 
 TEST(DabsSolver, RestrictedAlgorithmSetIsHonored) {
@@ -142,12 +163,11 @@ TEST(DabsSolver, RestrictedAlgorithmSetIsHonored) {
   SolverConfig c = quick_config();
   c.algorithms = {MainSearch::kPositiveMin};
   c.stop.max_batches = 40;
-  const SolveResult r = DabsSolver(c).solve(m);
-  for (const MainSearch s : kAllMainSearches) {
-    if (s == MainSearch::kPositiveMin) {
-      EXPECT_EQ(r.stats.algo_executed[std::size_t(s)], r.batches);
-    } else {
-      EXPECT_EQ(r.stats.algo_executed[std::size_t(s)], 0u);
+  const SolveReport r = solve_on(DabsSolver(c), m);
+  EXPECT_EQ(r.extras.at("freq_algo_PositiveMin"), "1");
+  for (const auto& [key, value] : r.extras) {
+    if (key.starts_with("freq_algo_")) {
+      EXPECT_EQ(key, "freq_algo_PositiveMin");
     }
   }
 }
@@ -157,13 +177,12 @@ TEST(DabsSolver, SynchronousModeIsDeterministic) {
   SolverConfig c = quick_config();
   c.stop.max_batches = 60;
   c.seed = 987;
-  const SolveResult a = DabsSolver(c).solve(m);
-  const SolveResult b = DabsSolver(c).solve(m);
+  const SolveReport a = solve_on(DabsSolver(c), m);
+  const SolveReport b = solve_on(DabsSolver(c), m);
   EXPECT_EQ(a.best_energy, b.best_energy);
   EXPECT_EQ(a.best_solution, b.best_solution);
   EXPECT_EQ(a.batches, b.batches);
-  EXPECT_EQ(a.stats.algo_executed, b.stats.algo_executed);
-  EXPECT_EQ(a.stats.op_executed, b.stats.op_executed);
+  EXPECT_EQ(a.extras, b.extras);
 }
 
 TEST(DabsSolver, DifferentSeedsExploreDifferently) {
@@ -171,12 +190,10 @@ TEST(DabsSolver, DifferentSeedsExploreDifferently) {
   SolverConfig c = quick_config();
   c.stop.max_batches = 60;
   c.seed = 1;
-  const SolveResult a = DabsSolver(c).solve(m);
+  const SolveReport a = solve_on(DabsSolver(c), m);
   c.seed = 2;
-  const SolveResult b = DabsSolver(c).solve(m);
-  EXPECT_TRUE(a.stats.algo_executed != b.stats.algo_executed ||
-              a.best_solution != b.best_solution ||
-              a.stats.op_executed != b.stats.op_executed);
+  const SolveReport b = solve_on(DabsSolver(c), m);
+  EXPECT_TRUE(a.extras != b.extras || a.best_solution != b.best_solution);
 }
 
 TEST(DabsSolver, ThreadedModeSolvesAndStopsCleanly) {
@@ -184,7 +201,7 @@ TEST(DabsSolver, ThreadedModeSolvesAndStopsCleanly) {
   SolverConfig c = quick_config();
   c.mode = ExecutionMode::kThreaded;
   c.stop.max_batches = 100;
-  const SolveResult r = DabsSolver(c).solve(m);
+  const SolveReport r = solve_on(DabsSolver(c), m);
   EXPECT_GE(r.batches, 100u);
   EXPECT_NE(r.best_energy, kInfiniteEnergy);
   EXPECT_EQ(m.energy(r.best_solution), r.best_energy);
@@ -192,13 +209,13 @@ TEST(DabsSolver, ThreadedModeSolvesAndStopsCleanly) {
 
 TEST(DabsSolver, ThreadedModeReachesExhaustiveOptimum) {
   const QuboModel m = random_model(14, 0.6, 9, 4011);
-  const BaselineResult truth = ExhaustiveSolver().solve(m);
+  const SolveReport truth = solve_on(ExhaustiveSolver(), m);
   SolverConfig c = quick_config();
   c.mode = ExecutionMode::kThreaded;
   c.stop.max_batches = 0;
   c.stop.time_limit_seconds = 10.0;
   c.stop.target_energy = truth.best_energy;
-  const SolveResult r = DabsSolver(c).solve(m);
+  const SolveReport r = solve_on(DabsSolver(c), m);
   EXPECT_TRUE(r.reached_target);
   EXPECT_EQ(r.best_energy, truth.best_energy);
 }
@@ -208,7 +225,7 @@ TEST(DabsSolver, SingleDeviceRunWorks) {
   SolverConfig c = quick_config();
   c.devices = 1;
   c.stop.max_batches = 40;
-  const SolveResult r = DabsSolver(c).solve(m);
+  const SolveReport r = solve_on(DabsSolver(c), m);
   EXPECT_NE(r.best_energy, kInfiniteEnergy);
 }
 
@@ -226,12 +243,80 @@ TEST(AbsSolver, RunsAndOnlyUsesItsFeatureSet) {
   const QuboModel m = random_model(24, 0.5, 9, 4013);
   SolverConfig base = quick_config();
   base.stop.max_batches = 40;
-  AbsSolver abs(base);
-  const SolveResult r = abs.solve(m);
-  EXPECT_EQ(r.stats.algo_executed[std::size_t(MainSearch::kCyclicMin)],
-            r.batches);
-  EXPECT_EQ(r.stats.op_executed[std::size_t(GeneticOp::kMutateCrossover)],
-            r.batches);
+  const SolveReport r = solve_on(AbsSolver(base), m);
+  EXPECT_EQ(r.solver, "abs");
+  EXPECT_EQ(r.extras.at("freq_algo_CyclicMin"), "1");
+  EXPECT_EQ(r.extras.at("freq_op_MutateCrossover"), "1");
+}
+
+// The dabs/abs report contract: the exact extras key set a fixed-seed
+// synchronous run emits and its attribution values (captured before the
+// attribution keys moved into DiversityEngine::fill_extras), so moving a
+// producer cannot silently drop, rename or recompute one.
+SolverConfig contract_config() {
+  SolverConfig c = quick_config();
+  c.stop.max_batches = 60;
+  c.seed = 2024;
+  return c;
+}
+
+std::vector<std::string> keys_of(const SolveReport& r) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : r.extras) keys.push_back(key);
+  return keys;
+}
+
+TEST(ReportContract, DabsExtrasKeySetAndAttribution) {
+  const QuboModel m = random_model(32, 0.5, 9, 4100);
+  const SolveReport r = solve_on(DabsSolver(contract_config()), m);
+  const std::vector<std::string> expected = {
+      "first_finder_algo",     "first_finder_op",
+      "freq_algo_CyclicMin",   "freq_algo_MaxMin",
+      "freq_algo_PositiveMin", "freq_algo_RandomMin",
+      "freq_algo_TwoNeighbor", "freq_op_Best",
+      "freq_op_Crossover",     "freq_op_IntervalZero",
+      "freq_op_Mutation",      "freq_op_One",
+      "freq_op_Random",        "freq_op_Xrossover",
+      "freq_op_Zero",          "improvements",
+      "islands",               "migrations",
+      "packets_accepted",      "packets_generated",
+      "pool_entries",          "pool_entropy",
+      "pool_mean_hamming",     "pool_min_hamming",
+      "pool_restarts",         "win_algo_CyclicMin",
+      "win_algo_MaxMin",       "win_algo_PositiveMin",
+      "win_algo_RandomMin",    "win_algo_TwoNeighbor",
+      "win_op_Best",           "win_op_Crossover",
+      "win_op_IntervalZero",   "win_op_Mutation",
+      "win_op_One",            "win_op_Random",
+      "win_op_Xrossover",      "win_op_Zero"};
+  EXPECT_EQ(keys_of(r), expected);
+  EXPECT_EQ(r.solver, "dabs");
+  EXPECT_EQ(r.best_energy, -195);
+  EXPECT_EQ(r.batches, 60u);
+  EXPECT_EQ(r.extras.at("first_finder_algo"), "PositiveMin");
+  EXPECT_EQ(r.extras.at("first_finder_op"), "Best");
+  EXPECT_EQ(r.extras.at("improvements"), "2");
+}
+
+TEST(ReportContract, AbsExtrasKeySetAndAttribution) {
+  const QuboModel m = random_model(32, 0.5, 9, 4100);
+  const SolveReport r = solve_on(AbsSolver(contract_config()), m);
+  const std::vector<std::string> expected = {
+      "first_finder_algo",       "first_finder_op",
+      "freq_algo_CyclicMin",     "freq_op_MutateCrossover",
+      "improvements",            "islands",
+      "migrations",              "packets_accepted",
+      "packets_generated",       "pool_entries",
+      "pool_entropy",            "pool_mean_hamming",
+      "pool_min_hamming",        "pool_restarts",
+      "win_algo_CyclicMin",      "win_op_MutateCrossover"};
+  EXPECT_EQ(keys_of(r), expected);
+  EXPECT_EQ(r.solver, "abs");
+  EXPECT_EQ(r.best_energy, -195);
+  EXPECT_EQ(r.batches, 60u);
+  EXPECT_EQ(r.extras.at("first_finder_algo"), "CyclicMin");
+  EXPECT_EQ(r.extras.at("first_finder_op"), "MutateCrossover");
+  EXPECT_EQ(r.extras.at("improvements"), "2");
 }
 
 TEST(RunStats, SnapshotIsIndependentCopy) {
@@ -256,16 +341,6 @@ TEST(RunStats, FractionsSumToOne) {
   }
   EXPECT_DOUBLE_EQ(algo_sum, 1.0);
   EXPECT_DOUBLE_EQ(op_sum, 1.0);
-}
-
-TEST(RunStats, ToStringMentionsAlgorithms) {
-  RunStats stats;
-  stats.record_batch(MainSearch::kRandomMin, GeneticOp::kBest);
-  stats.record_improvement(0.5, -10, MainSearch::kRandomMin,
-                           GeneticOp::kBest);
-  const std::string s = stats.snapshot().to_string();
-  EXPECT_NE(s.find("RandomMin"), std::string::npos);
-  EXPECT_NE(s.find("Best"), std::string::npos);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@ namespace {
 
 using testing::random_model;
 using testing::random_solution;
+using testing::solve_on;
 
 class AlgorithmDeterminism : public ::testing::TestWithParam<MainSearch> {};
 
@@ -54,12 +55,11 @@ TEST_P(SolverDeterminism, SingleAlgorithmConfigIsReproducible) {
   c.algorithms = {GetParam()};
   c.stop.max_batches = 40;
   c.seed = 314159;
-  const SolveResult a = DabsSolver(c).solve(m);
-  const SolveResult b = DabsSolver(c).solve(m);
+  const SolveReport a = solve_on(DabsSolver(c), m);
+  const SolveReport b = solve_on(DabsSolver(c), m);
   EXPECT_EQ(a.best_energy, b.best_energy);
   EXPECT_EQ(a.best_solution, b.best_solution);
-  EXPECT_EQ(a.stats.op_executed, b.stats.op_executed);
-  EXPECT_EQ(a.stats.improvements.size(), b.stats.improvements.size());
+  EXPECT_EQ(a.extras, b.extras);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, SolverDeterminism,
@@ -68,10 +68,10 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, SolverDeterminism,
                            return std::string(to_string(info.param));
                          });
 
-TEST(SolverDeterminismMisc, SynchronousSolveResultBitIdentical64Var) {
+TEST(SolverDeterminismMisc, SynchronousReportBitIdentical64Var) {
   // Full adaptive portfolio (every algorithm, every genetic op) on a
   // 64-variable random model: two synchronous runs with the same seed must
-  // agree on every field of SolveResult, not just the best energy.
+  // agree on every field of the report, not just the best energy.
   const QuboModel m = random_model(64, 0.3, 9, 11004);
   SolverConfig c;
   c.devices = 3;
@@ -79,16 +79,14 @@ TEST(SolverDeterminismMisc, SynchronousSolveResultBitIdentical64Var) {
   c.mode = ExecutionMode::kSynchronous;
   c.stop.max_batches = 120;
   c.seed = 0xD1CED1CE;
-  const SolveResult a = DabsSolver(c).solve(m);
-  const SolveResult b = DabsSolver(c).solve(m);
+  const SolveReport a = solve_on(DabsSolver(c), m);
+  const SolveReport b = solve_on(DabsSolver(c), m);
   EXPECT_EQ(a.best_energy, b.best_energy);
   EXPECT_EQ(a.best_solution, b.best_solution);
   EXPECT_EQ(a.batches, b.batches);
   EXPECT_EQ(a.restarts, b.restarts);
   EXPECT_EQ(a.reached_target, b.reached_target);
-  EXPECT_EQ(a.stats.algo_executed, b.stats.algo_executed);
-  EXPECT_EQ(a.stats.op_executed, b.stats.op_executed);
-  EXPECT_EQ(a.stats.improvements.size(), b.stats.improvements.size());
+  EXPECT_EQ(a.extras, b.extras);
   EXPECT_EQ(m.energy(a.best_solution), a.best_energy);
 }
 
@@ -141,7 +139,7 @@ TEST_P(GoldenFixedSeed, MatchesPinnedFingerprint) {
   if (g.algo >= 0) c.algorithms = {static_cast<MainSearch>(g.algo)};
   c.stop.max_batches = 12;
   c.seed = 0x601D;
-  const SolveResult r = DabsSolver(c).solve(m);
+  const SolveReport r = solve_on(DabsSolver(c), m);
   EXPECT_EQ(r.batches, g.batches) << g.name;
   EXPECT_EQ(r.best_energy, g.best_energy) << g.name;
   EXPECT_EQ(r.best_solution.hash(), g.solution_hash)
@@ -164,8 +162,8 @@ TEST(SolverDeterminismMisc, WarmStartDoesNotBreakReproducibility) {
   c.mode = ExecutionMode::kSynchronous;
   c.warm_start = {random_solution(20, rng), random_solution(20, rng)};
   c.stop.max_batches = 30;
-  const SolveResult a = DabsSolver(c).solve(m);
-  const SolveResult b = DabsSolver(c).solve(m);
+  const SolveReport a = solve_on(DabsSolver(c), m);
+  const SolveReport b = solve_on(DabsSolver(c), m);
   EXPECT_EQ(a.best_energy, b.best_energy);
   EXPECT_EQ(a.best_solution, b.best_solution);
 }
@@ -179,7 +177,7 @@ TEST(SolverDeterminismMisc, DeviceAndBlockCountChangeTheWalkNotValidity) {
       c.device.blocks = blocks;
       c.mode = ExecutionMode::kSynchronous;
       c.stop.max_batches = 30;
-      const SolveResult r = DabsSolver(c).solve(m);
+      const SolveReport r = solve_on(DabsSolver(c), m);
       EXPECT_EQ(m.energy(r.best_solution), r.best_energy)
           << devices << "x" << blocks;
     }

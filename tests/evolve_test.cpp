@@ -259,6 +259,23 @@ TEST(DiversityEngine, NextPacketIsDeterministic) {
   EXPECT_EQ(e1.generated(), 64u);
 }
 
+TEST(DiversityEngine, RunStatsCountEveryPacket) {
+  // Every generated packet is one batch in RunStats, attributed to
+  // exactly one algorithm and one operation.
+  MersenneSeeder seeder(45);
+  DiversityEngine engine(small_engine_config(), 24, seeder);
+  Rng rng(9);
+  for (int i = 0; i < 50; ++i) (void)engine.next_packet(i % 2, rng);
+  const RunStatsSnapshot snap = engine.stats();
+  std::uint64_t algo_total = 0, op_total = 0;
+  for (const auto v : snap.algo_executed) algo_total += v;
+  for (const auto v : snap.op_executed) op_total += v;
+  EXPECT_EQ(snap.batches, 50u);
+  EXPECT_EQ(engine.generated(), 50u);
+  EXPECT_EQ(algo_total, 50u);
+  EXPECT_EQ(op_total, 50u);
+}
+
 TEST(DiversityEngine, AcceptResultCountsWins) {
   MersenneSeeder seeder(43);
   DiversityEngine engine(small_engine_config(), 16, seeder);

@@ -12,11 +12,13 @@
 #include "problems/maxcut.hpp"
 #include "problems/qap.hpp"
 #include "problems/qasp.hpp"
+#include "test_helpers.hpp"
 
 namespace dabs {
 namespace {
 
 namespace pr = problems;
+using testing::solve_on;
 
 SolverConfig integration_config() {
   SolverConfig c;
@@ -34,12 +36,12 @@ TEST(Integration, MaxCutFamilyReachesExactOptimum) {
   const auto inst = pr::make_random_maxcut(
       16, 40, pr::EdgeWeights::kPlusMinusOne, 161, "it-mc");
   const QuboModel m = pr::maxcut_to_qubo(inst);
-  const Energy truth = ExhaustiveSolver().solve(m).best_energy;
+  const Energy truth = solve_on(ExhaustiveSolver(), m).best_energy;
 
   SolverConfig c = integration_config();
   c.stop.target_energy = truth;
   c.stop.max_batches = 2000;
-  const SolveResult r = DabsSolver(c).solve(m);
+  const SolveReport r = solve_on(DabsSolver(c), m);
   ASSERT_TRUE(r.reached_target);
   EXPECT_EQ(r.best_energy, truth);
   EXPECT_EQ(inst.cut_value(r.best_solution), -truth);
@@ -54,7 +56,7 @@ TEST(Integration, QapFamilyReachesExactOptimumAndFeasibility) {
   SolverConfig c = integration_config();
   c.stop.target_energy = target;
   c.stop.max_batches = 4000;
-  const SolveResult r = DabsSolver(c).solve(q.model);
+  const SolveReport r = solve_on(DabsSolver(c), q.model);
   ASSERT_TRUE(r.reached_target) << "best=" << r.best_energy
                                 << " target=" << target;
   const auto g = pr::decode_assignment(r.best_solution, inst.n);
@@ -69,7 +71,7 @@ TEST(Integration, QaspFamilyReachesExhaustiveOptimumOnTinyPegasus) {
   const auto inst = pr::make_qasp_small(1, 2, 31);
   SolverConfig c = integration_config();
   c.stop.max_batches = 600;
-  const SolveResult r = DabsSolver(c).solve(inst.qubo);
+  const SolveReport r = solve_on(DabsSolver(c), inst.qubo);
   EXPECT_EQ(inst.qubo.energy(r.best_solution), r.best_energy);
   EXPECT_EQ(inst.ising.hamiltonian(to_spins(r.best_solution)),
             r.best_energy + inst.offset);
@@ -78,7 +80,7 @@ TEST(Integration, QaspFamilyReachesExhaustiveOptimumOnTinyPegasus) {
   SolverConfig c2 = integration_config();
   c2.seed = 999;
   c2.stop.max_batches = 600;
-  const SolveResult r2 = DabsSolver(c2).solve(inst.qubo);
+  const SolveReport r2 = solve_on(DabsSolver(c2), inst.qubo);
   EXPECT_EQ(r.best_energy, r2.best_energy);
 }
 
@@ -90,8 +92,8 @@ TEST(Integration, DabsBeatsOrMatchesAbsUnderSameBudget) {
 
   SolverConfig c = integration_config();
   c.stop.max_batches = 800;
-  const SolveResult dabs = DabsSolver(c).solve(q.model);
-  const SolveResult abs = AbsSolver(c).solve(q.model);
+  const SolveReport dabs = solve_on(DabsSolver(c), q.model);
+  const SolveReport abs = solve_on(AbsSolver(c), q.model);
   EXPECT_LE(dabs.best_energy, abs.best_energy);
 }
 
@@ -101,13 +103,14 @@ TEST(Integration, StatsShowDiverseAlgorithmUsage) {
   const QuboModel m = pr::maxcut_to_qubo(inst);
   SolverConfig c = integration_config();
   c.stop.max_batches = 500;
-  const SolveResult r = DabsSolver(c).solve(m);
+  const SolveReport r = solve_on(DabsSolver(c), m);
   // With 5% exploration over 500 batches every algorithm appears.
-  int used = 0;
-  for (const auto count : r.stats.algo_executed) used += count > 0;
+  int used = 0, ops_used = 0;
+  for (const auto& [key, value] : r.extras) {
+    if (key.starts_with("freq_algo_")) used += std::stod(value) > 0;
+    if (key.starts_with("freq_op_")) ops_used += std::stod(value) > 0;
+  }
   EXPECT_GE(used, 4);
-  int ops_used = 0;
-  for (const auto count : r.stats.op_executed) ops_used += count > 0;
   EXPECT_GE(ops_used, 6);
 }
 
@@ -118,8 +121,8 @@ TEST(Integration, XrossoverActuallyExecutes) {
   SolverConfig c = integration_config();
   c.devices = 3;  // a real ring
   c.stop.max_batches = 600;
-  const SolveResult r = DabsSolver(c).solve(m);
-  EXPECT_GT(r.stats.op_executed[std::size_t(GeneticOp::kXrossover)], 0u);
+  const SolveReport r = solve_on(DabsSolver(c), m);
+  EXPECT_GT(std::stod(r.extras.at("freq_op_Xrossover")), 0.0);
 }
 
 TEST(Integration, ThreadedEndToEndOnQap) {
@@ -130,7 +133,7 @@ TEST(Integration, ThreadedEndToEndOnQap) {
   c.mode = ExecutionMode::kThreaded;
   c.stop.target_energy = target;
   c.stop.time_limit_seconds = 20.0;
-  const SolveResult r = DabsSolver(c).solve(q.model);
+  const SolveReport r = solve_on(DabsSolver(c), q.model);
   EXPECT_TRUE(r.reached_target);
 }
 
@@ -142,7 +145,7 @@ TEST(Integration, TightPoolStillWorks) {
   SolverConfig c = integration_config();
   c.pool_capacity = 1;
   c.stop.max_batches = 200;
-  const SolveResult r = DabsSolver(c).solve(m);
+  const SolveReport r = solve_on(DabsSolver(c), m);
   EXPECT_NE(r.best_energy, kInfiniteEnergy);
 }
 

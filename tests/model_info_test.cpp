@@ -1,8 +1,6 @@
-// Tests for model analysis and the parallel campaign runner.
+// Tests for model analysis.
 #include <gtest/gtest.h>
 
-#include "baseline/exhaustive.hpp"
-#include "core/parallel_campaign.hpp"
 #include "qubo/model_info.hpp"
 #include "test_helpers.hpp"
 
@@ -55,53 +53,6 @@ TEST(ModelInfo, SingleVariableModel) {
   EXPECT_EQ(info.couplings, 0u);
   EXPECT_EQ(info.components, 1u);
   EXPECT_EQ(info.isolated_variables, 0u);  // non-zero diagonal counts
-}
-
-TEST(ParallelCampaign, AggregatesMatchTrialCount) {
-  const QuboModel m = random_model(14, 0.6, 9, 79);
-  const Energy truth = ExhaustiveSolver().solve(m).best_energy;
-  SolverConfig base;
-  base.devices = 2;
-  base.device.blocks = 1;
-  base.stop.max_batches = 250;
-  base.seed = 3;
-  const ParallelCampaign camp(base, 8, 4);
-  const CampaignResult r = camp.run(m, truth);
-  EXPECT_EQ(r.runs, 8u);
-  EXPECT_EQ(r.final_energies.size(), 8u);
-  EXPECT_EQ(r.best_energy, truth);
-  EXPECT_GT(r.successes, 0u);
-}
-
-TEST(ParallelCampaign, MatchesSerialCampaignStatistics) {
-  // Same seeds + synchronous trials => identical per-trial outcomes, just
-  // computed concurrently.
-  const QuboModel m = random_model(16, 0.5, 9, 80);
-  SolverConfig base;
-  base.devices = 2;
-  base.device.blocks = 1;
-  base.mode = ExecutionMode::kSynchronous;
-  base.stop.max_batches = 100;
-  base.seed = 11;
-  const Energy target = -1;  // something most trials reach
-
-  const CampaignResult serial = Campaign(base, 6).run(m, target);
-  const CampaignResult parallel = ParallelCampaign(base, 6, 3).run(m, target);
-  // Energies are per-trial deterministic; order is preserved by index.
-  EXPECT_EQ(serial.final_energies, parallel.final_energies);
-  EXPECT_EQ(serial.successes, parallel.successes);
-  EXPECT_EQ(serial.best_energy, parallel.best_energy);
-}
-
-TEST(ParallelCampaign, SingleThreadDegradesGracefully) {
-  const QuboModel m = random_model(10, 0.5, 5, 81);
-  SolverConfig base;
-  base.devices = 1;
-  base.device.blocks = 1;
-  base.stop.max_batches = 20;
-  const ParallelCampaign camp(base, 2, 0);  // 0 threads -> 1
-  const CampaignResult r = camp.run(m, -1);
-  EXPECT_EQ(r.runs, 2u);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@ namespace dabs {
 namespace {
 
 namespace pr = problems;
+using testing::solve_on;
 
 pr::MaxCutInstance tiny_instance() {
   // Triangle with weights 1, 2, -1 plus a pendant edge.
@@ -57,7 +58,7 @@ TEST(MaxCut, OptimumMatchesExhaustiveSearch) {
   const auto inst =
       pr::make_random_maxcut(12, 30, pr::EdgeWeights::kPlusMinusOne, 7, "x");
   const QuboModel m = pr::maxcut_to_qubo(inst);
-  const BaselineResult r = ExhaustiveSolver().solve(m);
+  const SolveReport r = solve_on(ExhaustiveSolver(), m);
   // Maximum cut by brute force over partitions.
   Energy best_cut = 0;
   for (std::uint64_t bits = 0; bits < (1u << 12); ++bits) {

@@ -14,6 +14,7 @@ namespace dabs {
 namespace {
 
 namespace pr = problems;
+using testing::solve_on;
 
 pr::QapInstance tiny_qap() {
   // n = 3, symmetric flows, line distances.
@@ -71,7 +72,7 @@ TEST(Qap, InfeasibleVectorsCostMoreThanFeasibleOnes) {
   const Energy opt_cost = pr::qap_brute_force(inst);
   const Energy opt_energy = q.feasible_energy(opt_cost);
 
-  const BaselineResult r = ExhaustiveSolver(9).solve(q.model);
+  const SolveReport r = solve_on(ExhaustiveSolver(9), q.model);
   EXPECT_EQ(r.best_energy, opt_energy);
   const auto g = pr::decode_assignment(r.best_solution, 3);
   ASSERT_TRUE(g.has_value());

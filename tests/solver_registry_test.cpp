@@ -1,16 +1,13 @@
 // Tests for the unified solving surface: the SolverRegistry round-trip
 // (every registered name constructs and solves through Solver::solve with
-// sane report fields), option handling, observer callbacks, warm starts,
-// and the campaign runners driving BaselineResult-era solvers through the
-// identical TTS protocol used for DABS.
+// sane report fields), option handling, observer callbacks and warm
+// starts.  Campaigns over registry solvers are covered in campaign_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "baseline/exhaustive.hpp"
-#include "core/campaign.hpp"
-#include "core/parallel_campaign.hpp"
 #include "core/solve_report.hpp"
 #include "core/solver.hpp"
 #include "core/solver_registry.hpp"
@@ -20,6 +17,7 @@ namespace dabs {
 namespace {
 
 using testing::random_model;
+using testing::solve_on;
 
 const std::vector<std::string> kAllSolvers = {
     "dabs", "abs", "sa", "tabu", "greedy-restart",
@@ -127,7 +125,7 @@ TEST(SolverRegistry, ReplicasOptionRunsTheBulkEngine) {
 
 TEST(SolverRegistry, TargetStopsBaselinesAndRecordsTts) {
   const QuboModel m = random_model(14, 0.6, 9, 6002);
-  const Energy truth = ExhaustiveSolver().solve(m).best_energy;
+  const Energy truth = solve_on(ExhaustiveSolver(), m).best_energy;
   for (const char* name : {"sa", "tabu", "greedy-restart"}) {
     const std::unique_ptr<Solver> solver =
         SolverRegistry::global().create(name);
@@ -146,7 +144,7 @@ TEST(SolverRegistry, TargetStopsBaselinesAndRecordsTts) {
 
 TEST(SolverRegistry, WarmStartSeedsEverySolverWithTheOptimum) {
   const QuboModel m = random_model(12, 0.6, 9, 6003);
-  const BaselineResult truth = ExhaustiveSolver().solve(m);
+  const SolveReport truth = solve_on(ExhaustiveSolver(), m);
   for (const std::string& name : kAllSolvers) {
     if (name == "exhaustive") continue;  // exact: ignores warm starts
     const std::unique_ptr<Solver> solver =
@@ -192,45 +190,6 @@ TEST(SolverRegistry, ObserverSeesImprovementsAndRequestIsDeterministic) {
   EXPECT_EQ(a.best_energy, b.best_energy);
   EXPECT_EQ(a.best_solution, b.best_solution);
   EXPECT_EQ(a.flips, b.flips);
-}
-
-SolverConfig campaign_base() {
-  SolverConfig c;
-  c.stop.time_limit_seconds = 10.0;
-  c.stop.max_batches = 50000;  // flips for baselines
-  c.seed = 5;
-  return c;
-}
-
-TEST(CampaignOnInterface, BaselineEraSolverRunsTheIdenticalProtocol) {
-  const QuboModel m = random_model(14, 0.6, 9, 6005);
-  const Energy truth = ExhaustiveSolver().solve(m).best_energy;
-  const Campaign camp(campaign_base(), 4);
-  const std::unique_ptr<Solver> tabu = SolverRegistry::global().create("tabu");
-  const CampaignResult r = camp.run_solver(m, truth, *tabu);
-  EXPECT_EQ(r.runs, 4u);
-  EXPECT_EQ(r.final_energies.size(), 4u);
-  EXPECT_GT(r.successes, 0u);  // trivial at this size
-  EXPECT_EQ(r.successes, r.tts_samples.size());
-  EXPECT_EQ(r.best_energy, truth);
-  // Trials got distinct derived seeds — the same schedule run() uses.
-  const SolveRequest t0 = camp.make_trial_request(m, truth, 0);
-  const SolveRequest t1 = camp.make_trial_request(m, truth, 1);
-  ASSERT_TRUE(t0.seed && t1.seed);
-  EXPECT_NE(*t0.seed, *t1.seed);
-  EXPECT_EQ(t0.stop.target_energy, truth);
-}
-
-TEST(CampaignOnInterface, ParallelCampaignDistributesAnySolver) {
-  const QuboModel m = random_model(14, 0.6, 9, 6006);
-  const Energy truth = ExhaustiveSolver().solve(m).best_energy;
-  const ParallelCampaign camp(campaign_base(), 6, 3);
-  const std::unique_ptr<Solver> sa =
-      SolverRegistry::global().create("sa", {{"restarts", "8"}});
-  const CampaignResult r = camp.run_solver(m, truth, *sa);
-  EXPECT_EQ(r.runs, 6u);
-  EXPECT_GT(r.successes, 0u);
-  EXPECT_EQ(r.best_energy, truth);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
-// Shared helpers for the test suite: random model generators and naive
-// reference implementations used to cross-check the incremental machinery.
+// Shared helpers for the test suite: random model generators, naive
+// reference implementations used to cross-check the incremental machinery,
+// and a one-call solve over the request protocol.
 #pragma once
 
 #include <vector>
 
+#include "core/solve_report.hpp"
+#include "core/solver.hpp"
 #include "qubo/qubo_builder.hpp"
 #include "qubo/qubo_model.hpp"
 #include "rng/xorshift.hpp"
@@ -51,6 +54,15 @@ inline Energy naive_energy(const QuboModel& m, const BitVector& x) {
     }
   }
   return e;
+}
+
+/// Solves `m` through the request protocol with no overrides, so the
+/// solver's own configured budget and seed decide the run.
+template <typename S>
+SolveReport solve_on(S&& solver, const QuboModel& m) {
+  SolveRequest req;
+  req.model = &m;
+  return solver.solve(req);
 }
 
 /// Random solution vector from `rng`.

@@ -20,6 +20,7 @@ namespace {
 
 using testing::random_model;
 using testing::random_solution;
+using testing::solve_on;
 
 TEST(FixVariable, EnergyIdentityOverAllAssignments) {
   const QuboModel m = random_model(8, 0.7, 9, 10000);
@@ -96,18 +97,18 @@ TEST(SubQuboSolver, MonotonicallyImprovesToGoodSolutions) {
   p.subset_size = 12;
   p.iterations = 60;
   p.seed = 4;
-  const BaselineResult r = SubQuboSolver(p).solve(m);
+  const SolveReport r = solve_on(SubQuboSolver(p), m);
   EXPECT_EQ(m.energy(r.best_solution), r.best_energy);
   EXPECT_LT(r.best_energy, 0);
 }
 
 TEST(SubQuboSolver, FindsOptimumWhenSubsetCoversModel) {
   const QuboModel m = random_model(14, 0.6, 9, 10006);
-  const Energy truth = ExhaustiveSolver().solve(m).best_energy;
+  const Energy truth = solve_on(ExhaustiveSolver(), m).best_energy;
   SubQuboParams p;
   p.subset_size = 14;  // one exact solve of the whole model
   p.iterations = 2;
-  const BaselineResult r = SubQuboSolver(p).solve(m);
+  const SolveReport r = solve_on(SubQuboSolver(p), m);
   EXPECT_EQ(r.best_energy, truth);
 }
 
@@ -122,9 +123,9 @@ TEST(SubQuboSolver, RejectsBadParams) {
 
 TEST(ParallelExhaustive, MatchesSerialResult) {
   const QuboModel m = random_model(14, 0.6, 9, 10007);
-  const BaselineResult serial = ExhaustiveSolver(26, 1).solve(m);
+  const SolveReport serial = solve_on(ExhaustiveSolver(26, 1), m);
   for (const std::uint32_t threads : {2u, 4u, 8u}) {
-    const BaselineResult parallel = ExhaustiveSolver(26, threads).solve(m);
+    const SolveReport parallel = solve_on(ExhaustiveSolver(26, threads), m);
     EXPECT_EQ(parallel.best_energy, serial.best_energy) << threads;
     EXPECT_EQ(m.energy(parallel.best_solution), parallel.best_energy);
   }
@@ -133,14 +134,14 @@ TEST(ParallelExhaustive, MatchesSerialResult) {
 TEST(ParallelExhaustive, WorkerFlipAccounting) {
   const QuboModel m = random_model(10, 0.6, 5, 10008);
   // 4 workers each enumerate 2^8 states with 2^8 - 1 flips.
-  const BaselineResult r = ExhaustiveSolver(26, 4).solve(m);
+  const SolveReport r = solve_on(ExhaustiveSolver(26, 4), m);
   EXPECT_EQ(r.flips, 4u * 255u);
 }
 
 TEST(ParallelExhaustive, OddThreadCountRoundsDown) {
   const QuboModel m = random_model(8, 0.6, 5, 10009);
-  const BaselineResult r = ExhaustiveSolver(26, 3).solve(m);  // -> 2 workers
-  EXPECT_EQ(r.best_energy, ExhaustiveSolver().solve(m).best_energy);
+  const SolveReport r = solve_on(ExhaustiveSolver(26, 3), m);  // -> 2 workers
+  EXPECT_EQ(r.best_energy, solve_on(ExhaustiveSolver(), m).best_energy);
 }
 
 TEST(WarmStart, SeedsPoolsAndGlobalBest) {
@@ -164,13 +165,13 @@ TEST(WarmStart, SeedsPoolsAndGlobalBest) {
   c.warm_start = {warm};
   c.stop.max_batches = 1;  // almost no search: the result must come from
                            // the warm start if the single batch is worse
-  const SolveResult r = DabsSolver(c).solve(m);
+  const SolveReport r = solve_on(DabsSolver(c), m);
   EXPECT_LE(r.best_energy, warm_e);
 }
 
 TEST(WarmStart, TargetReachedImmediatelyByWarmStart) {
   const QuboModel m = random_model(16, 0.6, 9, 10011);
-  const BaselineResult truth = ExhaustiveSolver().solve(m);
+  const SolveReport truth = solve_on(ExhaustiveSolver(), m);
   SolverConfig c;
   c.devices = 1;
   c.device.blocks = 1;
@@ -178,7 +179,7 @@ TEST(WarmStart, TargetReachedImmediatelyByWarmStart) {
   c.warm_start = {truth.best_solution};
   c.stop.target_energy = truth.best_energy;
   c.stop.max_batches = 10;
-  const SolveResult r = DabsSolver(c).solve(m);
+  const SolveReport r = solve_on(DabsSolver(c), m);
   EXPECT_TRUE(r.reached_target);
   EXPECT_EQ(r.best_energy, truth.best_energy);
   EXPECT_LT(r.tts_seconds, 0.1);
@@ -191,7 +192,7 @@ TEST(WarmStart, RejectsWrongLength) {
   c.mode = ExecutionMode::kSynchronous;
   c.warm_start = {BitVector(9)};
   c.stop.max_batches = 5;
-  EXPECT_THROW((void)DabsSolver(c).solve(m), std::invalid_argument);
+  EXPECT_THROW((void)solve_on(DabsSolver(c), m), std::invalid_argument);
 }
 
 TEST(TtsConfidence, MatchesClosedForm) {

@@ -7,11 +7,13 @@
 #include "core/dabs_solver.hpp"
 #include "problems/qap.hpp"
 #include "problems/tsp.hpp"
+#include "test_helpers.hpp"
 
 namespace dabs {
 namespace {
 
 namespace pr = problems;
+using testing::solve_on;
 
 pr::TspInstance square_tsp() {
   // 4 cities on a unit square (scaled x10): optimal tour = perimeter 40.
@@ -79,7 +81,7 @@ TEST(Tsp, EndToEndThroughDabs) {
   c.mode = ExecutionMode::kSynchronous;
   c.stop.target_energy = q.feasible_energy(opt);
   c.stop.max_batches = 6000;
-  const SolveResult r = DabsSolver(c).solve(q.model);
+  const SolveReport r = solve_on(DabsSolver(c), q.model);
   ASSERT_TRUE(r.reached_target);
   const auto g = pr::decode_assignment(r.best_solution, 5);
   ASSERT_TRUE(g.has_value());
