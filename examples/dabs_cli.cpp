@@ -15,7 +15,7 @@
 //   $ ./dabs_cli model.txt --solver sa --target -1234 --campaign 100
 //
 // The batch subcommand runs a JSONL job file through the solve service
-// (see src/service/batch_runner.hpp for the line schema) and streams one
+// (see src/service/job_ledger.hpp for the line schema) and streams one
 // report object per line as jobs complete:
 //
 //   $ ./dabs_cli batch jobs.jsonl --jobs 4 > reports.jsonl
@@ -179,6 +179,40 @@ extern "C" void on_batch_signal(int) {
   g_batch_interrupted.store(true, std::memory_order_relaxed);
 }
 
+/// Fills the settings `batch` and `serve` share from their common flags;
+/// `config` arrives with the front end's own defaults (--jobs is 4 for
+/// batch, 2 for serve).  Prints the problem and returns false when a value
+/// is out of range.
+bool read_job_config(const dabs::ArgParser& args,
+                     dabs::service::JobConfig& config) {
+  const std::int64_t jobs =
+      args.get_int("jobs", static_cast<std::int64_t>(config.threads));
+  const std::int64_t cache_mb = args.get_int("cache-mb", 256);
+  const double time_limit = args.get_double("time-limit", 5.0);
+  const std::int64_t attempts = args.get_int("attempts", 3);
+  const std::int64_t queue_limit = args.get_int("queue-limit", 0);
+  if (jobs < 1 || cache_mb < 0 || time_limit < 0 || attempts < 1 ||
+      attempts > 100 || queue_limit < 0) {
+    std::cerr << "--jobs must be >= 1; --cache-mb and --time-limit must be "
+                 ">= 0; --attempts must be in [1, 100]; --queue-limit must "
+                 "be >= 0\n";
+    return false;
+  }
+  config.threads = static_cast<std::size_t>(jobs);
+  config.cache_bytes = static_cast<std::size_t>(cache_mb) << 20;
+  config.default_time_limit = time_limit;
+  config.max_attempts = static_cast<std::uint32_t>(attempts);
+  config.max_queue_depth = static_cast<std::size_t>(queue_limit);
+  config.journal_path = args.get("journal").value_or("");
+  config.resume = args.get_bool("resume");
+  config.trace_path = args.get("trace").value_or("");
+  if (config.resume && config.journal_path.empty()) {
+    std::cerr << "--resume requires --journal <path>\n";
+    return false;
+  }
+  return true;
+}
+
 /// `dabs_cli batch <jobs.jsonl>`: stream the JSONL job file through the
 /// batch service.  "-" reads jobs from stdin.
 int run_batch_command(const dabs::ArgParser& args) {
@@ -186,34 +220,8 @@ int run_batch_command(const dabs::ArgParser& args) {
     usage(args.program());
     return 2;
   }
-  const std::int64_t jobs = args.get_int("jobs", 4);
-  const std::int64_t cache_mb = args.get_int("cache-mb", 256);
-  const double time_limit = args.get_double("time-limit", 5.0);
-  if (jobs < 1 || cache_mb < 0 || time_limit < 0) {
-    std::cerr << "--jobs must be >= 1; --cache-mb and --time-limit must "
-                 "be >= 0\n";
-    return 2;
-  }
-  const std::int64_t attempts = args.get_int("attempts", 3);
-  const std::int64_t queue_limit = args.get_int("queue-limit", 0);
-  if (attempts < 1 || attempts > 100 || queue_limit < 0) {
-    std::cerr << "--attempts must be in [1, 100]; --queue-limit must be "
-                 ">= 0\n";
-    return 2;
-  }
   dabs::service::BatchOptions opts;
-  opts.threads = static_cast<std::size_t>(jobs);
-  opts.cache_bytes = static_cast<std::size_t>(cache_mb) << 20;
-  opts.default_time_limit = time_limit;
-  opts.journal_path = args.get("journal").value_or("");
-  opts.resume = args.get_bool("resume");
-  opts.max_attempts = static_cast<std::uint32_t>(attempts);
-  opts.max_queue_depth = static_cast<std::size_t>(queue_limit);
-  opts.trace_path = args.get("trace").value_or("");
-  if (opts.resume && opts.journal_path.empty()) {
-    std::cerr << "--resume requires --journal <path>\n";
-    return 2;
-  }
+  if (!read_job_config(args, opts)) return 2;
   for (const std::string& name : args.unused()) {
     std::cerr << "warning: unknown option --" << name << "\n";
   }
@@ -242,16 +250,9 @@ int run_batch_command(const dabs::ArgParser& args) {
 int run_serve_command(const dabs::ArgParser& args) {
   const std::int64_t port = args.get_int("port", 8080);
   const std::string host = args.get("host").value_or("127.0.0.1");
-  const std::int64_t jobs = args.get_int("jobs", 2);
-  const std::int64_t cache_mb = args.get_int("cache-mb", 256);
-  const double time_limit = args.get_double("time-limit", 5.0);
-  const std::int64_t attempts = args.get_int("attempts", 3);
-  const std::int64_t queue_limit = args.get_int("queue-limit", 0);
   const std::int64_t shards = args.get_int("shards", 1);
   const auto shard_of = args.get("shard-of");
-  if (port < 0 || port > 65535 || jobs < 1 || cache_mb < 0 ||
-      time_limit < 0 || attempts < 1 || attempts > 100 || queue_limit < 0 ||
-      shards < 1) {
+  if (port < 0 || port > 65535 || shards < 1) {
     std::cerr << "serve: option out of range (see --help)\n";
     return 2;
   }
@@ -259,20 +260,8 @@ int run_serve_command(const dabs::ArgParser& args) {
     std::cerr << "serve: --shards and --shard-of are mutually exclusive\n";
     return 2;
   }
-
   dabs::net::JobApi::Config api;
-  api.threads = static_cast<std::size_t>(jobs);
-  api.cache_bytes = static_cast<std::size_t>(cache_mb) << 20;
-  api.max_queue_depth = static_cast<std::size_t>(queue_limit);
-  api.default_time_limit = time_limit;
-  api.max_attempts = static_cast<std::uint32_t>(attempts);
-  api.journal_path = args.get("journal").value_or("");
-  api.resume = args.get_bool("resume");
-  api.trace_path = args.get("trace").value_or("");
-  if (api.resume && api.journal_path.empty()) {
-    std::cerr << "--resume requires --journal <path>\n";
-    return 2;
-  }
+  if (!read_job_config(args, api)) return 2;
 
   dabs::net::SolveServer::Config config;
   config.http.host = host;

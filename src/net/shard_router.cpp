@@ -298,7 +298,7 @@ ApiReply ShardBackend::submit(const std::string& body) {
   } catch (const std::exception& e) {
     return {400, error_body(e.what())};  // reject before spending an RPC
   }
-  const std::size_t owner = ring_.owner(routing_key(job));
+  const std::size_t owner = ring_.owner(service::spec_key(job));
   submit_counters_[owner]->inc();
   return group_.call_submit(owner, body);
 }

@@ -13,7 +13,7 @@
 //   - Job ids are globally unique by construction (worker k of N issues
 //     local*N+k), so the front end routes id-keyed requests with a modulo
 //     and never rewrites a response body.
-//   - Submissions route on routing_key() — the job's *spec*, not the
+//   - Submissions route on service::spec_key() — the job's *spec*, not the
 //     resolved model — hashed onto a 64-vnode-per-shard ring.  The ring is
 //     deterministic for a fixed N across processes, which is what lets
 //     `dabs_cli serve --shard-of k/N` run the same placement behind an

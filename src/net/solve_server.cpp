@@ -163,7 +163,7 @@ HttpResult SolveServer::handle_jobs_path(const HttpRequest& request) {
       } catch (const std::exception& e) {
         return reply(400, error_body(e.what()));
       }
-      const std::size_t owner = ring_.owner(routing_key(job));
+      const std::size_t owner = ring_.owner(service::spec_key(job));
       if (owner != *config_.shard_of_idx) {
         std::ostringstream out;
         {

@@ -41,8 +41,6 @@
 
 namespace dabs {
 
-class ThreadPool;
-
 class BulkBatchSearch {
  public:
   BulkBatchSearch(const QuboModel& model, const BatchParams& params,
@@ -57,11 +55,6 @@ class BulkBatchSearch {
   const BulkSearchState& state() const noexcept { return state_; }
   std::size_t replica_count() const noexcept { return state_.replica_count(); }
   const BatchParams& params() const noexcept { return params_; }
-
-  /// Shards per-block kernel work across `pool` (see BulkSearchState).
-  void set_thread_pool(ThreadPool* pool) noexcept {
-    state_.set_thread_pool(pool);
-  }
 
  private:
   /// Queues (k, mask) and flushes full chunks; descend=true routes through

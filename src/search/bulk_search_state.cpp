@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <type_traits>
 
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dabs {
 
@@ -53,7 +51,6 @@ class BulkEngine {
   std::size_t size() const noexcept { return n_; }
   std::size_t replica_count() const noexcept { return replicas_; }
   std::size_t block_count() const noexcept { return blocks_; }
-  void set_thread_pool(ThreadPool* pool) noexcept { pool_ = pool; }
 
   virtual void reset() = 0;
   virtual void reset_to(std::size_t r, const BitVector& x) = 0;
@@ -131,26 +128,16 @@ class BulkEngine {
                                : (std::uint64_t{1} << remaining) - 1;
   }
 
-  /// Runs fn(b) for every block, sharded over the thread pool when set.
-  void for_each_block(const std::function<void(std::size_t)>& fn) {
-    if (pool_ != nullptr && blocks_ > 1) {
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(blocks_);
-      for (std::size_t b = 0; b < blocks_; ++b) {
-        tasks.emplace_back([&fn, b] { fn(b); });
-      }
-      pool_->submit_batch(std::move(tasks));
-      pool_->wait_idle();
-    } else {
-      for (std::size_t b = 0; b < blocks_; ++b) fn(b);
-    }
+  /// Runs fn(b) for every block, in block order.
+  template <class Fn>
+  void for_each_block(Fn&& fn) {
+    for (std::size_t b = 0; b < blocks_; ++b) fn(b);
   }
 
   const QuboModel* model_;
   std::size_t n_;
   std::size_t replicas_;
   std::size_t blocks_;
-  ThreadPool* pool_ = nullptr;
 
   // Bit-sliced X / BEST: word [b * n_ + k] holds bit k of the 64 replicas
   // of block b (lane r at bit position r, LSB-first like util/bit_vector).
@@ -594,9 +581,6 @@ std::size_t BulkSearchState::replica_count() const noexcept {
 }
 std::size_t BulkSearchState::block_count() const noexcept {
   return engine_->block_count();
-}
-void BulkSearchState::set_thread_pool(ThreadPool* pool) noexcept {
-  engine_->set_thread_pool(pool);
 }
 
 void BulkSearchState::reset() { engine_->reset(); }

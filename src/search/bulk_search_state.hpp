@@ -46,8 +46,6 @@
 
 namespace dabs {
 
-class ThreadPool;
-
 namespace detail {
 class BulkEngine;
 }
@@ -73,13 +71,6 @@ class BulkSearchState {
   std::size_t replica_count() const noexcept;  // replicas R
   /// ceil(R / 64): number of mask words per flip position.
   std::size_t block_count() const noexcept;
-
-  /// Optional sharding: when set (and more than one block exists), bulk
-  /// ops submit one task per 64-lane block via ThreadPool::submit_batch
-  /// and wait_idle().  Blocks are fully independent, so sharded and
-  /// unsharded execution are bit-identical.  The pool must not be shared
-  /// with other concurrent work while an op runs (wait_idle is global).
-  void set_thread_pool(ThreadPool* pool) noexcept;
 
   // --- per-replica state (mirrors SearchState) ---------------------------
   void reset();                                       // all replicas

@@ -1,238 +1,17 @@
 #include "service/batch_runner.hpp"
 
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <istream>
-#include <limits>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "io/json_reader.hpp"
 #include "io/json_writer.hpp"
-#include "obs/log.hpp"
-#include "obs/trace.hpp"
-#include "problems/problem.hpp"
-#include "service/job_journal.hpp"
 #include "util/failpoint.hpp"
 
 namespace dabs::service {
-
-namespace {
-
-/// Converts one "options" member to the string form SolverOptions parses.
-std::string option_to_string(const std::string& key,
-                             const io::JsonValue& value) {
-  switch (value.kind()) {
-    case io::JsonValue::Kind::kString:
-      return value.as_string();
-    case io::JsonValue::Kind::kBool:
-      return value.as_bool() ? "true" : "false";
-    case io::JsonValue::Kind::kNumber: {
-      try {
-        return std::to_string(value.as_int());
-      } catch (const std::invalid_argument&) {
-        // Non-integral: shortest round-trippable decimal.
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.17g", value.as_double());
-        return buf;
-      }
-    }
-    default:
-      throw std::invalid_argument("option '" + key +
-                                  "' must be a string, number, or boolean");
-  }
-}
-
-std::int64_t require_nonnegative(const char* key, std::int64_t v) {
-  if (v < 0) {
-    throw std::invalid_argument(std::string("'") + key +
-                                "' must be non-negative");
-  }
-  return v;
-}
-
-}  // namespace
-
-bool known_model_format(const std::string& format) {
-  // Shim: the legacy formats are exactly the registry's file loaders.
-  return ProblemRegistry::global().is_loader(format);
-}
-
-QuboModel load_model_file(const std::string& format,
-                          const std::string& path) {
-  if (!known_model_format(format)) {
-    throw std::invalid_argument("unknown model format '" + format +
-                                "' (expected qubo, gset, or qaplib)");
-  }
-  return ProblemRegistry::global().create(format + ":" + path)->encode();
-}
-
-BatchJob parse_batch_job(const std::string& json_line) {
-  const io::JsonValue root = io::parse_json(json_line);
-  if (!root.is_object()) {
-    throw std::invalid_argument("job line must be a JSON object");
-  }
-
-  BatchJob job;
-  bool have_model = false;
-  bool have_format = false;
-  bool have_problem = false;
-  bool have_params = false;
-  for (const auto& [key, value] : root.as_object()) {
-    if (key == "model") {
-      job.model_path = value.as_string();
-      have_model = true;
-    } else if (key == "format") {
-      job.format = value.as_string();
-      have_format = true;
-    } else if (key == "problem") {
-      job.problem = value.as_string();
-      have_problem = true;
-    } else if (key == "params") {
-      for (const auto& [param_key, param_value] : value.as_object()) {
-        job.params.set(param_key,
-                       option_to_string(param_key, param_value));
-      }
-      have_params = true;
-    } else if (key == "solver") {
-      job.spec.solver = value.as_string();
-    } else if (key == "options") {
-      for (const auto& [opt_key, opt_value] : value.as_object()) {
-        job.spec.options.set(opt_key, option_to_string(opt_key, opt_value));
-      }
-    } else if (key == "time_limit") {
-      job.spec.stop.time_limit_seconds = value.as_double();
-      if (job.spec.stop.time_limit_seconds < 0) {
-        throw std::invalid_argument("'time_limit' must be non-negative");
-      }
-    } else if (key == "max_batches") {
-      job.spec.stop.max_batches = static_cast<std::uint64_t>(
-          require_nonnegative("max_batches", value.as_int()));
-    } else if (key == "target") {
-      job.spec.stop.target_energy = value.as_int();
-    } else if (key == "deadline") {
-      job.spec.deadline_seconds = value.as_double();
-      if (job.spec.deadline_seconds <= 0) {
-        throw std::invalid_argument("'deadline' must be positive");
-      }
-    } else if (key == "attempts") {
-      const std::int64_t a = value.as_int();
-      if (a < 1 || a > 100) {
-        throw std::invalid_argument("'attempts' must be in [1, 100]");
-      }
-      job.spec.max_attempts = static_cast<std::uint32_t>(a);
-      job.explicit_attempts = true;
-    } else if (key == "seed") {
-      job.spec.seed = static_cast<std::uint64_t>(
-          require_nonnegative("seed", value.as_int()));
-    } else if (key == "priority") {
-      const std::int64_t p = value.as_int();
-      if (p < std::numeric_limits<int>::min() ||
-          p > std::numeric_limits<int>::max()) {
-        throw std::invalid_argument("'priority' is out of range");
-      }
-      job.spec.priority = static_cast<int>(p);
-    } else if (key == "tag") {
-      job.spec.tag = value.as_string();
-    } else if (key == "tick") {
-      job.spec.tick_seconds = value.as_double();
-    } else {
-      throw std::invalid_argument("unknown job key '" + key + "'");
-    }
-  }
-  if (have_model == have_problem) {
-    throw std::invalid_argument(
-        "job line requires exactly one of 'model' and 'problem'");
-  }
-  if (have_model && job.model_path.empty()) {
-    throw std::invalid_argument("job line requires a non-empty 'model'");
-  }
-  if (have_problem && job.problem.empty()) {
-    throw std::invalid_argument("job line requires a non-empty 'problem'");
-  }
-  if (have_format && have_problem) {
-    throw std::invalid_argument(
-        "'format' applies to 'model' jobs only (fold the loader into the "
-        "problem spec, e.g. \"gset:G22.txt\")");
-  }
-  if (have_params && !have_problem) {
-    throw std::invalid_argument("'params' requires a 'problem' job");
-  }
-  if (have_model && !known_model_format(job.format)) {
-    throw std::invalid_argument("unknown model format '" + job.format +
-                                "' (expected qubo, gset, or qaplib)");
-  }
-  return job;
-}
-
-std::string job_fingerprint(const BatchJob& job) {
-  // FNV-1a over every identity field, a 0x1f unit separator after each so
-  // field boundaries cannot alias ("ab"+"c" vs "a"+"bc").  Map-backed
-  // fields iterate in key order, so the digest is independent of input
-  // key order.  Computed on the *parsed* job, before batch-wide defaults
-  // (time limit, attempts) are folded in — the same line fingerprints the
-  // same across runs with different --attempts/--jobs settings, which is
-  // what makes --resume match.
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](const std::string& field) {
-    for (const unsigned char c : field) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
-    h ^= 0x1f;
-    h *= 1099511628211ull;
-  };
-  if (job.problem.empty()) {
-    mix("model:" + job.format + ":" + job.model_path);
-  } else {
-    mix("problem:" + job.problem);
-  }
-  for (const auto& [key, value] : job.params.values()) mix(key + "=" + value);
-  mix(job.spec.solver);
-  for (const auto& [key, value] : job.spec.options.values()) {
-    mix(key + "=" + value);
-  }
-  mix(std::to_string(job.spec.stop.time_limit_seconds));
-  mix(std::to_string(job.spec.stop.max_batches));
-  mix(job.spec.stop.target_energy
-          ? std::to_string(*job.spec.stop.target_energy)
-          : std::string("-"));
-  mix(job.spec.seed ? std::to_string(*job.spec.seed) : std::string("-"));
-  mix(std::to_string(job.spec.priority));
-  mix(job.spec.tag);
-  mix(std::to_string(job.spec.deadline_seconds));
-  mix(job.explicit_attempts ? std::to_string(job.spec.max_attempts)
-                            : std::string("-"));
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
-
-void apply_time_governed_budgets(const std::string& solver,
-                                 const StopCondition& stop,
-                                 SolverOptions& options) {
-  // Only a wall-clock or work budget justifies lifting the baselines'
-  // own iteration budgets: a target alone may never be reached, and
-  // lifting on it would turn a terminating run into an unbounded one.
-  if (stop.time_limit_seconds <= 0 && stop.max_batches == 0) return;
-  const auto fill = [&](const char* name, const char* key, const char* v) {
-    if (solver == name && !options.has(key)) options.set(key, v);
-  };
-  fill("sa", "restarts", "1000000000");
-  fill("greedy-restart", "restarts", "1000000000");
-  fill("tabu", "iterations", "1000000000000");
-  fill("path-relinking", "relinks", "1000000000");
-  fill("subqubo", "iterations", "1000000000");
-}
 
 int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
               const BatchOptions& options) {
@@ -241,96 +20,30 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
            options.interrupt->load(std::memory_order_relaxed);
   };
 
-  // The journal outlives the service: the on_started hook below runs on
-  // worker threads, which the service dtor joins before `journal` dies.
-  std::unique_ptr<JobJournal> journal;
   JobJournal::Replay replay;
-  std::size_t journal_errors = 0;
-  std::mutex journal_mu;  // guards journal_errors + the err stream below
-  if (!options.journal_path.empty()) {
-    if (options.resume) {
-      replay = JobJournal::replay(options.journal_path);
-      for (const std::string& warning : replay.warnings) {
-        err << "batch: " << warning << "\n";
-      }
-      if (replay.skipped > replay.warnings.size()) {
-        err << "batch: ... and " << replay.skipped - replay.warnings.size()
-            << " more unreadable journal lines\n";
-      }
+  if (options.resume) {
+    if (options.journal_path.empty()) {
+      err << "batch: --resume requires a journal path\n";
+      return 1;
     }
-    try {
-      journal = std::make_unique<JobJournal>(options.journal_path);
-    } catch (const std::exception& e) {
-      // No journal, no durability — but the batch itself can still run;
-      // the operator sees the warning and the summary's error count.
-      err << "batch: " << e.what() << " (continuing without journal)\n";
-      ++journal_errors;
+    replay = JobJournal::replay(options.journal_path);
+    for (const std::string& warning : replay.warnings) {
+      err << "batch: " << warning << "\n";
     }
-  } else if (options.resume) {
-    err << "batch: --resume requires a journal path\n";
-    return 1;
+    if (replay.skipped > replay.warnings.size()) {
+      err << "batch: ... and " << replay.skipped - replay.warnings.size()
+          << " more unreadable journal lines\n";
+    }
   }
-  // Journal appends must never kill the batch: log once per incident,
-  // count, keep solving.  Thread-safe — the started hook calls this from
-  // worker threads while the driving thread journals submits/outcomes.
-  const auto journal_append = [&](const JournalRecord& record) {
-    if (!journal) return;
-    try {
-      journal->append(record);
-    } catch (const std::exception& e) {
-      {
-        std::lock_guard lock(journal_mu);
-        if (journal_errors == 0) {
-          err << "batch: journal append failed: " << e.what()
-              << " (continuing without durability)\n";
-        }
-        ++journal_errors;
-      }
-      static obs::LogRateLimit gate(5.0);
-      std::uint64_t suppressed = 0;
-      if (gate.allow(&suppressed)) {
-        obs::log(obs::LogLevel::kWarn, "journal", "append failed",
-                 {{"error", e.what()}, {"suppressed", suppressed}});
-      }
-    }
-  };
+  JobLedger ledger(options);
+  if (!options.journal_path.empty() && !ledger.journaled()) {
+    // No journal, no durability — but the batch itself can still run; the
+    // operator sees the warning and the summary's error count.
+    err << "batch: " << ledger.journal_error()
+        << " (continuing without journal)\n";
+  }
+  SolverService& service = ledger.service();
 
-  SolverService::Config config;
-  config.threads = options.threads;
-  config.max_events_per_job = options.max_events_per_job;
-  config.cache_bytes = options.cache_bytes;
-  config.max_queue_depth = options.max_queue_depth;
-  config.on_started = [&journal_append](JobId, const JobSpec& spec) {
-    const auto it = spec.extras.find("fingerprint");
-    if (it == spec.extras.end()) return;
-    JournalRecord record;
-    record.event = JournalEvent::kStarted;
-    record.fingerprint = it->second;
-    record.tag = spec.tag;
-    journal_append(record);
-  };
-  SolverService service(std::move(config));
-
-  /// In-flight bookkeeping, pruned on emit.  Problem-keyed jobs keep their
-  /// Problem (decode/verify happens when the job finishes) and the cached
-  /// model (the verify energy is re-evaluated, not taken from the solver).
-  struct PendingJob {
-    std::size_t line = 0;
-    std::shared_ptr<const Problem> problem;
-    std::shared_ptr<const QuboModel> model;
-    std::string spec_key;  // problems_by_spec entry to prune on emit
-    std::string fingerprint;
-  };
-  std::map<JobId, PendingJob> in_flight;
-  // Spec-level problem dedupe: duplicated "problem"+"params" lines share
-  // one Problem instance (one generator run / file read), weakly held so
-  // a spec whose jobs all finished frees its instance data — only the
-  // LRU-bounded ModelCache retains big state across the whole batch.
-  std::map<std::string, std::weak_ptr<const Problem>> problems_by_spec;
-  // Duplicate-line disambiguation: the N-th parse of an identical job
-  // definition gets fingerprint "<base>#N", counted in input order —
-  // stable across runs of the same file, which --resume relies on.
-  std::map<std::string, std::uint64_t> fingerprint_occurrences;
   // With SIGPIPE ignored process-wide, a consumer that hung up (head,
   // a dead pipe) surfaces as stream failure after a flush.  The batch
   // then stops intake and cancels — but keeps journaling terminal
@@ -369,64 +82,30 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
     out.flush();
   };
 
-  // Writes one report line, journals the terminal event, and drops the
-  // job's record so an arbitrarily long batch holds only in-flight jobs.
+  // Writes one report line before the ledger journals the terminal event
+  // (a crash in between re-runs the job rather than losing its report).
   std::size_t failed = 0;
   std::size_t cancelled = 0;
-  obs::TraceCollector trace;  // only populated when --trace is set
-  const auto emit_report = [&](JobId id) {
-    const PendingJob& pending = in_flight.at(id);
-    JobSnapshot snap = service.snapshot(id);
+  const auto write_report = [&](const JobLedger::Retired& done) {
+    const JobSnapshot& snap = done.snap;
     if (snap.state == JobState::kFailed) ++failed;
     if (snap.state == JobState::kCancelled) ++cancelled;
     if (snap.state == JobState::kRejected) ++rejected;
-    std::uint32_t attempts = 0;
-    {
-      const auto it = snap.report.extras.find("attempts");
-      if (it != snap.report.extras.end()) {
-        attempts =
-            static_cast<std::uint32_t>(std::strtoul(it->second.c_str(),
-                                                    nullptr, 10));
-      }
-    }
-    if (attempts > 1) {
-      retries_attempted += attempts - 1;
+    if (done.attempts > 1) {
+      retries_attempted += done.attempts - 1;
       if (snap.state == JobState::kDone) ++retries_recovered;
-    }
-    // Problem-keyed jobs: decode the solved bits into domain terms and
-    // verify them against the cached model (cancelled-while-queued jobs
-    // carry an empty solution — nothing to decode).  A deferred loader
-    // whose model came from the cache may read its file here for the
-    // first time; if that file vanished mid-batch the job still solved —
-    // report the run, flag the verification, never abort the batch.
-    if (pending.problem &&
-        snap.report.best_solution.size() == pending.model->size()) {
-      try {
-        const DomainSolution sol =
-            pending.problem->decode(snap.report.best_solution);
-        const VerifyResult verdict = pending.problem->verify(
-            snap.report.best_solution,
-            pending.model->energy(snap.report.best_solution));
-        annotate_extras(*pending.problem, sol, verdict, snap.report.extras);
-      } catch (const std::exception& e) {
-        snap.report.extras["problem"] = pending.problem->cache_key();
-        snap.report.extras["verified"] = "false";
-        snap.report.extras["verify_message"] = e.what();
-      }
     }
     io::JsonWriter json(out);
     json.begin_object()
-        .value("job_id", id)
-        .value("line", static_cast<std::uint64_t>(pending.line))
+        .value("job_id", snap.id)
+        .value("line", done.line)
         .value("status", to_string(snap.state));
     if (!snap.tag.empty()) json.value("tag", snap.tag);
-    if (!pending.fingerprint.empty()) {
-      json.value("fingerprint", pending.fingerprint);
-    }
+    json.value("fingerprint", done.fingerprint);
     if (snap.state == JobState::kFailed ||
         snap.state == JobState::kRejected) {
       json.value("error", snap.error);
-      if (attempts != 0) json.value("attempts", attempts);
+      if (done.attempts != 0) json.value("attempts", done.attempts);
     } else {
       snap.report.write_json(json, "report");
     }
@@ -434,46 +113,6 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
     out << "\n";
     out.flush();
     check_output();
-    JournalRecord record;
-    record.fingerprint = pending.fingerprint;
-    record.line = pending.line;
-    record.tag = snap.tag;
-    record.attempt = attempts;
-    switch (snap.state) {
-      case JobState::kDone:
-        record.event = JournalEvent::kDone;
-        break;
-      case JobState::kFailed:
-        record.event = JournalEvent::kFailed;
-        record.detail = snap.error;
-        break;
-      case JobState::kRejected:
-        record.event = JournalEvent::kRejected;
-        record.detail = snap.error;
-        break;
-      default:
-        record.event = JournalEvent::kCancelled;
-        record.detail =
-            snap.report.extras.count("deadline_exceeded") != 0
-                ? "deadline"
-                : "cancelled";
-        break;
-    }
-    if (!record.fingerprint.empty()) journal_append(record);
-    if (!options.trace_path.empty()) {
-      obs::append_job_trace(trace, job_trace(snap));
-    }
-    service.release(id);
-    const std::string spec_key = pending.spec_key;
-    in_flight.erase(id);  // invalidates `pending`
-    // Drop the spec entry once no in-flight job holds its problem, so a
-    // long batch of distinct specs does not accumulate stale weak_ptrs.
-    if (!spec_key.empty()) {
-      const auto it = problems_by_spec.find(spec_key);
-      if (it != problems_by_spec.end() && it->second.expired()) {
-        problems_by_spec.erase(it);
-      }
-    }
   };
 
   bool was_interrupted = false;
@@ -496,91 +135,34 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
       emit_problem("invalid", "", e.what());
       continue;
     }
-    // Fingerprint the parsed definition and disambiguate duplicates by
-    // input-order occurrence — both deterministic for a fixed jobs file,
-    // so a resumed run assigns every line the fingerprint it had before
-    // the crash.
-    std::string fingerprint = job_fingerprint(job);
-    const std::uint64_t occurrence = ++fingerprint_occurrences[fingerprint];
-    if (occurrence > 1) {
-      fingerprint += "#" + std::to_string(occurrence);
-    }
+    // Input-order fingerprints are deterministic for a fixed jobs file, so
+    // a resumed run assigns every line the fingerprint it had before the
+    // crash.
+    const std::string fingerprint = ledger.fingerprint(job);
     if (options.resume && replay.terminal(fingerprint)) {
       ++resumed_skipped;
       continue;
     }
-    // Write-ahead: the submit record is durable before any work happens,
-    // so a crash anywhere after this point leaves a journal that names
-    // the job (its absence of a terminal record re-enqueues it).
-    {
-      JournalRecord record;
-      record.event = JournalEvent::kSubmitted;
-      record.fingerprint = fingerprint;
-      record.line = line_no;
-      record.tag = job.spec.tag;
-      journal_append(record);
-    }
-    const auto journal_terminal = [&](JournalEvent event,
-                                      const std::string& detail,
-                                      std::uint32_t attempt) {
-      JournalRecord record;
-      record.event = event;
-      record.fingerprint = fingerprint;
-      record.line = line_no;
-      record.tag = job.spec.tag;
-      record.attempt = attempt;
-      record.detail = detail;
-      journal_append(record);
-    };
-    // Problem jobs resolve their registry spec first; a bad spec (unknown
-    // name, typo'd param) is the caller's input to fix.
-    std::shared_ptr<const Problem> problem;
-    std::string cache_key;
-    std::string spec_key;
-    if (!job.problem.empty()) {
-      spec_key = job.problem;
-      for (const auto& [k, v] : job.params.values()) {
-        spec_key += '\x1f' + k + '=' + v;
-      }
-      problem = problems_by_spec[spec_key].lock();
-      if (!problem) {
-        try {
-          problem =
-              ProblemRegistry::global().create(job.problem, job.params);
-        } catch (const std::exception& e) {
-          ++invalid;
-          journal_terminal(JournalEvent::kFailed,
-                           std::string("invalid: ") + e.what(), 0);
-          emit_problem("invalid", job.spec.tag, e.what(), fingerprint);
-          continue;
-        }
-        problems_by_spec[spec_key] = problem;
-      }
-      cache_key = "problem#" + problem->cache_key();
-    } else {
-      cache_key = job.format + "#" + job.model_path;
+    JobLedger::Entry entry;
+    try {
+      entry = ledger.admit(job, fingerprint, line_no, {});
+    } catch (const std::exception& e) {
+      ++invalid;
+      emit_problem("invalid", job.spec.tag, e.what(), fingerprint);
+      continue;
     }
     // Model load with retry: unreadable files (and injected load faults)
     // are the transient-environment failure mode the retry policy exists
     // for.  Schema problems (unknown format) stay invalid — no retry.
     const std::uint32_t attempts_allowed =
         job.explicit_attempts ? job.spec.max_attempts : options.max_attempts;
-    bool cache_hit = false;
-    std::shared_ptr<const QuboModel> model;
     std::uint32_t load_attempt = 0;
     std::string load_error;
-    while (!model) {
+    while (!entry.model) {
       ++load_attempt;
       bool retryable = false;
       try {
-        model = service.cache().get_or_load(
-            cache_key,
-            [&job, &problem] {
-              fail::point("batch.model_load");
-              return problem ? problem->encode()
-                             : load_model_file(job.format, job.model_path);
-            },
-            &cache_hit);
+        ledger.load(entry, job);
         break;
       } catch (const std::bad_alloc&) {
         load_error = "std::bad_alloc";
@@ -610,9 +192,9 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
     }
-    if (!model) {
+    if (!entry.model) {
       ++load_failed;
-      journal_terminal(JournalEvent::kFailed, load_error, load_attempt);
+      ledger.fail(entry, load_error, load_attempt);
       emit_problem("failed", job.spec.tag, load_error, fingerprint,
                    load_attempt);
       continue;
@@ -620,39 +202,16 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
     if (load_attempt > 1) ++retries_recovered;
     const std::string tag = job.spec.tag;  // survives the move below
     try {
-      job.spec.model = model;
-      if (job.spec.stop.time_limit_seconds <= 0 &&
-          job.spec.stop.max_batches == 0) {
-        // A target alone may never be reached; keep every job bounded.
-        job.spec.stop.time_limit_seconds = options.default_time_limit;
-      }
-      apply_time_governed_budgets(job.spec.solver, job.spec.stop,
-                                  job.spec.options);
-      if (!job.explicit_attempts) {
-        job.spec.max_attempts = options.max_attempts;
-      }
-      job.spec.retry_backoff_seconds = options.retry_backoff_seconds;
-      job.spec.retry_backoff_max_seconds =
-          options.retry_backoff_max_seconds;
-      job.spec.extras["model"] = model->describe();
-      job.spec.extras["model_cache"] = cache_hit ? "hit" : "miss";
-      job.spec.extras["model_cache_hits"] =
-          std::to_string(service.cache().stats().hits);
-      job.spec.extras["fingerprint"] = fingerprint;
-      const JobId id = service.submit(std::move(job.spec));
-      in_flight.emplace(
-          id, PendingJob{line_no, problem, model, spec_key, fingerprint});
+      ledger.submit(std::move(entry), std::move(job));
       ++submitted;
     } catch (const std::exception& e) {
       ++invalid;  // unknown solver / bad option values
-      journal_terminal(JournalEvent::kFailed,
-                       std::string("invalid: ") + e.what(), 0);
       emit_problem("invalid", tag, e.what(), fingerprint);
     }
     // Keep streaming while reading: with a slow producer (stdin pipes)
     // reports must not wait for EOF.
     while (const std::optional<JobId> id = service.try_any_finished()) {
-      emit_report(*id);
+      ledger.retire(*id, *id, write_report);
     }
   }
   if (interrupted()) was_interrupted = true;
@@ -668,7 +227,7 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
   // Drain the rest as they complete, out of order.  With an interrupt
   // flag armed, poll so a signal arriving mid-drain cancels the stragglers
   // instead of waiting out their full time limits.
-  while (!in_flight.empty()) {
+  while (ledger.in_flight() != 0) {
     std::optional<JobId> id;
     if (options.interrupt != nullptr) {
       id = service.wait_any_finished_for(0.05);
@@ -683,11 +242,11 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
       id = service.wait_any_finished();
       if (!id) break;
     }
-    emit_report(*id);
+    ledger.retire(*id, *id, write_report);
   }
 
   if (!options.trace_path.empty()) {
-    if (trace.write_file(options.trace_path)) {
+    if (ledger.trace().write_file(options.trace_path)) {
       err << "batch: wrote trace to " << options.trace_path << "\n";
     } else {
       err << "batch: failed to write trace to " << options.trace_path
@@ -695,6 +254,10 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
     }
   }
 
+  if (ledger.journaled() && ledger.journal_errors() != 0) {
+    err << "batch: journal append failed: " << ledger.journal_error()
+        << " (continuing without durability)\n";
+  }
   const ModelCache::Stats cache = service.cache().stats();
   err << "batch: " << submitted << " jobs on " << options.threads
       << " threads (" << invalid << " invalid, " << failed + load_failed
@@ -703,9 +266,9 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
       << retries_recovered << " recovered; model cache: " << cache.hits
       << " hits, " << cache.misses << " misses, " << cache.entries
       << " resident";
-  if (journal || journal_errors != 0) {
-    err << "; journal: " << (journal ? journal->appended() : 0)
-        << " records, " << journal_errors << " append errors";
+  if (!options.journal_path.empty()) {
+    err << "; journal: " << ledger.journal_records() << " records, "
+        << ledger.journal_errors() << " append errors";
   }
   if (options.resume) {
     err << "; resumed: " << resumed_skipped << " already terminal";

@@ -16,7 +16,7 @@
 //            model spec + params + solver + options + stop + seed +
 //            priority + tag + deadline), "#N"-suffixed per duplicate line
 //            so identical job lines stay distinct (see
-//            batch_runner.hpp::job_fingerprint)
+//            job_ledger.hpp::job_fingerprint)
 //   line     input line number (provenance; replay keys on fp alone)
 //   attempt  retry attempt that produced the record (0 = not applicable)
 //   detail   error message / disposition, when there is one

@@ -1,8 +1,8 @@
 // Asynchronous batch-solve service over the unified Solver API — the layer
 // that turns one-shot solve() calls into a concurrent, cancellable,
 // deduplicating job pipeline (PR 3 named it as its natural next step; the
-// JSONL front end in batch_runner.hpp and any future RPC surface sit on
-// top of this).
+// job lifecycle in job_ledger.hpp, and the JSONL and HTTP front ends over
+// it, sit on top of this).
 //
 //   SolverService svc({.threads = 4});
 //   JobSpec spec;

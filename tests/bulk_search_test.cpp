@@ -1,7 +1,7 @@
 // Tests for the bulk-parallel replica engine: BulkSearchState must be
 // bit-exact against R independent SearchStates fed the same per-replica
 // flip sequences — on both backends, at every delta width (int16/32/64),
-// with ragged lane counts (R % 64 != 0), and sharded across a ThreadPool —
+// with ragged lane counts (R % 64 != 0) —
 // plus BulkBatchSearch policy/budget sanity and cancellation under the
 // bulk device path.
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "search/bulk_batch_search.hpp"
 #include "search/bulk_search_state.hpp"
 #include "test_helpers.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dabs {
 namespace {
@@ -219,53 +218,6 @@ TEST(BulkSearchState, Int64DeltaPathIsExact) {
       random_model(16, 1.0, 1 << 29, 45, QuboBackend::kDense);
   Harness h(m, 10);
   h.run_script(9, 25);
-}
-
-TEST(BulkSearchState, ShardedExecutionIsBitIdentical) {
-  const QuboModel m = random_model(150, 0.4, 9, 46, QuboBackend::kCsr);
-  constexpr std::size_t kReplicas = 200;  // 4 blocks, ragged tail
-  BulkSearchState plain(m, kReplicas);
-  BulkSearchState sharded(m, kReplicas);
-  ThreadPool pool(3);
-  sharded.set_thread_pool(&pool);
-
-  Rng rng(47);
-  for (std::size_t r = 0; r < kReplicas; ++r) {
-    const BitVector x = random_solution(m.size(), rng);
-    plain.reset_to(r, x);
-    sharded.reset_to(r, x);
-  }
-  const std::size_t blocks = plain.block_count();
-  std::vector<ScanResult> out_a(kReplicas), out_b(kReplicas);
-  for (std::size_t round = 0; round < 25; ++round) {
-    std::vector<VarIndex> idx;
-    std::vector<std::uint64_t> masks;
-    const std::size_t count = 1 + rng.next_index(BulkSearchState::kMaxChunk);
-    while (idx.size() < count) {
-      const auto i = static_cast<VarIndex>(rng.next_index(m.size()));
-      if (std::find(idx.begin(), idx.end(), i) == idx.end()) idx.push_back(i);
-    }
-    for (std::size_t p = 0; p < count * blocks; ++p) masks.push_back(rng());
-    if (round % 2 == 0) {
-      plain.flip_chunk(idx, masks);
-      sharded.flip_chunk(idx, masks);
-    } else {
-      plain.descend_chunk(idx, masks);
-      sharded.descend_chunk(idx, masks);
-    }
-    plain.scan(out_a);
-    sharded.scan(out_b);
-    for (std::size_t r = 0; r < kReplicas; ++r) {
-      ASSERT_EQ(out_a[r].min_delta, out_b[r].min_delta);
-      ASSERT_EQ(out_a[r].argmin, out_b[r].argmin);
-      ASSERT_EQ(plain.energy(r), sharded.energy(r));
-    }
-  }
-  for (std::size_t r = 0; r < kReplicas; ++r) {
-    ASSERT_EQ(plain.solution(r), sharded.solution(r));
-    ASSERT_EQ(plain.best(r), sharded.best(r));
-    ASSERT_EQ(plain.best_energy(r), sharded.best_energy(r));
-  }
 }
 
 TEST(BulkSearchState, RejectsInvalidArguments) {

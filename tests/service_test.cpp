@@ -1203,7 +1203,9 @@ TEST(SolverService, StatsSnapshotCountsRejectedAndCancelled) {
 // events_since: the incremental event reads behind the streaming endpoint.
 
 TEST(SolverService, EventsSinceAdvancesCursorWithoutRereads) {
-  SolverService svc(service_config(1));
+  // The ring holds every tick of the run even on a slow (sanitizer) build,
+  // so no event is dropped and the cursor math is exact.
+  SolverService svc(service_config(1, 1 << 12));
   JobSpec spec = budget_spec(shared_model(4), "greedy-restart", 4000, 11);
   spec.tick_seconds = 1e-4;
   const JobId id = svc.submit(std::move(spec));

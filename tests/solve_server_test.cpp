@@ -353,13 +353,13 @@ TEST(HashRingTest, RoutingKeyCoversSpecNotResolvedModel) {
   a.params.set("seed", "1");
   service::BatchJob b = a;
   b.params.set("seed", "2");
-  EXPECT_NE(routing_key(a), routing_key(b));
-  EXPECT_EQ(routing_key(a), routing_key(a));
+  EXPECT_NE(service::spec_key(a), service::spec_key(b));
+  EXPECT_EQ(service::spec_key(a), service::spec_key(a));
 
   service::BatchJob file_job;
   file_job.model_path = "/data/q.qubo";
   file_job.format = "qubo";
-  EXPECT_EQ(routing_key(file_job), "qubo#/data/q.qubo");
+  EXPECT_EQ(service::spec_key(file_job), "qubo#/data/q.qubo");
 }
 
 // ---------------------------------------------------------------------------
@@ -755,7 +755,7 @@ TEST(SolveServerTest, ShardOfModeRejectsForeignKeysAndIds) {
     const std::string body = small_job(seed);
     const auto reply = client.request("POST", "/v1/jobs", body);
     service::BatchJob job = service::parse_batch_job(body);
-    if (ring.owner(routing_key(job)) == 0) {
+    if (ring.owner(service::spec_key(job)) == 0) {
       EXPECT_EQ(reply.status, 202) << reply.body;
       ++owned;
     } else {
