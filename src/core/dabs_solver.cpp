@@ -46,6 +46,7 @@ struct HostContext {
 
   BitVector best;
   Energy best_energy = kInfiniteEnergy;
+  std::uint64_t flips = 0;  // summed over every device result
   std::uint64_t merge_check_interval = 64;
 
   HostContext(DiversityEngine& e, StopContext& c, std::size_t bits,
@@ -76,6 +77,7 @@ struct HostContext {
   void on_result(const Packet& p) {
     engine.accept_result(p);
     std::lock_guard lock(mu);
+    flips += p.flips;
     if (p.energy < best_energy) {
       best_energy = p.energy;
       best = p.solution;
@@ -230,6 +232,7 @@ SolveReport run_dabs(const SolverConfig& cfg, const QuboModel& model,
   r.best_solution = hc.best;
   r.best_energy = hc.best_energy;
   r.batches = ctx.work();
+  r.flips = hc.flips;
   r.restarts = static_cast<std::uint32_t>(engine.restarts());
   ctx.stamp(r);
   engine.fill_extras(r.extras);

@@ -33,9 +33,10 @@ struct SolveReport {
   double tts_seconds = 0.0;
   double elapsed_seconds = 0.0;
 
-  /// Work counters; a solver fills the ones that apply.  Bulk solvers
-  /// count batches (and restarts of the merged island ring), baselines
-  /// count single-bit flips.
+  /// Work counters; a solver fills the ones that apply.  Every solver
+  /// counts single-bit flips (the bulk solvers sum them over their batch
+  /// searches); the bulk solvers also count batches and restarts of the
+  /// merged island ring.
   std::uint64_t flips = 0;
   std::uint64_t batches = 0;
   std::uint32_t restarts = 0;

@@ -5,8 +5,9 @@
 // `op` records which genetic operation generated the target.
 //
 // Device -> host: `solution`/`energy` are overwritten with the batch
-// search's best result; `algo`/`op` pass through untouched so the host can
-// attribute the result when inserting it into a solution pool.
+// search's best result and `flips` with the flips it spent; `algo`/`op`
+// pass through untouched so the host can attribute the result when
+// inserting it into a solution pool.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +26,8 @@ struct Packet {
   GeneticOp op = GeneticOp::kRandom;
   /// Pool that generated this packet; results return to the same pool.
   std::uint32_t pool_index = 0;
+  /// Flips the batch search spent on this packet (0 on the way in).
+  std::uint64_t flips = 0;
 
   bool has_energy() const noexcept { return energy != kInfiniteEnergy; }
 };

@@ -76,6 +76,7 @@ Packet VirtualDevice::execute(const Packet& p, std::size_t block) {
   Packet out = p;
   out.solution = r.best;
   out.energy = r.best_energy;
+  out.flips = r.flips;
   return out;
 }
 
@@ -132,6 +133,7 @@ void VirtualDevice::bulk_block_loop(std::size_t block) {
       Packet out = sources[i];
       out.solution = std::move(results[i].best);
       out.energy = results[i].best_energy;
+      out.flips = results[i].flips;
       if (!outbox_.push(std::move(out))) return;  // closed mid-shutdown
     }
   }

@@ -16,9 +16,13 @@ constexpr int kS1[12] = {6, 6, 6, 6, 2, 2, 2, 2, 10, 10, 10, 10};
 
 }  // namespace
 
-PegasusGraph::PegasusGraph(std::size_t m) : m_(m) {
+std::size_t PegasusGraph::ideal_node_count(std::size_t m) {
   DABS_CHECK(m >= 2, "Pegasus requires m >= 2");
-  nodes_ = 24 * m * (m - 1);
+  return 24 * m * (m - 1);
+}
+
+PegasusGraph::PegasusGraph(std::size_t m)
+    : m_(m), nodes_(ideal_node_count(m)) {
 
   const auto zmax = m - 1;  // z in [0, m-1)
   auto id = [&](unsigned u, std::size_t w, unsigned k, std::size_t z) {

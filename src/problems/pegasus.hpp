@@ -37,6 +37,10 @@ class PegasusGraph {
   /// Builds ideal P(m); m >= 2.
   explicit PegasusGraph(std::size_t m);
 
+  /// Qubits of ideal P(m), 24 m (m - 1), without building the graph;
+  /// m >= 2.
+  static std::size_t ideal_node_count(std::size_t m);
+
   std::size_t m() const noexcept { return m_; }
   std::size_t node_count() const noexcept { return nodes_; }
   const std::vector<std::pair<VarIndex, VarIndex>>& edges() const noexcept {

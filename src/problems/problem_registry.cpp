@@ -332,7 +332,7 @@ void register_builtin_problems(ProblemRegistry& reg) {
             // 4.1 working graph is m=16, nodes=5627.
             p.working_nodes = o.get_u64("nodes", 0);
             if (p.working_nodes == 0) {
-              p.working_nodes = pr::PegasusGraph(p.pegasus_m).node_count();
+              p.working_nodes = pr::PegasusGraph::ideal_node_count(p.pegasus_m);
             }
             return std::make_unique<pr::QaspProblem>(
                 p, KeyBuilder("qasp")

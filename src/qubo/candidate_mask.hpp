@@ -1,15 +1,16 @@
-// Word-at-a-time Step 2 (paper §III-A): the selection rules of MaxMin,
-// PositiveMin and RandomMin, split into two phases per 64-variable word.
+// Word-at-a-time Step 2 (paper §III-A): the selection rules of MaxMin and
+// PositiveMin, split into two phases per 64-variable word.
 //
 //   (a) pack_word: a branch-free pass that turns a per-bit predicate into
 //       one 64-bit candidate mask, which the compiler can vectorise;
 //   (b) for_each_candidate: visits the set bits in ascending index order
-//       with std::countr_zero, so only the serial work (tabu checks, RNG
-//       draws, first-occurrence argmin) runs per candidate.
+//       with std::countr_zero, so only the serial work (tabu checks,
+//       reservoir draws) runs per candidate.
 //
 // Because candidates are visited in ascending order, every RNG draw
 // happens in the same order as a plain per-bit loop would make it.
-// SearchState's Step-1 argmin uses pack_word too, with an equality mask.
+// SearchState's Step-1 argmin, the straight walk and RandomMin use
+// pack_word too, with an equality mask over the word holding the minimum.
 #pragma once
 
 #include <algorithm>

@@ -50,24 +50,42 @@ QuboBuilder& QuboBuilder::add_quadratic(VarIndex i, VarIndex j, Weight w) {
 }
 
 QuboModel QuboBuilder::build() {
-  // Coalesce duplicate (i, j) terms (64-bit accumulation).
-  std::sort(entries_.begin(), entries_.end(),
-            [](const Entry& a, const Entry& b) {
-              return a.i != b.i ? a.i < b.i : a.j < b.j;
-            });
-  std::vector<Entry> edges;
-  edges.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    if (!edges.empty() && edges.back().i == e.i && edges.back().j == e.j) {
-      edges.back().w += e.w;
-    } else {
-      edges.push_back(e);
+  const std::size_t n = diag_.size();
+  // Order the terms by (i, j) in linear time: a stable counting sort by
+  // row, then a sort by column only for rows that arrive out of order
+  // (generators mostly emit each row's columns ascending).
+  std::vector<Entry> edges(entries_.size());
+  {
+    std::vector<std::size_t> start(n + 1, 0);
+    for (const Entry& e : entries_) ++start[e.i + 1];
+    for (std::size_t i = 0; i < n; ++i) start[i + 1] += start[i];
+    std::vector<std::size_t> next(start.begin(), start.end() - 1);
+    for (const Entry& e : entries_) edges[next[e.i]++] = e;
+    const auto by_column = [](const Entry& a, const Entry& b) {
+      return a.j < b.j;
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto first = edges.begin() + static_cast<std::ptrdiff_t>(start[i]);
+      const auto last =
+          edges.begin() + static_cast<std::ptrdiff_t>(start[i + 1]);
+      if (!std::is_sorted(first, last, by_column)) {
+        std::sort(first, last, by_column);
+      }
     }
   }
+  // Coalesce duplicate (i, j) terms in place (64-bit accumulation).
+  std::size_t kept = 0;
+  for (const Entry& e : edges) {
+    if (kept > 0 && edges[kept - 1].i == e.i && edges[kept - 1].j == e.j) {
+      edges[kept - 1].w += e.w;
+    } else {
+      edges[kept++] = e;
+    }
+  }
+  edges.resize(kept);
   std::erase_if(edges, [](const Entry& e) { return e.w == 0; });
 
   QuboModel m;
-  const std::size_t n = diag_.size();
   m.diag_.resize(n);
   // row_abs[k] accumulates |W_kk| + sum_j |W_kj|; its maximum is the
   // model's delta_bound().

@@ -58,6 +58,80 @@ void reduce_block(const D* __restrict d, std::size_t b0, std::size_t b1,
   mx = hi;
 }
 
+/// reduce_block plus the walk's masked minimum over the same elements,
+/// min of max(d[k], off[k]), in the one pass.
+template <class D>
+void reduce_block(const D* __restrict d, const D* __restrict off,
+                  std::size_t b0, std::size_t b1, D& mn, D& mx, D& masked) {
+  D lo = d[b0], hi = d[b0], m = std::numeric_limits<D>::max();
+  for (std::size_t k = b0; k < b1; ++k) {
+    lo = d[k] < lo ? d[k] : lo;
+    hi = d[k] > hi ? d[k] : hi;
+    const D v = d[k] > off[k] ? d[k] : off[k];
+    m = v < m ? v : m;
+  }
+  mn = lo;
+  mx = hi;
+  masked = m;
+}
+
+/// min over k in [b0, b1) of max(d[k], off[k]) alone.
+template <class D>
+D masked_min(const D* __restrict d, const D* __restrict off, std::size_t b0,
+             std::size_t b1) {
+  D m = std::numeric_limits<D>::max();
+  for (std::size_t k = b0; k < b1; ++k) {
+    const D v = d[k] > off[k] ? d[k] : off[k];
+    m = v < m ? v : m;
+  }
+  return m;
+}
+
+/// Step 1's running reduction, folded one block at a time.  With an off
+/// array it also carries the walk's masked minimum and the first block
+/// attaining it.
+template <class D>
+struct Reduction {
+  D mn = std::numeric_limits<D>::max();
+  D mx = std::numeric_limits<D>::min();
+  std::size_t mn_block = 0;
+  D masked = std::numeric_limits<D>::max();
+  std::size_t masked_block = 0;
+
+  void fold(const D* d, const D* off, std::size_t b0, std::size_t b1) {
+    D bmn, bmx, bmasked = std::numeric_limits<D>::max();
+    if (off) {
+      reduce_block(d, off, b0, b1, bmn, bmx, bmasked);
+      if (bmasked < masked) {
+        masked = bmasked;
+        masked_block = b0;
+      }
+    } else {
+      reduce_block(d, b0, b1, bmn, bmx);
+    }
+    if (bmn < mn) {
+      mn = bmn;
+      mn_block = b0;
+    }
+    mx = bmx > mx ? bmx : mx;
+  }
+
+  /// The first 64-variable word attaining the masked minimum, searched in
+  /// the first block that attains it (block starts are multiples of 64).
+  /// When nothing is below D's highest value the walk picks without it.
+  std::size_t masked_word(const D* d, const D* off, std::size_t n) const {
+    if (masked == std::numeric_limits<D>::max()) return masked_block / 64;
+    std::size_t w0 = masked_block;
+    for (;; w0 += 64) {
+      DABS_ASSERT(w0 < n);
+      if (w0 + 64 <= n ? masked_min(d + w0, off + w0, 0, 64) == masked
+                       : masked_min(d, off, w0, n) == masked) {
+        return w0 / 64;
+      }
+    }
+  }
+};
+
 /// First k in [b0, b1) with d[k] == v, one 64-slot equality mask at a
 /// time; v must occur in the range.
 template <class D>
@@ -180,35 +254,48 @@ ScanResult SearchState::finish_scan(const D* d, D mn, D mx,
 }
 
 template <class D>
-ScanResult SearchState::scan_impl(const D* d) {
-  const std::size_t n = size();
-  DABS_ASSERT(n > 0);
-  D mn = std::numeric_limits<D>::max();
-  D mx = std::numeric_limits<D>::min();
-  std::size_t mn_block = 0;
-  for (std::size_t b0 = 0; b0 < n; b0 += kScanBlock) {
-    const std::size_t b1 = std::min(n, b0 + kScanBlock);
-    D bmn, bmx;
-    reduce_block(d, b0, b1, bmn, bmx);
-    if (bmn < mn) {
-      mn = bmn;
-      mn_block = b0;
-    }
-    mx = bmx > mx ? bmx : mx;
+D* SearchState::deltas_at() {
+  if constexpr (std::is_same_v<D, std::int16_t>) {
+    DABS_CHECK(width_ == DeltaWidth::kInt16, "mask width differs from Delta's");
+    return delta16_.data();
+  } else {
+    static_assert(std::is_same_v<D, Energy>);
+    DABS_CHECK(width_ == DeltaWidth::kInt64, "mask width differs from Delta's");
+    return delta64_.data();
   }
-  return finish_scan(d, mn, mx, mn_block);
-}
-
-ScanResult SearchState::scan() {
-  return with_deltas([&](auto* d) { return scan_impl(d); });
 }
 
 template <class D>
-ScanResult SearchState::flip_and_scan_impl(D* d, VarIndex i) {
+MaskedScan SearchState::scan_impl(const D* d,
+                                  const std::type_identity_t<D>* off) {
+  const std::size_t n = size();
+  DABS_ASSERT(n > 0);
+  Reduction<D> r;
+  for (std::size_t b0 = 0; b0 < n; b0 += kScanBlock) {
+    const std::size_t b1 = std::min(n, b0 + kScanBlock);
+    r.fold(d, off, b0, b1);
+  }
+  return {finish_scan(d, r.mn, r.mx, r.mn_block), r.masked,
+          off ? r.masked_word(d, off, n) : 0};
+}
+
+ScanResult SearchState::scan() {
+  return with_deltas([&](auto* d) { return scan_impl(d, nullptr).scan; });
+}
+
+template <class D>
+MaskedScan SearchState::scan(std::span<const D> off) {
+  DABS_CHECK(off.size() == size(), "mask length mismatch");
+  return scan_impl(deltas_at<D>(), off.data());
+}
+
+template <class D>
+MaskedScan SearchState::flip_and_scan_impl(
+    D* d, VarIndex i, const std::type_identity_t<D>* off) {
   if (!model_->has_dense_rows()) {
     // Sparse flips touch O(deg) scattered deltas; nothing to fuse.
     flip_impl(d, i);
-    return scan_impl(d);
+    return scan_impl(d, off);
   }
   DABS_ASSERT(i < size());
   const std::size_t n = size();
@@ -218,26 +305,33 @@ ScanResult SearchState::flip_and_scan_impl(D* d, VarIndex i) {
   // blocked Eq. 4 sweep below never touches Delta_i, so the reduction sees
   // every delta in its final state while it is still cache-hot.
   finish_flip(d, i, si);
-  D mn = std::numeric_limits<D>::max();
-  D mx = std::numeric_limits<D>::min();
-  std::size_t mn_block = 0;
+  Reduction<D> r;
   for (std::size_t b0 = 0; b0 < n; b0 += kScanBlock) {
     const std::size_t b1 = std::min(n, b0 + kScanBlock);
     dense_update_block(d, row, sigma_.data(), si, b0, b1);
-    D bmn, bmx;
-    reduce_block(d, b0, b1, bmn, bmx);
-    if (bmn < mn) {
-      mn = bmn;
-      mn_block = b0;
-    }
-    mx = bmx > mx ? bmx : mx;
+    r.fold(d, off, b0, b1);
   }
-  return finish_scan(d, mn, mx, mn_block);
+  return {finish_scan(d, r.mn, r.mx, r.mn_block), r.masked,
+          off ? r.masked_word(d, off, n) : 0};
 }
 
 ScanResult SearchState::flip_and_scan(VarIndex i) {
-  return with_deltas([&](auto* d) { return flip_and_scan_impl(d, i); });
+  return with_deltas(
+      [&](auto* d) { return flip_and_scan_impl(d, i, nullptr).scan; });
 }
+
+template <class D>
+MaskedScan SearchState::flip_and_scan(VarIndex i, std::span<const D> off) {
+  DABS_CHECK(off.size() == size(), "mask length mismatch");
+  return flip_and_scan_impl(deltas_at<D>(), i, off.data());
+}
+
+template MaskedScan SearchState::scan(std::span<const std::int16_t>);
+template MaskedScan SearchState::scan(std::span<const Energy>);
+template MaskedScan SearchState::flip_and_scan(VarIndex,
+                                               std::span<const std::int16_t>);
+template MaskedScan SearchState::flip_and_scan(VarIndex,
+                                               std::span<const Energy>);
 
 bool SearchState::is_local_minimum() const {
   return deltas().visit([](auto delta) {

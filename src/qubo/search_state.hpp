@@ -16,7 +16,8 @@
 // min/argmin/max reduction over Delta that opportunistically improves BEST.
 // flip_and_scan() fuses Step 3 of one iteration with Step 1 of the next,
 // block by block on the dense backend so each Delta block is reduced while
-// still cache-hot.
+// still cache-hot.  Their masked overloads also reduce the straight walk's
+// Step 2 in the same pass (MaskedScan), so the walk never re-reads Delta.
 //
 // Width: Delta is stored at the model's DeltaWidth — int16 when
 // QuboModel::delta_bound() <= INT16_MAX (the dense rows are int16 then
@@ -27,8 +28,10 @@
 // dispatched once per call.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "qubo/qubo_model.hpp"
@@ -41,6 +44,16 @@ struct ScanResult {
   Energy min_delta;
   Energy max_delta;
   VarIndex argmin;
+};
+
+/// Step 1 plus the straight walk's Step 2 reduction (see the masked
+/// scan()): masked_min is min_k max(Delta_k, off[k]); when it is below the
+/// storage width's highest value, word is the first 64-variable word that
+/// attains it.
+struct MaskedScan {
+  ScanResult scan;
+  Energy masked_min;
+  std::size_t word;
 };
 
 /// Read-only view of a SearchState's Delta array at its storage width.
@@ -111,6 +124,19 @@ class SearchState {
   /// BEST with the best 1-bit neighbor if it improves.
   ScanResult scan();
 
+  /// Masked Step 1 for the straight walk.  off holds one value per
+  /// variable at the Delta storage width D (std::int16_t at kInt16, Energy
+  /// at kInt64): D's lowest value while bit k is a candidate, D's highest
+  /// once it is not.  Besides scan(), the same pass over each cache-hot
+  /// block reduces max(Delta_k, off[k]), so a masked_min below D's highest
+  /// is the least candidate Delta; the first block attaining it is then
+  /// searched word by word for its first occurrence.
+  template <class D>
+  MaskedScan scan(std::span<const D> off);
+  /// flip(i) followed by the masked scan(off), fused like flip_and_scan().
+  template <class D>
+  MaskedScan flip_and_scan(VarIndex i, std::span<const D> off);
+
   /// BEST bookkeeping.
   const BitVector& best() const noexcept { return best_; }
   Energy best_energy() const noexcept { return best_energy_; }
@@ -140,10 +166,15 @@ class SearchState {
   void record_best_neighbor(VarIndex arg, Energy e);
   template <class D>
   void flip_impl(D* d, VarIndex i);
+  /// The Delta array at storage width D, which must match width_.
   template <class D>
-  ScanResult scan_impl(const D* d);
+  D* deltas_at();
+  /// The kernels below take off == nullptr for the unmasked variants.
   template <class D>
-  ScanResult flip_and_scan_impl(D* d, VarIndex i);
+  MaskedScan scan_impl(const D* d, const std::type_identity_t<D>* off);
+  template <class D>
+  MaskedScan flip_and_scan_impl(D* d, VarIndex i,
+                                const std::type_identity_t<D>* off);
   /// Shared tail of flip()/flip_and_scan(): Eq. 5 and the x/sigma updates.
   template <class D>
   void finish_flip(D* d, VarIndex i, std::int32_t si);

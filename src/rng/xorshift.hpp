@@ -9,6 +9,8 @@
 // to avoid distribution overhead in the flip loop.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace dabs {
@@ -31,11 +33,23 @@ class Xorshift64Star {
   static constexpr result_type max() { return ~result_type{0}; }
 
   result_type operator()() noexcept {
-    state_ ^= state_ >> 12;
-    state_ ^= state_ << 25;
-    state_ ^= state_ >> 27;
-    return state_ * 0x2545f4914f6cdd1dull;
+    state_ = advance(state_);
+    return output(state_);
   }
+
+  /// The state step and the output scramble of operator(), on a raw state:
+  /// lane-parallel callers step copies of the state with these.  advance()
+  /// is linear over GF(2) (see XorshiftJump).
+  static constexpr std::uint64_t advance(std::uint64_t s) noexcept {
+    s ^= s >> 12;
+    s ^= s << 25;
+    s ^= s >> 27;
+    return s;
+  }
+  static constexpr result_type output(std::uint64_t s) noexcept {
+    return s * kMultiplier;
+  }
+  static constexpr std::uint64_t kMultiplier = 0x2545f4914f6cdd1dull;
 
   /// Uniform integer in [0, bound); bound must be positive.
   /// Uses the 128-bit multiply trick (Lemire) — no modulo in the hot loop.
@@ -60,6 +74,29 @@ class Xorshift64Star {
 
  private:
   std::uint64_t state_;
+};
+
+/// Jump-ahead for Xorshift64Star: advance() is a 64x64 matrix A over GF(2),
+/// so `steps` draws at once are the product A^steps * state.  The matrix is
+/// stored as 8 byte-indexed tables (16 KiB): entry [b][v] is the xor of the
+/// columns selected by byte value v at byte position b, so a jump is 8
+/// lookups and 7 xors.  Building costs 64 * steps state steps.
+class XorshiftJump {
+ public:
+  explicit XorshiftJump(std::uint64_t steps);
+
+  std::uint64_t steps() const noexcept { return steps_; }
+
+  /// The state `steps` draws after s.
+  std::uint64_t operator()(std::uint64_t s) const noexcept {
+    std::uint64_t r = 0;
+    for (std::size_t b = 0; b < 8; ++b) r ^= table_[b][(s >> (8 * b)) & 0xff];
+    return r;
+  }
+
+ private:
+  std::uint64_t steps_;
+  std::array<std::array<std::uint64_t, 256>, 8> table_;
 };
 
 /// Default generator type used across the library.

@@ -6,10 +6,11 @@ namespace dabs {
 
 namespace {
 
-/// Reservoir-samples one index with Delta <= d.  When `tabu` is non-null,
-/// tabu bits are skipped; returns size() if every qualifying bit was tabu.
+/// Reservoir-samples one index with Delta <= threshold.  When `tabu` is
+/// non-null, tabu bits are skipped; returns size() if every qualifying bit
+/// was tabu.
 template <class D>
-VarIndex sample_below(std::span<const D> delta, double d, Rng& rng,
+VarIndex sample_below(std::span<const D> delta, D threshold, Rng& rng,
                       const TabuList* tabu, std::uint64_t now) {
   const auto n = static_cast<VarIndex>(delta.size());
   VarIndex pick = n;
@@ -17,10 +18,8 @@ VarIndex sample_below(std::span<const D> delta, double d, Rng& rng,
   for_each_candidate(
       n,
       [&](std::size_t base, std::size_t len) {
-        // Compared in double, exactly as the threshold was drawn.
-        return pack_word(base, len, [&](std::size_t k) {
-          return !(double(delta[k]) > d);
-        });
+        return pack_word(base, len,
+                         [&](std::size_t k) { return delta[k] <= threshold; });
       },
       [&](VarIndex k) {
         if (tabu && !tabu->allowed(k, now)) return;
@@ -41,12 +40,14 @@ void run_at(SearchState& state, Rng& rng, TabuList* tabu, std::uint64_t T,
         (1.0 - u3) * double(s.min_delta) + u3 * double(s.max_delta);
     const double d =
         double(s.min_delta) + rng.next_unit() * (upper - double(s.min_delta));
+    const D threshold = maxmin_threshold<D>(d);
 
-    VarIndex pick = sample_below(delta, d, rng, tabu, state.flip_count());
+    VarIndex pick =
+        sample_below(delta, threshold, rng, tabu, state.flip_count());
     if (pick == state.size()) {
       // Every candidate was tabu; the paper's rule must still flip one bit,
       // so retry ignoring the tabu list (argmin always qualifies).
-      pick = sample_below(delta, d, rng, nullptr, state.flip_count());
+      pick = sample_below(delta, threshold, rng, nullptr, state.flip_count());
     }
     if (tabu) tabu->record(pick, state.flip_count() + 1);
     s = state.flip_and_scan(pick);  // Step 3 fused with the next Step 1

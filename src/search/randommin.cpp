@@ -1,8 +1,11 @@
 #include "search/randommin.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "qubo/candidate_mask.hpp"
 
@@ -10,9 +13,155 @@ namespace dabs {
 
 namespace {
 
+constexpr std::size_t kDrawLanes = 16;
+
+/// Lane length L for n draws: the least multiple of 64 with 16 L >= n, so
+/// every lane fills whole candidate words.
+std::size_t lane_length(std::size_t n) {
+  return 64 * ((n + 64 * kDrawLanes - 1) / (64 * kDrawLanes));
+}
+
+/// Eight generator states in one vector (GCC vector extension: one
+/// 512-bit register where the target has them, split where it has not);
+/// the 16 lanes are two of them.
+typedef std::uint64_t LaneStates __attribute__((vector_size(64)));
+constexpr std::size_t kVectorLanes =
+    sizeof(LaneStates) / sizeof(std::uint64_t);
+constexpr std::size_t kLaneVectors = kDrawLanes / kVectorLanes;
+
+/// One iteration's n draws, bit k of cand set when draw k is a candidate:
+/// (u >> 11) < threshold, the form next_bernoulli(p) takes.  Lane j starts
+/// j jumps past rng's state and makes draws [j L, (j + 1) L); since L is a
+/// multiple of 64, lane j's c-th word is candidate word j L / 64 + c.
+/// Bits past n are cleared and rng is left in its state after draw n.
+void draw_candidates(Rng& rng, const XorshiftJump& jump, std::size_t n,
+                     std::uint64_t threshold, std::uint64_t* cand) {
+  const std::size_t lane_len = jump.steps();
+  const std::size_t lane_words = lane_len / 64;
+  // The last lane that draws below n makes last_draws in [1, L] of them;
+  // a vector whose lanes all start past n is neither started nor stepped.
+  const std::size_t last_lane = (n - 1) / lane_len;
+  const std::size_t last_draws = n - last_lane * lane_len;
+  const std::size_t vectors = last_lane / kVectorLanes + 1;
+  alignas(64) std::uint64_t lane[kDrawLanes] = {};
+  lane[0] = rng.state();
+  for (std::size_t j = 1; j < vectors * kVectorLanes; ++j) {
+    lane[j] = jump(lane[j - 1]);
+  }
+  LaneStates s[kLaneVectors];
+  std::memcpy(s, lane, sizeof s);
+  const LaneStates below = LaneStates{} + threshold;
+  const LaneStates top = LaneStates{} + (std::uint64_t{1} << 63);
+  alignas(64) std::uint64_t end[kDrawLanes];
+  for (std::size_t c = 0; c < lane_words; ++c) {
+    // Each draw's bit enters at the top, so after 64 draws bit b holds
+    // draw b of the word.  u < 2^53 and threshold <= 2^53, so
+    // u - threshold has its top bit set exactly when u < threshold.
+    LaneStates word[kLaneVectors] = {};
+    for (std::size_t b = 0; b < 64; ++b) {
+      for (std::size_t v = 0; v < vectors; ++v) {
+        LaneStates x = s[v];
+        x ^= x >> 12;  // Rng::advance
+        x ^= x << 25;
+        x ^= x >> 27;
+        s[v] = x;
+        const LaneStates u = (x * Rng::kMultiplier) >> 11;  // Rng::output
+        word[v] = (word[v] >> 1) | ((u - below) & top);
+      }
+      if (c * 64 + b + 1 == last_draws) std::memcpy(end, s, sizeof end);
+    }
+    std::memcpy(lane, word, sizeof lane);
+    for (std::size_t j = 0; j < kDrawLanes; ++j) {
+      cand[j * lane_words + c] = lane[j];
+    }
+  }
+  if (n % 64 != 0) cand[n / 64] &= (std::uint64_t{1} << (n % 64)) - 1;
+  rng.reseed(end[last_lane]);  // a reached state is never 0
+}
+
+/// min over the candidate bits c of one word of Delta, D's highest value
+/// when c selects none.  A full word runs in vectors of kLanes elements:
+/// lane l of chunk q stands for bit q kLanes + l.  Multiplying the
+/// broadcast chunk by 2^(width - 1 - l) moves lane l's bit into its sign,
+/// and an arithmetic shift spreads it over the lane: shifts and multiplies
+/// by constants that every x86-64 target has in vector form, where a
+/// per-lane compare of a two-register vector would be done lane by lane.
+template <class D>
+D candidate_min(const D* d, std::uint64_t c, std::size_t len) {
+  constexpr D kMax = std::numeric_limits<D>::max();
+  if (len < 64) {
+    D m = kMax;
+    for (std::size_t k = 0; k < len; ++k) {
+      const auto fill = static_cast<D>(kMax ^ -static_cast<D>((c >> k) & 1));
+      const D v = d[k] > fill ? d[k] : fill;
+      m = v < m ? v : m;
+    }
+    return m;
+  }
+  // 16 lanes at int16 (one bit per lane fits the lane), 8 at int64.
+  constexpr std::size_t kLanes = std::min<std::size_t>(16, 64 / sizeof(D));
+  constexpr int kSignBit = std::numeric_limits<D>::digits;
+  using U = std::make_unsigned_t<D>;
+  typedef D Vec __attribute__((vector_size(kLanes * sizeof(D))));
+  typedef U UVec __attribute__((vector_size(kLanes * sizeof(D))));
+  UVec to_sign;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    to_sign[l] = static_cast<U>(U{1} << (kSignBit - static_cast<int>(l)));
+  }
+  const Vec top = Vec{} + kMax;
+  Vec m = top;
+  for (std::size_t q = 0; q < 64 / kLanes; ++q) {
+    Vec v;
+    std::memcpy(&v, d + q * kLanes, sizeof v);
+    const U bits = static_cast<U>(c >> (q * kLanes));
+    const UVec chunk = UVec{} + bits;  // broadcast
+    // -1 on candidates, 0 elsewhere; then D's lowest on candidates and its
+    // highest elsewhere, so max(v, fill) keeps only candidate Deltas low.
+    const Vec sel = reinterpret_cast<Vec>(chunk * to_sign) >> kSignBit;
+    const Vec fill = top ^ sel;
+    v = v > fill ? v : fill;
+    m = v < m ? v : m;
+  }
+  D r = m[0];
+  for (std::size_t l = 1; l < kLanes; ++l) r = m[l] < r ? m[l] : r;
+  return r;
+}
+
+/// First-occurrence argmin of Delta over the candidate bits, word by word;
+/// n when none is left.  A word's minimum cannot tell a candidate at D's
+/// highest value from a non-candidate, so the first word with candidates
+/// wins ties at that value: then every candidate is at it, and the first
+/// candidate is the first occurrence.
+template <class D>
+VarIndex candidate_argmin(std::span<const D> delta,
+                          const std::uint64_t* cand) {
+  const std::size_t n = delta.size();
+  const std::size_t words = (n + 63) / 64;
+  D best = std::numeric_limits<D>::max();
+  std::size_t best_w = words;
+  for (std::size_t w = 0; w < words; ++w) {
+    if (cand[w] == 0) continue;
+    const D* d = delta.data() + w * 64;
+    const std::size_t len = std::min<std::size_t>(64, n - w * 64);
+    const D m = candidate_min(d, cand[w], len);
+    if (best_w == words || m < best) {
+      best = m;
+      best_w = w;
+    }
+  }
+  if (best_w == words) return static_cast<VarIndex>(n);
+  const std::size_t base = best_w * 64;
+  const std::uint64_t eq =
+      pack_word(base, std::min<std::size_t>(64, n - base),
+                [&](std::size_t k) { return delta[k] == best; }) &
+      cand[best_w];
+  return static_cast<VarIndex>(base + std::countr_zero(eq));
+}
+
 template <class D>
 void run_at(SearchState& state, Rng& rng, TabuList* tabu, std::uint64_t T,
-            std::uint32_t min_candidates, std::span<const D> delta) {
+            std::uint32_t min_candidates, const XorshiftJump& jump,
+            std::uint64_t* cand, std::span<const D> delta) {
   const auto n = static_cast<VarIndex>(state.size());
   ScanResult s = state.scan();  // Step 1; fused into flip_and_scan below
   for (std::uint64_t t = 1; t <= T; ++t) {
@@ -24,28 +173,16 @@ void run_at(SearchState& state, Rng& rng, TabuList* tabu, std::uint64_t T,
     // accepts every draw either way.
     const auto threshold =
         static_cast<std::uint64_t>(std::ceil(std::min(p, 1.0) * 0x1p53));
+    draw_candidates(rng, jump, n, threshold, cand);
 
-    VarIndex pick = n;
-    D best_d = std::numeric_limits<D>::max();
+    // Dropping a tabu argmin and selecting again yields the first-occurrence
+    // argmin over the allowed candidates.
     const std::uint64_t now = state.flip_count();
-    // Draw on a local copy so the generator state stays in a register.
-    Rng g = rng;
-    for_each_candidate(
-        n,
-        [&](std::size_t base, std::size_t len) {
-          return pack_word(base, len, [&](std::size_t) {
-            return (g() >> 11) < threshold;
-          });
-        },
-        [&](VarIndex k) {
-          if (tabu && !tabu->allowed(k, now)) return;
-          // The first candidate always qualifies, even at Delta == max.
-          if (pick == n || delta[k] < best_d) {
-            best_d = delta[k];
-            pick = k;
-          }
-        });
-    rng = g;
+    VarIndex pick = candidate_argmin(delta, cand);
+    while (pick != n && tabu && !tabu->allowed(pick, now)) {
+      cand[pick / 64] &= ~(std::uint64_t{1} << (pick % 64));
+      pick = candidate_argmin(delta, cand);
+    }
     if (pick == n) {
       // No candidate drawn (or all tabu): fall back to the global argmin so
       // the iteration still flips exactly one bit.
@@ -61,8 +198,14 @@ void run_at(SearchState& state, Rng& rng, TabuList* tabu, std::uint64_t T,
 void RandomMinSearch::run(SearchState& state, Rng& rng, TabuList* tabu,
                           std::uint64_t iterations) {
   if (iterations == 0 || state.size() == 0) return;
+  const std::size_t lane_len = lane_length(state.size());
+  if (!lane_jump_ || lane_jump_->steps() != lane_len) {
+    lane_jump_ = std::make_unique<const XorshiftJump>(lane_len);
+    candidates_.assign(kDrawLanes * lane_len / 64, 0);
+  }
   state.deltas().visit([&](auto delta) {
-    run_at(state, rng, tabu, iterations, min_candidates_, delta);
+    run_at(state, rng, tabu, iterations, min_candidates_, *lane_jump_,
+           candidates_.data(), delta);
   });
 }
 

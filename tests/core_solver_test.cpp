@@ -9,6 +9,7 @@
 #include "baseline/exhaustive.hpp"
 #include "core/dabs_solver.hpp"
 #include "core/run_stats.hpp"
+#include "problems/maxcut.hpp"
 #include "test_helpers.hpp"
 
 namespace dabs {
@@ -227,6 +228,29 @@ TEST(DabsSolver, SingleDeviceRunWorks) {
   c.stop.max_batches = 40;
   const SolveReport r = solve_on(DabsSolver(c), m);
   EXPECT_NE(r.best_energy, kInfiniteEnergy);
+}
+
+TEST(DabsSolver, ReportsTheFlipsOfEveryBatch) {
+  // Each batch spends at least b * n = n flips (walk, greedy and main
+  // search until the budget is met), so 16 synchronous K2000 batches
+  // report at least 16 n, for dabs and for abs, the same for equal seeds.
+  const QuboModel m = problems::maxcut_to_qubo(
+      problems::make_complete_maxcut(2000, 7, "K2000"));
+  SolverConfig c;
+  c.mode = ExecutionMode::kSynchronous;
+  c.stop.max_batches = 16;
+  c.seed = 22;
+  for (const bool abs : {false, true}) {
+    SCOPED_TRACE(abs ? "abs" : "dabs");
+    const auto run = [&] {
+      return abs ? solve_on(AbsSolver(c), m) : solve_on(DabsSolver(c), m);
+    };
+    const SolveReport a = run();
+    const SolveReport b = run();
+    EXPECT_EQ(a.batches, 16u);
+    EXPECT_GE(a.flips, 16u * m.size());
+    EXPECT_EQ(a.flips, b.flips);
+  }
 }
 
 TEST(AbsSolver, ConfigRestrictsToCyclicMinAndMutateCrossover) {

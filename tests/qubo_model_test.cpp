@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <limits>
+#include <map>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "qubo/conversion.hpp"
@@ -44,6 +47,87 @@ TEST(QuboBuilder, RejectsInvalidIndices) {
   EXPECT_THROW(b.add_quadratic(0, 2, 1), std::invalid_argument);
   EXPECT_THROW(b.add_quadratic(1, 1, 1), std::invalid_argument);
   EXPECT_THROW(QuboBuilder(0), std::invalid_argument);
+}
+
+// build() orders terms with a counting sort by row and sorts a row by
+// column only when it arrives out of order.  The reference coalescer is a
+// std::map keyed by the normalized pair: the built model must hold exactly
+// its nonzero sums, rows ascending by column, in the CSR, the dense rows
+// and delta_bound().  Terms come in random order, with duplicates, both
+// index orders and sums that cancel to zero.
+TEST(QuboBuilder, MatchesReferenceCoalescer) {
+  Rng rng(2500);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::size_t n = 1 + rng.next_index(trial < 100 ? 12 : 90);
+    const QuboBackend backend = trial % 3 == 0   ? QuboBackend::kDense
+                                : trial % 3 == 1 ? QuboBackend::kCsr
+                                                 : QuboBackend::kAuto;
+    QuboBuilder b(n);
+    b.set_backend(backend);
+    std::map<std::pair<VarIndex, VarIndex>, Energy> want;
+    std::vector<Energy> diag(n, 0);
+    const std::size_t terms = rng.next_index(4 * n * n + 1);
+    for (std::size_t t = 0; t < terms; ++t) {
+      const auto i = static_cast<VarIndex>(rng.next_index(n));
+      const auto j = static_cast<VarIndex>(rng.next_index(n));
+      const auto w = static_cast<Weight>(rng.next_index(11)) - 5;
+      if (i == j) {
+        b.add_linear(i, w);
+        diag[i] += w;
+        continue;
+      }
+      b.add_quadratic(i, j, w);
+      want[{std::min(i, j), std::max(i, j)}] += w;
+      if (rng.next_index(4) == 0) {  // a term that cancels the sum so far
+        const auto back = static_cast<Weight>(-want[{std::min(i, j),
+                                                      std::max(i, j)}]);
+        b.add_quadratic(j, i, back);
+        want[{std::min(i, j), std::max(i, j)}] += back;
+      }
+    }
+    const QuboModel m = b.build();
+
+    std::vector<std::vector<std::pair<VarIndex, Weight>>> rows(n);
+    std::size_t edges = 0;
+    for (const auto& [ij, w] : want) {
+      if (w == 0) continue;
+      ++edges;
+      rows[ij.first].push_back({ij.second, static_cast<Weight>(w)});
+      rows[ij.second].push_back({ij.first, static_cast<Weight>(w)});
+    }
+    std::uint64_t bound = 0;
+    ASSERT_EQ(m.edge_count(), edges);
+    for (VarIndex i = 0; i < n; ++i) {
+      std::sort(rows[i].begin(), rows[i].end());
+      ASSERT_EQ(m.diag(i), diag[i]);
+      ASSERT_EQ(m.degree(i), rows[i].size());
+      std::uint64_t row_abs = static_cast<std::uint64_t>(std::abs(diag[i]));
+      for (std::size_t t = 0; t < rows[i].size(); ++t) {
+        EXPECT_EQ(m.neighbors(i)[t], rows[i][t].first);
+        EXPECT_EQ(m.weights(i)[t], rows[i][t].second);
+        row_abs += static_cast<std::uint64_t>(std::abs(rows[i][t].second));
+      }
+      bound = std::max(bound, row_abs);
+      if (m.has_dense_rows()) {
+        std::vector<Weight> dense(n, 0);
+        for (const auto& [j, w] : rows[i]) dense[j] = w;
+        if (m.delta_width() == DeltaWidth::kInt16) {
+          EXPECT_TRUE(std::equal(dense.begin(), dense.end(),
+                                 m.dense_row<std::int16_t>(i)));
+        } else {
+          EXPECT_TRUE(std::equal(dense.begin(), dense.end(),
+                                 m.dense_row<Weight>(i)));
+        }
+      }
+    }
+    EXPECT_EQ(m.delta_bound(), bound);
+    EXPECT_EQ(m.has_dense_rows(), backend == QuboBackend::kDense ||
+                                      (backend == QuboBackend::kAuto &&
+                                       n >= 2 &&
+                                       m.density() >=
+                                           QuboModel::kDenseDensityThreshold));
+  }
 }
 
 TEST(QuboModel, CsrIsSymmetric) {

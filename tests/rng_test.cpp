@@ -31,6 +31,36 @@ TEST(Xorshift, ZeroSeedIsRemapped) {
   EXPECT_NE(z(), 0u);  // would be stuck at zero otherwise
 }
 
+TEST(XorshiftJump, EqualsSteppingTheGenerator) {
+  for (const std::uint64_t steps : {0u, 1u, 63u, 64u, 128u, 1000u}) {
+    SCOPED_TRACE(steps);
+    const XorshiftJump jump(steps);
+    EXPECT_EQ(jump.steps(), steps);
+    for (const std::uint64_t seed : {1ull, 0x9e3779b97f4a7c15ull, ~0ull}) {
+      Rng g(seed);
+      for (std::uint64_t i = 0; i < steps; ++i) g();
+      EXPECT_EQ(jump(seed), g.state());
+    }
+  }
+}
+
+TEST(XorshiftJump, ChainedJumpsContinueTheSequence) {
+  // Three jumps of 64 land where 192 draws do, and reseeding with the
+  // jumped state continues the generator from there.
+  const XorshiftJump jump(64);
+  Rng serial(77);
+  for (int i = 0; i < 192; ++i) serial();
+  Rng jumped(77);
+  jumped.reseed(jump(jump(jump(jumped.state()))));
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(jumped(), serial());
+}
+
+TEST(Xorshift, AdvanceAndOutputComposeToADraw) {
+  Rng g(99);
+  const std::uint64_t s = g.state();
+  EXPECT_EQ(g(), Rng::output(Rng::advance(s)));
+}
+
 TEST(Xorshift, NextIndexInBounds) {
   Rng rng(99);
   for (std::uint64_t bound : {1ull, 2ull, 7ull, 100ull, 1000003ull}) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <set>
@@ -710,6 +711,55 @@ INSTANTIATE_TEST_SUITE_P(DenseAndCsr, StraightWalkDifferential,
                                             ::testing::Values(0u), kScales),
                          diff_param_name);
 
+// The walk's fused reduction works block by block (1024 variables) and
+// then word by word: one variable, a word and one bit, and sizes past one
+// and two blocks with a partial last word.
+INSTANTIATE_TEST_SUITE_P(
+    Blocks, StraightWalkDifferential,
+    ::testing::Combine(kBackends,
+                       ::testing::Values(std::size_t{1}, std::size_t{65},
+                                         std::size_t{1100}, std::size_t{2100}),
+                       ::testing::Values(0u), kScales),
+    diff_param_name);
+
+// RandomMin draws in 16 lanes of L draws, L the least multiple of 64 with
+// 16 L >= n: n = 1 leaves 15 lanes idle, 63/64/65 end inside, at and past
+// a word, 1000 ends inside lane 15, 2013 gives L = 128 with a short last
+// lane.  T = 1 runs at p = 1 (t = T); c = 1 over 400 iterations spends the
+// early ones at the c/n floor, where some iterations draw no candidate.
+using LaneParam = std::tuple<std::size_t, std::uint32_t>;
+
+class RandomMinLanes : public ::testing::TestWithParam<LaneParam> {};
+
+TEST_P(RandomMinLanes, MatchesReference) {
+  const auto [n, tenure] = GetParam();
+  const QuboModel m = random_model(n, n > 100 ? 0.05 : 0.5, 9, 2400 + n);
+  RandomMinSearch got;
+  ref::RandomMin want;
+  expect_same_runs(got, want, m, tenure, 56, {1, 1, 2, 17, 64, 3, 150});
+  RandomMinSearch got_floor(1);
+  ref::RandomMin want_floor(1);
+  expect_same_runs(got_floor, want_floor, m, tenure, 57, {400, 1});
+  if (n >= 64) {
+    EXPECT_GT(want_floor.fallbacks, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, RandomMinLanes,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{63},
+                                         std::size_t{64}, std::size_t{65},
+                                         std::size_t{1000},
+                                         std::size_t{2013}),
+                       ::testing::Values(0u, 8u)),
+    [](const auto& info) {
+      std::string name = "n";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_tenure";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
+    });
+
 // ---------------------------------------------------------------------------
 // Width equivalence.  A model and its 2^20-scaled copy run different
 // kernels — int16 Delta for the original, int64 for the copy — yet every
@@ -994,6 +1044,69 @@ TEST(Step2DifferentialEdge, PositiveMinAllTabuFallback) {
   ref::PositiveMin want;
   expect_same_runs(got, want, m, 100000, 44, {200, 1, 150});
   EXPECT_GT(want.fallbacks, 0);
+}
+
+TEST(Step2DifferentialEdge, RandomMinCandidatesAtTheBound) {
+  // Only diagonal terms of INT16_MAX: from the zero vector every Delta is
+  // +INT16_MAX (the int16 kernel) and a flipped bit's is -INT16_MAX.  Every
+  // 0 -> 1 flip, at least half of the flips from the zero vector, picks a
+  // bit at the bound; at the c/n floor most of them choose among
+  // candidates that are all at the bound, where the first one wins.
+  for (const std::size_t n : {65u, 1000u}) {
+    SCOPED_TRACE(n);
+    QuboBuilder b(n);
+    for (VarIndex i = 0; i < n; ++i) b.add_linear(i, kMax16);
+    const QuboModel m = b.build();
+    ASSERT_EQ(m.delta_width(), DeltaWidth::kInt16);
+    for (const std::uint32_t tenure : {0u, 8u}) {
+      const BitVector zero(n);
+      Side got(m, zero, 58, tenure), want(m, zero, 58, tenure);
+      RandomMinSearch got_algo(2);
+      ref::RandomMin want_algo(2);
+      for (const std::uint64_t T : {1u, 40u, 200u}) {
+        got_algo.run(got.state, got.rng, &got.tabu, T);
+        want_algo.run(want.state, want.rng, &want.tabu, T);
+        expect_same_walk(got, want);
+      }
+    }
+  }
+}
+
+/// maxmin_threshold<D>(d) must be the largest D whose double is <= d.
+template <class D>
+void expect_exact_threshold(double d) {
+  const D t = maxmin_threshold<D>(d);
+  EXPECT_LE(static_cast<double>(t), d) << d;
+  if (t < std::numeric_limits<D>::max()) {
+    EXPECT_GT(static_cast<double>(static_cast<D>(t + 1)), d) << d;
+  }
+}
+
+TEST(MaxMinThreshold, IsTheLargestIntegerAtOrBelowTheDraw) {
+  // Integral draws (every T = 1 iteration draws d = minDelta exactly),
+  // negative ones, fractions, and the int16 range ends.
+  for (const double d : {-32768.0, -32767.5, -5.0, -4.5, -0.5, -0.0, 0.0,
+                         0.25, 3.0, 3.999, 32766.5, 32767.0, 1e9}) {
+    expect_exact_threshold<std::int16_t>(d);
+    expect_exact_threshold<Energy>(d);
+  }
+  EXPECT_EQ(maxmin_threshold<std::int16_t>(-4.5), -5);
+  EXPECT_EQ(maxmin_threshold<std::int16_t>(7.0), 7);
+  EXPECT_EQ(maxmin_threshold<std::int16_t>(1e9), kMax16);
+  // Past 2^53 consecutive doubles are 2^k apart, and the integers up to
+  // the midpoint above d still round down to d (ties to even).
+  const double two53 = 0x1p53, two60 = 0x1p60;
+  for (const double d :
+       {two53, two53 + 2, two53 * 3, two60, two60 + 256, -two60,
+        -two60 - 256, -two60 + 128, std::nextafter(0x1p63, 0.0), 0x1p63,
+        1e19, -0x1p62, -0x1p63}) {
+    expect_exact_threshold<Energy>(d);
+  }
+  EXPECT_EQ(maxmin_threshold<Energy>(two60), Energy{1} << 60 | 128);
+  EXPECT_EQ(maxmin_threshold<Energy>(two60 + 256),
+            (Energy{1} << 60) + 256 + 127);
+  EXPECT_EQ(maxmin_threshold<Energy>(0x1p63),
+            std::numeric_limits<Energy>::max());
 }
 
 // straight_walk builds its candidate mask as x ^ target word by word, so

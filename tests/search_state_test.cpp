@@ -3,7 +3,10 @@
 // 3-5), and BEST must dominate everything the scans have seen.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <span>
 #include <tuple>
+#include <vector>
 
 #include "qubo/search_state.hpp"
 #include "test_helpers.hpp"
@@ -215,6 +218,91 @@ TEST(SearchState, ResetReturnsToZeroVector) {
   EXPECT_EQ(s.solution().count(), 0u);
   EXPECT_EQ(s.flip_count(), 0u);
   expect_consistent(s);
+}
+
+// The straight walk's masked Step 1: besides an unchanged Step 1, the
+// masked scan reports the least Delta over the candidate bits, or the
+// width's highest value when no candidate is below it, and the first word
+// holding a candidate at that value.  Sizes straddle words and the
+// 1024-variable reduction blocks; scales put the model on both widths.
+template <class D>
+void expect_masked_scans(const QuboModel& m, std::uint64_t seed) {
+  constexpr D kDiffer = std::numeric_limits<D>::min();
+  constexpr D kAgree = std::numeric_limits<D>::max();
+  const std::size_t n = m.size();
+  Rng rng(seed);
+  const BitVector start = random_solution(n, rng);
+  SearchState masked(m), plain(m);
+  masked.reset_to(start);
+  plain.reset_to(start);
+  std::vector<D> off(n);
+  for (int step = 0; step < 40; ++step) {
+    SCOPED_TRACE(step);
+    // Candidate densities from none through one in eight to all.
+    const std::uint64_t odds = step % 5;
+    for (D& o : off) {
+      o = odds != 0 && rng.next_index(odds == 4 ? 1 : 8 * odds) == 0
+              ? kDiffer
+              : kAgree;
+    }
+    const auto i = static_cast<VarIndex>(rng.next_index(n));
+    const MaskedScan got =
+        step == 0 ? masked.scan(std::span<const D>(off))
+                  : masked.flip_and_scan(i, std::span<const D>(off));
+    const ScanResult want = step == 0 ? plain.scan() : plain.flip_and_scan(i);
+    EXPECT_EQ(got.scan.min_delta, want.min_delta);
+    EXPECT_EQ(got.scan.max_delta, want.max_delta);
+    EXPECT_EQ(got.scan.argmin, want.argmin);
+    EXPECT_EQ(masked.best_energy(), plain.best_energy());
+    Energy least = kAgree;
+    std::size_t first = n;
+    for (VarIndex k = 0; k < n; ++k) {
+      if (off[k] == kDiffer && masked.delta(k) < least) {
+        least = masked.delta(k);
+        first = k;
+      }
+    }
+    EXPECT_EQ(got.masked_min, least);
+    if (least != kAgree) {
+      EXPECT_EQ(got.word, first / 64);
+    }
+  }
+}
+
+using MaskedParam = std::tuple<QuboBackend, std::size_t, Weight>;
+
+class MaskedScanProperty : public ::testing::TestWithParam<MaskedParam> {};
+
+TEST_P(MaskedScanProperty, MatchesBruteForce) {
+  const auto [backend, n, scale] = GetParam();
+  const QuboModel m = random_model(
+      n, backend == QuboBackend::kDense ? 0.5 : 0.02, 9, 700 + n, backend,
+      scale);
+  if (m.delta_width() == DeltaWidth::kInt16) {
+    expect_masked_scans<std::int16_t>(m, n);
+  } else {
+    expect_masked_scans<Energy>(m, n);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, MaskedScanProperty,
+    ::testing::Combine(::testing::Values(QuboBackend::kDense,
+                                         QuboBackend::kCsr),
+                       ::testing::Values(std::size_t{1}, std::size_t{63},
+                                         std::size_t{65}, std::size_t{1024},
+                                         std::size_t{2100}),
+                       ::testing::Values(Weight{1}, Weight{1 << 20})));
+
+TEST(SearchState, MaskedScanRejectsAMaskOfTheWrongWidth) {
+  const QuboModel m = random_model(20, 0.5, 9, 701);
+  ASSERT_EQ(m.delta_width(), DeltaWidth::kInt16);
+  SearchState s(m);
+  const std::vector<Energy> wide(20, 0);
+  const std::vector<std::int16_t> short_mask(19, 0);
+  EXPECT_THROW(s.scan(std::span<const Energy>(wide)), std::invalid_argument);
+  EXPECT_THROW(s.scan(std::span<const std::int16_t>(short_mask)),
+               std::invalid_argument);
 }
 
 }  // namespace
