@@ -4,6 +4,7 @@
 #include <limits>
 #include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "util/assert.hpp"
 
@@ -109,6 +110,7 @@ QuboModel QuboBuilder::build() {
   m.val_.resize(2 * edges.size());
 
   std::vector<std::size_t> cursor(m.row_ptr_.begin(), m.row_ptr_.end() - 1);
+  std::uint64_t max_coupling = 0;  // max |W_ij|, i != j
   for (const Entry& e : edges) {
     const Weight w = checked_narrow(e.w, "quadratic", kQuadraticLo);
     m.col_[cursor[e.i]] = e.j;
@@ -117,9 +119,18 @@ QuboModel QuboBuilder::build() {
     m.val_[cursor[e.j]++] = w;
     row_abs[e.i] += magnitude(w);
     row_abs[e.j] += magnitude(w);
+    max_coupling = std::max(max_coupling, magnitude(w));
   }
   m.max_degree_ = deg.empty() ? 0 : *std::max_element(deg.begin(), deg.end());
   m.delta_bound_ = *std::max_element(row_abs.begin(), row_abs.end());
+  // The row width: |W_ij| <= the type's max excludes its lowest value.
+  if (max_coupling <= std::numeric_limits<std::int8_t>::max()) {
+    m.dense_.emplace<std::vector<std::int8_t>>();
+  } else if (max_coupling <= std::numeric_limits<std::int16_t>::max()) {
+    m.dense_.emplace<std::vector<std::int16_t>>();
+  } else {
+    m.dense_.emplace<std::vector<Weight>>();
+  }
 
   // Resolve the kernel backend and, when dense, materialize the row-major
   // matrix the flip kernel streams (diagonal slots stay zero; the diagonal
@@ -139,21 +150,18 @@ QuboModel QuboBuilder::build() {
              "QuboModel::kDenseMaxBytes");
   m.backend_ = resolved;
   if (resolved == QuboBackend::kDense) {
-    // Narrowing checked above; at kInt16 every |W_ij| <= delta_bound() fits.
-    auto fill = [&](auto& dense) {
-      using T = typename std::decay_t<decltype(dense)>::value_type;
-      dense.assign(n * n, 0);
-      for (const Entry& e : edges) {
-        const auto w = static_cast<T>(e.w);
-        dense[std::size_t{e.i} * n + e.j] = w;
-        dense[std::size_t{e.j} * n + e.i] = w;
-      }
-    };
-    if (m.delta_width() == DeltaWidth::kInt16) {
-      fill(m.dense16_);
-    } else {
-      fill(m.dense32_);
-    }
+    // Every |W_ij| <= max_coupling fits the row width chosen above.
+    std::visit(
+        [&](auto& dense) {
+          using T = typename std::decay_t<decltype(dense)>::value_type;
+          dense.assign(n * n, 0);
+          for (const Entry& e : edges) {
+            const auto w = static_cast<T>(e.w);
+            dense[std::size_t{e.i} * n + e.j] = w;
+            dense[std::size_t{e.j} * n + e.i] = w;
+          }
+        },
+        m.dense_);
   }
 
   entries_.clear();

@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <type_traits>
+#include <variant>
 
 #include "util/assert.hpp"
 
@@ -20,11 +21,15 @@ Weight QuboModel::weight(VarIndex i, VarIndex j) const {
 
 namespace {
 
-/// Row sums of int16 weights stay within delta_bound() <= INT16_MAX, so
-/// they accumulate exactly in int32; int32 weights accumulate in int64.
+/// A dense model has n <= 8192 (kDenseMaxBytes at int32 weights), so a
+/// row of int8 or int16 weights sums exactly in int32; int32 weights
+/// accumulate in int64.
+static_assert(QuboModel::kDenseMaxBytes / sizeof(Weight) <=
+                  (std::size_t{1} << 26),
+              "n <= 2^13 bounds an int16 row sum by 2^28");
 template <class T>
-using RowSum =
-    std::conditional_t<std::is_same_v<T, std::int16_t>, std::int32_t, Energy>;
+using RowSum = std::conditional_t<sizeof(T) < sizeof(Weight), std::int32_t,
+                                  Energy>;
 
 /// x as one all-ones/zero mask per variable at the dense row width, so a
 /// row is masked with the solution instead of branching per neighbour.
@@ -46,27 +51,31 @@ Energy masked_row_sum(const T* __restrict row, const T* __restrict mask,
   return s;
 }
 
+/// w is the dense matrix at its stored width T (QuboModel::with_dense_rows).
 template <class T>
-Energy dense_energy(const QuboModel& m, const BitVector& x) {
+Energy dense_energy(const QuboModel& m, const T* w, const BitVector& x) {
   const std::vector<T> mask = solution_masks<T>(x);
-  const auto n = static_cast<VarIndex>(m.size());
+  const std::size_t n = m.size();
   Energy e = 0;
-  for (VarIndex i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (!x.get(i)) continue;
     // Each edge once: only the (i, j > i) half of the row.
-    e += m.diag(i) + masked_row_sum(m.dense_row<T>(i), mask.data(), i + 1, n);
+    e += m.diag(static_cast<VarIndex>(i)) +
+         masked_row_sum(w + i * n, mask.data(), i + 1, n);
   }
   return e;
 }
 
 template <class T, class D>
-void dense_delta_all(const QuboModel& m, const BitVector& x, D* out) {
+void dense_delta_all(const QuboModel& m, const T* w, const BitVector& x,
+                     D* out) {
   const std::vector<T> mask = solution_masks<T>(x);
-  const auto n = static_cast<VarIndex>(m.size());
-  for (VarIndex k = 0; k < n; ++k) {
+  const std::size_t n = m.size();
+  for (std::size_t k = 0; k < n; ++k) {
     // Slot k of row k is zero, so the whole row is the neighbour sum.
-    const Energy s = masked_row_sum(m.dense_row<T>(k), mask.data(), 0, n);
-    out[k] = static_cast<D>(-sigma(x.get(k)) * (s + Energy{m.diag(k)}));
+    const Energy s = masked_row_sum(w + k * n, mask.data(), 0, n);
+    out[k] = static_cast<D>(-sigma(x.get(k)) *
+                            (s + Energy{m.diag(static_cast<VarIndex>(k))}));
   }
 }
 
@@ -75,9 +84,8 @@ void dense_delta_all(const QuboModel& m, const BitVector& x, D* out) {
 Energy QuboModel::energy(const BitVector& x) const {
   DABS_CHECK(x.size() == size(), "solution length mismatch");
   if (has_dense_rows()) {
-    return delta_width() == DeltaWidth::kInt16
-               ? dense_energy<std::int16_t>(*this, x)
-               : dense_energy<Weight>(*this, x);
+    return with_dense_rows(
+        [&](const auto* w) { return dense_energy(*this, w, x); });
   }
   Energy e = 0;
   const auto n = static_cast<VarIndex>(size());
@@ -114,11 +122,8 @@ void QuboModel::delta_all(const BitVector& x, std::span<D> out) const {
   DABS_CHECK(x.size() == size(), "solution length mismatch");
   DABS_CHECK(out.size() == size(), "delta buffer length mismatch");
   if (has_dense_rows()) {
-    if (delta_width() == DeltaWidth::kInt16) {
-      dense_delta_all<std::int16_t>(*this, x, out.data());
-    } else {
-      dense_delta_all<Weight>(*this, x, out.data());
-    }
+    with_dense_rows(
+        [&](const auto* w) { dense_delta_all(*this, w, x, out.data()); });
     return;
   }
   const auto n = static_cast<VarIndex>(size());
@@ -152,6 +157,7 @@ std::string QuboModel::describe() const {
   }
   os << " backend=" << to_string(backend_)
      << " delta=" << to_string(delta_width());
+  if (has_dense_rows()) os << " rows=" << to_string(row_width());
   return os.str();
 }
 
@@ -159,8 +165,11 @@ std::size_t QuboModel::memory_bytes() const noexcept {
   return sizeof(QuboModel) + diag_.size() * sizeof(Weight) +
          row_ptr_.size() * sizeof(std::size_t) +
          col_.size() * sizeof(VarIndex) + val_.size() * sizeof(Weight) +
-         dense16_.size() * sizeof(std::int16_t) +
-         dense32_.size() * sizeof(Weight);
+         std::visit(
+             [](const auto& rows) {
+               return rows.size() * sizeof(rows.front());
+             },
+             dense_);
 }
 
 }  // namespace dabs

@@ -14,8 +14,8 @@
 // arrays are always present — IO, model analysis, and sparse queries keep
 // using them — so the dense matrix is a kernel-side acceleration structure,
 // not a replacement representation.  It is stored once, at the model's
-// DeltaWidth: int16 when every Delta fits int16 (then every weight does
-// too), int32 otherwise.
+// RowWidth: the narrowest of int8, int16 and int32 that holds every
+// off-diagonal weight (K2000's ±2 couplings fit int8).
 #pragma once
 
 #include <cstddef>
@@ -23,7 +23,7 @@
 #include <limits>
 #include <span>
 #include <string>
-#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "qubo/types.hpp"
@@ -68,17 +68,29 @@ class QuboModel {
   bool has_dense_rows() const noexcept {
     return backend_ == QuboBackend::kDense;
   }
-  /// Contiguous row i of the dense matrix: n weights, W_{i,j} at slot j,
-  /// zero on the diagonal.  Only valid when has_dense_rows(), with
-  /// T = std::int16_t when delta_width() is kInt16 and T = Weight otherwise.
-  template <class T>
-  const T* dense_row(VarIndex i) const noexcept {
-    if constexpr (std::is_same_v<T, std::int16_t>) {
-      return dense16_.data() + std::size_t{i} * size();
-    } else {
-      static_assert(std::is_same_v<T, Weight>);
-      return dense32_.data() + std::size_t{i} * size();
+  /// Width the dense rows are stored at: the narrowest of int8, int16 and
+  /// int32 that holds every off-diagonal |W_ij| (the diagonal never
+  /// counts).  Defined for every model; only a dense one stores rows.
+  RowWidth row_width() const noexcept {
+    return static_cast<RowWidth>(dense_.index());
+  }
+  /// Calls f once with the dense matrix as a `const T*` at its stored width
+  /// (T = std::int8_t, std::int16_t or Weight, per row_width()).  Row i
+  /// starts at i * size() and holds W_{i,j} at slot j, zero on the
+  /// diagonal.  A row loop written as a generic lambda thus compiles once
+  /// per width and dispatches once per call.  Only valid when
+  /// has_dense_rows().
+  template <class F>
+  decltype(auto) with_dense_rows(F&& f) const {
+    switch (row_width()) {
+      case RowWidth::kInt8:
+        return f(std::get<0>(dense_).data());
+      case RowWidth::kInt16:
+        return f(std::get<1>(dense_).data());
+      case RowWidth::kInt32:
+        break;
     }
+    return f(std::get<2>(dense_).data());
   }
 
   /// Worst-case |Delta_k| over every solution and every k:
@@ -126,7 +138,7 @@ class QuboModel {
   std::size_t memory_bytes() const noexcept;
 
   /// One-line description, e.g. "QUBO n=2000 edges=1999000 dense
-  /// backend=dense delta=int16".
+  /// backend=dense delta=int16 rows=int8" (rows= only when dense).
   std::string describe() const;
 
  private:
@@ -136,10 +148,11 @@ class QuboModel {
   std::vector<std::size_t> row_ptr_;  // size n+1
   std::vector<VarIndex> col_;         // size 2*edges
   std::vector<Weight> val_;           // size 2*edges
-  // Dense matrix, size n*n when backend_ == kDense, in exactly one of
-  // these at the model's DeltaWidth.
-  std::vector<std::int16_t> dense16_;
-  std::vector<Weight> dense32_;
+  // Dense matrix, size n*n when backend_ == kDense (empty otherwise); the
+  // alternative held is the model's RowWidth, in enum order.
+  std::variant<std::vector<std::int8_t>, std::vector<std::int16_t>,
+               std::vector<Weight>>
+      dense_;
   std::size_t max_degree_ = 0;
   std::uint64_t delta_bound_ = 0;
   QuboBackend backend_ = QuboBackend::kCsr;

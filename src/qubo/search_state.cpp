@@ -13,66 +13,73 @@ namespace dabs {
 
 namespace {
 
-/// Dense row element type that goes with a Delta element type: the model
-/// stores its rows at int16 exactly when its Deltas fit int16.
+/// One block's share of Step 1: min and max of Delta and, for the walk,
+/// the least max(Delta_k, off[k]) (D's highest value without an off array).
 template <class D>
-using RowOf =
-    std::conditional_t<std::is_same_v<D, std::int16_t>, std::int16_t, Weight>;
+struct BlockFold {
+  D mn, mx, masked;
+};
 
-/// Eq. 4 over one dense block [b0, b1) of Delta (row streamed, branchless):
-/// Delta_k += W_{i,k} * sigma(x_i) * sigma(x_k).  The sign product is
-/// applied as an xor-negate (m == 0 keeps w, m == -1 yields -w) because the
-/// baseline x86-64 target has no vector 64-bit multiply — this form
-/// auto-vectorizes under plain SSE2, and at int16 in 16-bit lanes.  Safe
-/// because the builder rejects INT32_MIN couplings and an int16 row's
-/// weights are bounded by delta_bound() <= INT16_MAX.  row[i] is 0, so
-/// Delta_i is left for Eq. 5.  Every result is a true Delta, so the
-/// narrowing store is exact.
-template <class D, class W>
-void dense_update_block(D* __restrict d, const W* __restrict row,
-                        const std::int8_t* __restrict sg, std::int32_t si,
-                        std::size_t b0, std::size_t b1) {
-  if (si >= 0) {
-    for (std::size_t k = b0; k < b1; ++k) {
-      const W m = static_cast<W>(sg[k] >> 7);  // sg<0 ? -1 : 0
-      d[k] = static_cast<D>(d[k] + static_cast<W>((row[k] ^ m) - m));
-    }
-  } else {
-    for (std::size_t k = b0; k < b1; ++k) {
-      const W m = static_cast<W>(~(sg[k] >> 7));  // sg<0 ? 0 : -1
-      d[k] = static_cast<D>(d[k] + static_cast<W>((row[k] ^ m) - m));
-    }
-  }
+/// dense_flip_block's sx for a flipped bit whose old spin is si.
+constexpr std::int8_t sign_mask(std::int32_t si) noexcept {
+  return si < 0 ? std::int8_t{-1} : std::int8_t{0};
 }
 
-/// Branchless min/max over one block.
-template <class D>
-void reduce_block(const D* __restrict d, std::size_t b0, std::size_t b1,
-                  D& mn, D& mx) {
-  D lo = d[b0], hi = d[b0];
-  for (std::size_t k = b0 + 1; k < b1; ++k) {
-    lo = d[k] < lo ? d[k] : lo;
-    hi = d[k] > hi ? d[k] : hi;
+/// The one dense flip loop: Eq. 4 over the block [b0, b1) of Delta, with
+/// Step 1's reduction of the same slots folded into the same pass.  Eq. 4,
+/// Delta_k += W_{i,k} * sigma(x_i) * sigma(x_k), applies the sign product
+/// to the row element at its stored width R as an xor-negate (m == 0 keeps
+/// w, m == -1 yields -w), then widens it to D: the baseline x86-64 target
+/// has no vector 64-bit multiply, and this form auto-vectorizes under plain
+/// SSE2, 16 int8 weights per register at int8.  sx is -1 when
+/// sigma(x_i) = -1 and 0 otherwise, so (sg[k] ^ sx) is negative exactly
+/// when the product is -1.  R excludes its lowest value, so the negation
+/// is exact; row[i] is 0, so Delta_i is left for Eq. 5; every result is a
+/// true Delta, so the store at D is exact.  Each new Delta is folded into
+/// the block's min and max and, when kMasked, into the least
+/// max(Delta_k, off[k]).  A caller that drops the result gets the update
+/// alone.
+template <bool kMasked, class D, class R>
+BlockFold<D> dense_flip_block(D* __restrict d, const R* __restrict row,
+                              const std::int8_t* __restrict sg,
+                              std::int8_t sx,
+                              const std::type_identity_t<D>* __restrict off,
+                              std::size_t b0, std::size_t b1) {
+  D lo = std::numeric_limits<D>::max();
+  D hi = std::numeric_limits<D>::min();
+  D ms = std::numeric_limits<D>::max();
+  for (std::size_t k = b0; k < b1; ++k) {
+    const auto m = static_cast<R>((sg[k] ^ sx) >> 7);
+    const auto w = static_cast<D>(static_cast<R>((row[k] ^ m) - m));
+    const auto v = static_cast<D>(d[k] + w);
+    d[k] = v;
+    lo = v < lo ? v : lo;
+    hi = v > hi ? v : hi;
+    if constexpr (kMasked) {
+      const D t = v > off[k] ? v : off[k];
+      ms = t < ms ? t : ms;
+    }
   }
-  mn = lo;
-  mx = hi;
+  return {lo, hi, ms};
 }
 
-/// reduce_block plus the walk's masked minimum over the same elements,
-/// min of max(d[k], off[k]), in the one pass.
-template <class D>
-void reduce_block(const D* __restrict d, const D* __restrict off,
-                  std::size_t b0, std::size_t b1, D& mn, D& mx, D& masked) {
-  D lo = d[b0], hi = d[b0], m = std::numeric_limits<D>::max();
+/// Step 1's reduction of the block [b0, b1) with no update (scan(), and
+/// every scan on the CSR backend).
+template <bool kMasked, class D>
+BlockFold<D> reduce_block(const D* __restrict d, const D* __restrict off,
+                          std::size_t b0, std::size_t b1) {
+  D lo = std::numeric_limits<D>::max();
+  D hi = std::numeric_limits<D>::min();
+  D ms = std::numeric_limits<D>::max();
   for (std::size_t k = b0; k < b1; ++k) {
     lo = d[k] < lo ? d[k] : lo;
     hi = d[k] > hi ? d[k] : hi;
-    const D v = d[k] > off[k] ? d[k] : off[k];
-    m = v < m ? v : m;
+    if constexpr (kMasked) {
+      const D t = d[k] > off[k] ? d[k] : off[k];
+      ms = t < ms ? t : ms;
+    }
   }
-  mn = lo;
-  mx = hi;
-  masked = m;
+  return {lo, hi, ms};
 }
 
 /// min over k in [b0, b1) of max(d[k], off[k]) alone.
@@ -87,9 +94,9 @@ D masked_min(const D* __restrict d, const D* __restrict off, std::size_t b0,
   return m;
 }
 
-/// Step 1's running reduction, folded one block at a time.  With an off
-/// array it also carries the walk's masked minimum and the first block
-/// attaining it.
+/// Step 1's running reduction, folded one block at a time in block order,
+/// so each minimum keeps the first block attaining it.  With an off array
+/// it also carries the walk's masked minimum and its first block.
 template <class D>
 struct Reduction {
   D mn = std::numeric_limits<D>::max();
@@ -98,22 +105,16 @@ struct Reduction {
   D masked = std::numeric_limits<D>::max();
   std::size_t masked_block = 0;
 
-  void fold(const D* d, const D* off, std::size_t b0, std::size_t b1) {
-    D bmn, bmx, bmasked = std::numeric_limits<D>::max();
-    if (off) {
-      reduce_block(d, off, b0, b1, bmn, bmx, bmasked);
-      if (bmasked < masked) {
-        masked = bmasked;
-        masked_block = b0;
-      }
-    } else {
-      reduce_block(d, b0, b1, bmn, bmx);
-    }
-    if (bmn < mn) {
-      mn = bmn;
+  void fold(const BlockFold<D>& b, std::size_t b0) {
+    if (b.mn < mn) {
+      mn = b.mn;
       mn_block = b0;
     }
-    mx = bmx > mx ? bmx : mx;
+    mx = b.mx > mx ? b.mx : mx;
+    if (b.masked < masked) {
+      masked = b.masked;
+      masked_block = b0;
+    }
   }
 
   /// The first 64-variable word attaining the masked minimum, searched in
@@ -222,8 +223,11 @@ void SearchState::flip_impl(D* d, VarIndex i) {
   DABS_ASSERT(i < size());
   const std::int32_t si = sigma_[i];  // sigma of the *old* value of bit i
   if (model_->has_dense_rows()) {
-    dense_update_block(d, model_->dense_row<RowOf<D>>(i), sigma_.data(), si,
-                       0, size());
+    const std::size_t n = size();
+    model_->with_dense_rows([&](const auto* w) {
+      (void)dense_flip_block<false>(d, w + std::size_t{i} * n, sigma_.data(),
+                                    sign_mask(si), nullptr, 0, n);
+    });
   } else {
     const auto nbrs = model_->neighbors(i);
     const auto w = model_->weights(i);
@@ -273,7 +277,9 @@ MaskedScan SearchState::scan_impl(const D* d,
   Reduction<D> r;
   for (std::size_t b0 = 0; b0 < n; b0 += kScanBlock) {
     const std::size_t b1 = std::min(n, b0 + kScanBlock);
-    r.fold(d, off, b0, b1);
+    r.fold(off ? reduce_block<true>(d, off, b0, b1)
+               : reduce_block<false>(d, off, b0, b1),
+           b0);
   }
   return {finish_scan(d, r.mn, r.mx, r.mn_block), r.masked,
           off ? r.masked_word(d, off, n) : 0};
@@ -300,17 +306,22 @@ MaskedScan SearchState::flip_and_scan_impl(
   DABS_ASSERT(i < size());
   const std::size_t n = size();
   const std::int32_t si = sigma_[i];
-  const RowOf<D>* row = model_->dense_row<RowOf<D>>(i);
   // Eq. 5 and the X/E/BEST bookkeeping come first: row[i] == 0 means the
-  // blocked Eq. 4 sweep below never touches Delta_i, so the reduction sees
-  // every delta in its final state while it is still cache-hot.
+  // Eq. 4 pass below never touches Delta_i, so it reduces every delta in
+  // its final state as it stores it.
   finish_flip(d, i, si);
   Reduction<D> r;
-  for (std::size_t b0 = 0; b0 < n; b0 += kScanBlock) {
-    const std::size_t b1 = std::min(n, b0 + kScanBlock);
-    dense_update_block(d, row, sigma_.data(), si, b0, b1);
-    r.fold(d, off, b0, b1);
-  }
+  model_->with_dense_rows([&](const auto* w) {
+    const auto* row = w + std::size_t{i} * n;
+    const std::int8_t* sg = sigma_.data();
+    const std::int8_t sx = sign_mask(si);
+    for (std::size_t b0 = 0; b0 < n; b0 += kScanBlock) {
+      const std::size_t b1 = std::min(n, b0 + kScanBlock);
+      r.fold(off ? dense_flip_block<true>(d, row, sg, sx, off, b0, b1)
+                 : dense_flip_block<false>(d, row, sg, sx, off, b0, b1),
+             b0);
+    }
+  });
   return {finish_scan(d, r.mn, r.mx, r.mn_block), r.masked,
           off ? r.masked_word(d, off, n) : 0};
 }

@@ -14,18 +14,19 @@
 // a contiguous row stream on the dense backend, a CSR gather on the sparse
 // one.  scan() is the CPU equivalent of the paper's GPU Step 1: a blocked
 // min/argmin/max reduction over Delta that opportunistically improves BEST.
-// flip_and_scan() fuses Step 3 of one iteration with Step 1 of the next,
-// block by block on the dense backend so each Delta block is reduced while
-// still cache-hot.  Their masked overloads also reduce the straight walk's
+// flip_and_scan() fuses Step 3 of one iteration with Step 1 of the next;
+// on the dense backend one pass per block stores each new Delta and folds
+// it into the reduction, so Delta is read once per flip.  Their masked overloads also reduce the straight walk's
 // Step 2 in the same pass (MaskedScan), so the walk never re-reads Delta.
 //
 // Width: Delta is stored at the model's DeltaWidth — int16 when
-// QuboModel::delta_bound() <= INT16_MAX (the dense rows are int16 then
-// too), int64 otherwise — and E is always int64.  Every stored Delta is a
-// true Delta of the current X, so it is bounded by delta_bound() and both
-// widths are exact: every backend, width and kernel variant is
-// bit-identical.  The kernels are written once over the element type and
-// dispatched once per call.
+// QuboModel::delta_bound() <= INT16_MAX, int64 otherwise — and E is always
+// int64.  The dense rows are read at the model's own RowWidth (int8, int16
+// or int32), each element widened to the Delta width in the kernel.  Every
+// stored Delta is a true Delta of the current X, so it is bounded by
+// delta_bound() and every width is exact: every backend, width pair and
+// kernel variant is bit-identical.  The kernels are written once over the
+// element types and dispatched once per call.
 #pragma once
 
 #include <cstddef>
@@ -112,9 +113,8 @@ class SearchState {
   void flip(VarIndex i);
 
   /// Fused Step 3 + Step 1: flip(i) followed by scan(), except the dense
-  /// backend interleaves the Delta update and the reduction block by block
-  /// so the deltas are reduced while still in cache.  Exactly equivalent to
-  /// `flip(i); return scan();`.
+  /// backend reduces each Delta in the same pass that stores it.  Exactly
+  /// equivalent to `flip(i); return scan();`.
   ScanResult flip_and_scan(VarIndex i);
 
   /// Total flips since construction or the last reset.
@@ -148,8 +148,8 @@ class SearchState {
 
  private:
   /// Reduction block width: big enough to amortize the per-block argmin
-  /// bookkeeping, small enough that a fused dense block (weights + deltas)
-  /// stays resident in L1/L2.
+  /// bookkeeping, small enough that the first block attaining the minimum,
+  /// re-read for its first occurrence, is still in L1/L2.
   static constexpr std::size_t kScanBlock = 1024;
 
   /// Calls f with the Delta array at its storage width (int16_t* or

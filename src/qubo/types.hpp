@@ -41,14 +41,34 @@ inline constexpr const char* to_string(QuboBackend b) noexcept {
   return "?";
 }
 
-/// Storage width of the scalar flip kernel, chosen once per model from its
-/// worst-case |Delta| (QuboModel::delta_bound()): kInt16 stores Delta and
-/// the dense rows as int16, kInt64 stores Delta as int64 and the dense
-/// rows as int32.  Both are exact, so the choice never changes a result.
+/// Storage width of the scalar flip kernel's Delta array, chosen once per
+/// model from its worst-case |Delta| (QuboModel::delta_bound()): kInt16
+/// when it fits int16, kInt64 otherwise.  Both are exact, so the choice
+/// never changes a result.
 enum class DeltaWidth : std::uint8_t { kInt16, kInt64 };
 
 inline constexpr const char* to_string(DeltaWidth w) noexcept {
   return w == DeltaWidth::kInt16 ? "int16" : "int64";
+}
+
+/// Storage width of a dense model's rows, chosen once per model from its
+/// largest off-diagonal |W_ij|, independently of DeltaWidth: the narrowest
+/// of int8, int16 and int32 that holds it.  Each width excludes its own
+/// lowest value (-128, INT16_MIN, INT32_MIN), so every stored weight can be
+/// negated in place.  The kernels widen each element to the Delta width,
+/// so every (Delta, row) pair is exact.
+enum class RowWidth : std::uint8_t { kInt8, kInt16, kInt32 };
+
+inline constexpr const char* to_string(RowWidth w) noexcept {
+  switch (w) {
+    case RowWidth::kInt8:
+      return "int8";
+    case RowWidth::kInt16:
+      return "int16";
+    case RowWidth::kInt32:
+      return "int32";
+  }
+  return "?";
 }
 
 }  // namespace dabs

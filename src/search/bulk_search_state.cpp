@@ -19,21 +19,34 @@ constexpr std::size_t kChunkMax = BulkSearchState::kMaxChunk;
 /// Rank-B dense pass (the compute-bound core): for every k, accumulate the
 /// B chunk rows weighted by the k-independent lane factors h, then fold in
 /// sigma_k once.  B is a compile-time constant so the b-loop unrolls and
-/// the r-loop vectorizes across the 64 contiguous lanes.
-template <typename DeltaT, typename WeightT, int B>
-void dense_chunk_pass(std::size_t n, const WeightT* const* rows,
+/// the r-loop vectorizes across the 64 contiguous lanes.  The rows arrive
+/// at the model's RowWidth; each tile of them is first widened to DeltaT
+/// in L1, so the inner loop broadcasts lane-width weights from memory (a
+/// per-element widen there costs about 15% in BM_BulkFlipK2000).
+template <typename DeltaT, typename RowT, int B>
+void dense_chunk_pass(std::size_t n, const RowT* const* rows,
                       const DeltaT* h, DeltaT* __restrict d,
                       const DeltaT* __restrict s) {
-  for (std::size_t k = 0; k < n; ++k) {
-    DeltaT* __restrict dk = d + k * kLanes;
-    const DeltaT* __restrict sk = s + k * kLanes;
-    for (std::size_t r = 0; r < kLanes; ++r) {
-      DeltaT acc = 0;
-      for (int b = 0; b < B; ++b) {
-        acc = static_cast<DeltaT>(
-            acc + static_cast<DeltaT>(rows[b][k] * h[b * kLanes + r]));
+  constexpr std::size_t kTile = 128;
+  alignas(64) DeltaT wt[B][kTile];
+  for (std::size_t k0 = 0; k0 < n; k0 += kTile) {
+    const std::size_t len = std::min(kTile, n - k0);
+    for (int b = 0; b < B; ++b) {
+      for (std::size_t t = 0; t < len; ++t) {
+        wt[b][t] = static_cast<DeltaT>(rows[b][k0 + t]);
       }
-      dk[r] = static_cast<DeltaT>(dk[r] + static_cast<DeltaT>(acc * sk[r]));
+    }
+    for (std::size_t t = 0; t < len; ++t) {
+      DeltaT* __restrict dk = d + (k0 + t) * kLanes;
+      const DeltaT* __restrict sk = s + (k0 + t) * kLanes;
+      for (std::size_t r = 0; r < kLanes; ++r) {
+        DeltaT acc = 0;
+        for (int b = 0; b < B; ++b) {
+          acc = static_cast<DeltaT>(
+              acc + static_cast<DeltaT>(wt[b][t] * h[b * kLanes + r]));
+        }
+        dk[r] = static_cast<DeltaT>(dk[r] + static_cast<DeltaT>(acc * sk[r]));
+      }
     }
   }
 }
@@ -151,9 +164,10 @@ class BulkEngine {
 template <typename DeltaT>
 class BulkEngineImpl final : public BulkEngine {
   // int16 lanes read same-width weights so the multiply-accumulate stays
-  // in one vector width end to end: the model's own int16 dense rows, or
-  // an int16 copy of the CSR values.  The wider engines run only on models
-  // whose bound exceeds int16, whose dense rows are int32.
+  // in one vector width end to end: an int16 copy of the CSR values, and
+  // dense rows widened tile by tile (dense_chunk_pass).  The wider engines
+  // run only on models whose bound exceeds int16 and read the int32 CSR
+  // values.
   using WeightT =
       std::conditional_t<std::is_same_v<DeltaT, std::int16_t>, std::int16_t,
                          Weight>;
@@ -273,13 +287,8 @@ class BulkEngineImpl final : public BulkEngine {
     std::span<const std::uint64_t> masks;
     std::span<std::uint64_t> applied;
     std::size_t chunk = 0;                     // B
-    const WeightT* rows[kChunkMax] = {};       // dense backend only
     Weight wc[kChunkMax][kChunkMax] = {};      // chunk x chunk couplings
   };
-
-  const WeightT* dense_row_ptr(VarIndex i) const {
-    return model_->dense_row<WeightT>(i);
-  }
 
   std::span<const WeightT> csr_row_weights(VarIndex i) const {
     if constexpr (std::is_same_v<DeltaT, std::int16_t>) {
@@ -298,20 +307,25 @@ class BulkEngineImpl final : public BulkEngine {
                "lane mask span size mismatch");
     DABS_CHECK(applied.empty() || applied.size() == lane_masks.size(),
                "applied span size mismatch");
-    ChunkContext ctx{idx, lane_masks, applied, chunk, {}, {}};
+    ChunkContext ctx{idx, lane_masks, applied, chunk, {}};
     for (std::size_t p = 0; p < chunk; ++p) {
       DABS_CHECK(idx[p] < n_, "flip index out of range");
       for (std::size_t c = 0; c < p; ++c) {
         DABS_CHECK(idx[c] != idx[p], "chunk indices must be distinct");
       }
-      if (model_->has_dense_rows()) ctx.rows[p] = dense_row_ptr(idx[p]);
+    }
+    // Dense rows give O(1) chunk couplings; the CSR fallback's O(deg)
+    // lookup is cheap on the sparse models it serves.
+    const auto coupling = [&](VarIndex i, VarIndex j) {
+      return model_->has_dense_rows()
+                 ? model_->with_dense_rows([&](const auto* w) {
+                     return static_cast<Weight>(w[std::size_t{i} * n_ + j]);
+                   })
+                 : model_->weight(i, j);
+    };
+    for (std::size_t p = 0; p < chunk; ++p) {
       for (std::size_t c = 0; c < chunk; ++c) {
-        // Dense rows give O(1) chunk couplings; the CSR fallback's O(deg)
-        // lookup is cheap on the sparse models it serves.
-        ctx.wc[p][c] = p == c              ? 0
-                       : ctx.rows[p] != nullptr
-                           ? static_cast<Weight>(ctx.rows[p][idx[c]])
-                           : model_->weight(idx[p], idx[c]);
+        ctx.wc[p][c] = p == c ? 0 : coupling(idx[p], idx[c]);
       }
     }
     return ctx;
@@ -415,7 +429,7 @@ class BulkEngineImpl final : public BulkEngine {
     }
 
     if (model_->has_dense_rows()) {
-      dispatch_dense_pass(B, ctx.rows, &hv[0][0], d, s);
+      dense_pass(B, ctx.idx, &hv[0][0], d, s);
     } else {
       for (std::size_t p = 0; p < B; ++p) {
         if (masks[p] == 0) continue;
@@ -462,17 +476,33 @@ class BulkEngineImpl final : public BulkEngine {
     }
   }
 
-  void dispatch_dense_pass(std::size_t B, const WeightT* const* rows,
-                           const DeltaT* h, DeltaT* d, const DeltaT* s) {
+  /// The rank-B pass at the model's row width.  Kept out of line:
+  /// inlining its three row-width instantiations into chunk_block slowed
+  /// the code around them by about 10% (BM_BulkFlipK2000, CSR and dense).
+  [[gnu::noinline]] void dense_pass(std::size_t B,
+                                    std::span<const VarIndex> idx,
+                                    const DeltaT* h, DeltaT* d,
+                                    const DeltaT* s) {
+    model_->with_dense_rows(
+        [&](const auto* w) { dispatch_dense_pass(B, w, idx, h, d, s); });
+  }
+
+  /// w is the dense matrix at its stored width (with_dense_rows).
+  template <typename RowT>
+  void dispatch_dense_pass(std::size_t B, const RowT* w,
+                           std::span<const VarIndex> idx, const DeltaT* h,
+                           DeltaT* d, const DeltaT* s) {
+    const RowT* rows[kChunkMax] = {};
+    for (std::size_t p = 0; p < B; ++p) rows[p] = w + std::size_t{idx[p]} * n_;
     switch (B) {
-      case 1: dense_chunk_pass<DeltaT, WeightT, 1>(n_, rows, h, d, s); break;
-      case 2: dense_chunk_pass<DeltaT, WeightT, 2>(n_, rows, h, d, s); break;
-      case 3: dense_chunk_pass<DeltaT, WeightT, 3>(n_, rows, h, d, s); break;
-      case 4: dense_chunk_pass<DeltaT, WeightT, 4>(n_, rows, h, d, s); break;
-      case 5: dense_chunk_pass<DeltaT, WeightT, 5>(n_, rows, h, d, s); break;
-      case 6: dense_chunk_pass<DeltaT, WeightT, 6>(n_, rows, h, d, s); break;
-      case 7: dense_chunk_pass<DeltaT, WeightT, 7>(n_, rows, h, d, s); break;
-      case 8: dense_chunk_pass<DeltaT, WeightT, 8>(n_, rows, h, d, s); break;
+      case 1: dense_chunk_pass<DeltaT, RowT, 1>(n_, rows, h, d, s); break;
+      case 2: dense_chunk_pass<DeltaT, RowT, 2>(n_, rows, h, d, s); break;
+      case 3: dense_chunk_pass<DeltaT, RowT, 3>(n_, rows, h, d, s); break;
+      case 4: dense_chunk_pass<DeltaT, RowT, 4>(n_, rows, h, d, s); break;
+      case 5: dense_chunk_pass<DeltaT, RowT, 5>(n_, rows, h, d, s); break;
+      case 6: dense_chunk_pass<DeltaT, RowT, 6>(n_, rows, h, d, s); break;
+      case 7: dense_chunk_pass<DeltaT, RowT, 7>(n_, rows, h, d, s); break;
+      case 8: dense_chunk_pass<DeltaT, RowT, 8>(n_, rows, h, d, s); break;
       default: DABS_CHECK(false, "chunk size out of range");
     }
   }
@@ -546,7 +576,7 @@ std::unique_ptr<BulkEngine> make_engine(const QuboModel& model,
   // sums, per-chunk replays) is a true Delta of some reachable state or a
   // partial row sum, so delta_bound() bounds it.  An int16-width model
   // whose rows are dense has n <= 8192 (the dense budget), so it always
-  // lands on the int16 engine that reads its int16 rows.
+  // lands on the int16 engine.
   const std::uint64_t bound = model.delta_bound();
   if (model.delta_width() == DeltaWidth::kInt16 && model.size() <= 32767) {
     return std::make_unique<BulkEngineImpl<std::int16_t>>(model, replicas);

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/dabs_solver.hpp"
 #include "qubo/qubo_builder.hpp"
@@ -45,14 +48,16 @@ TEST_P(BackendEquivalence, DenseRowsMatchCsrWeights) {
   const QuboModel a = csr(), b = dense();
   ASSERT_EQ(a.size(), b.size());
   const auto n = static_cast<VarIndex>(a.size());
-  // Weights in [-9, 9] on at most 129 variables: stored at int16.
-  ASSERT_EQ(b.delta_width(), DeltaWidth::kInt16);
-  for (VarIndex i = 0; i < n; ++i) {
-    const std::int16_t* row = b.dense_row<std::int16_t>(i);
-    for (VarIndex j = 0; j < n; ++j) {
-      EXPECT_EQ(row[j], i == j ? 0 : a.weight(i, j)) << i << "," << j;
+  // Weights in [-9, 9]: the rows are stored at int8.
+  ASSERT_EQ(b.row_width(), RowWidth::kInt8);
+  b.with_dense_rows([&](const auto* w) {
+    for (VarIndex i = 0; i < n; ++i) {
+      for (VarIndex j = 0; j < n; ++j) {
+        EXPECT_EQ(Weight{w[std::size_t{i} * n + j]}, i == j ? 0 : a.weight(i, j))
+            << i << "," << j;
+      }
     }
-  }
+  });
 }
 
 TEST_P(BackendEquivalence, EnergyAndDeltaAllAreBitIdentical) {
@@ -128,6 +133,140 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, BackendEquivalence,
     ::testing::Combine(::testing::Values(2, 33, 63, 64, 65, 100, 129),
                        ::testing::Values(0.1, 0.5, 1.0)));
+
+// ---------------------------------------------------------------------------
+// Every (Delta width, row width) pair the builder produces, dense against
+// CSR.  An int16 Delta bounds every |W_ij| by INT16_MAX, so int16 Delta
+// never meets int32 rows; int64 Delta over int8 rows comes from one large
+// diagonal.  n = 1100 spans two scan blocks and ends mid-word.
+struct WidthPair {
+  const char* name;
+  DeltaWidth delta;
+  RowWidth rows;
+  Weight lo, hi;  // |W_ij| is drawn from [lo, hi], its sign at random
+  double density;
+  Weight heavy;   // added to W_00
+};
+
+const WidthPair kWidthPairs[] = {
+    {"d16_r8", DeltaWidth::kInt16, RowWidth::kInt8, 1, 9, 0.5, 0},
+    {"d16_r16", DeltaWidth::kInt16, RowWidth::kInt16, 128, 160, 0.1, 0},
+    {"d64_r8", DeltaWidth::kInt64, RowWidth::kInt8, 1, 9, 0.5, 40000},
+    {"d64_r16", DeltaWidth::kInt64, RowWidth::kInt16, 128, 1000, 0.5, 40000},
+    {"d64_r32", DeltaWidth::kInt64, RowWidth::kInt32, 40000, 1 << 20, 0.5,
+     0},
+};
+
+QuboModel width_pair_model(const WidthPair& p, std::size_t n,
+                           QuboBackend backend) {
+  Rng rng(4100 + n);
+  QuboBuilder b(n);
+  b.set_backend(backend);
+  const auto draw = [&] {
+    const auto w = static_cast<Weight>(
+        p.lo + static_cast<Weight>(rng.next_index(
+                   static_cast<std::size_t>(p.hi - p.lo) + 1)));
+    return rng.next_bit() ? w : -w;
+  };
+  b.add_linear(0, p.heavy);
+  for (VarIndex i = 0; i < n; ++i) {
+    b.add_linear(i, static_cast<Weight>(rng.next_index(19)) - 9);
+    for (VarIndex j = i + 1; j < n; ++j) {
+      if (rng.next_unit() < p.density) b.add_quadratic(i, j, draw());
+    }
+  }
+  return b.build();
+}
+
+/// off[k] for the walk's masked scans: D's lowest value marks a candidate.
+template <class D>
+std::vector<D> random_off(std::size_t n, Rng& rng) {
+  std::vector<D> off(n);
+  for (D& o : off) {
+    o = rng.next_bit() ? std::numeric_limits<D>::min()
+                       : std::numeric_limits<D>::max();
+  }
+  return off;
+}
+
+template <class D>
+void expect_same_kernels(const QuboModel& a, const QuboModel& b) {
+  const std::size_t n = a.size();
+  Rng rng(n * 37 + 3);
+  for (int trial = 0; trial < 3; ++trial) {
+    const BitVector x = random_solution(n, rng);
+    ASSERT_EQ(a.energy(x), b.energy(x));
+    std::vector<Energy> da, db;
+    a.delta_all(x, da);
+    b.delta_all(x, db);
+    ASSERT_EQ(da, db);
+  }
+  SearchState sa(a), sb(b);
+  const BitVector start = random_solution(n, rng);
+  sa.reset_to(start);
+  sb.reset_to(start);
+  for (int step = 0; step < 300; ++step) {
+    SCOPED_TRACE(step);
+    const auto i = static_cast<VarIndex>(rng.next_index(n));
+    switch (step % 3) {
+      case 0:
+        sa.flip(i);
+        sb.flip(i);
+        break;
+      case 1: {
+        const ScanResult ra = sa.flip_and_scan(i);
+        const ScanResult rb = sb.flip_and_scan(i);
+        ASSERT_EQ(ra.min_delta, rb.min_delta);
+        ASSERT_EQ(ra.max_delta, rb.max_delta);
+        ASSERT_EQ(ra.argmin, rb.argmin);
+        break;
+      }
+      default: {
+        const std::vector<D> off = random_off<D>(n, rng);
+        const MaskedScan ra = sa.flip_and_scan(i, std::span<const D>(off));
+        const MaskedScan rb = sb.flip_and_scan(i, std::span<const D>(off));
+        ASSERT_EQ(ra.scan.min_delta, rb.scan.min_delta);
+        ASSERT_EQ(ra.scan.max_delta, rb.scan.max_delta);
+        ASSERT_EQ(ra.scan.argmin, rb.scan.argmin);
+        ASSERT_EQ(ra.masked_min, rb.masked_min);
+        ASSERT_EQ(ra.word, rb.word);
+      }
+    }
+    ASSERT_EQ(sa.energy(), sb.energy());
+    ASSERT_EQ(sa.best_energy(), sb.best_energy());
+  }
+  EXPECT_EQ(sa.solution(), sb.solution());
+  EXPECT_EQ(sa.best(), sb.best());
+  for (VarIndex k = 0; k < n; ++k) {
+    ASSERT_EQ(sa.delta(k), sb.delta(k)) << "k=" << k;
+  }
+}
+
+class RowWidthPairs
+    : public ::testing::TestWithParam<std::tuple<WidthPair, std::size_t>> {};
+
+TEST_P(RowWidthPairs, DenseMatchesCsr) {
+  const auto [pair, n] = GetParam();
+  const QuboModel csr = width_pair_model(pair, n, QuboBackend::kCsr);
+  const QuboModel dense = width_pair_model(pair, n, QuboBackend::kDense);
+  ASSERT_EQ(dense.delta_width(), pair.delta);
+  ASSERT_EQ(dense.row_width(), pair.rows);
+  ASSERT_TRUE(dense.has_dense_rows());
+  if (pair.delta == DeltaWidth::kInt16) {
+    expect_same_kernels<std::int16_t>(csr, dense);
+  } else {
+    expect_same_kernels<Energy>(csr, dense);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPairs, RowWidthPairs,
+    ::testing::Combine(::testing::ValuesIn(kWidthPairs),
+                       ::testing::Values(std::size_t{65}, std::size_t{1100})),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).name) + "_n" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(BackendSelection, AutoPicksDenseAboveThresholdAndCsrBelow) {
   const QuboModel dense = random_model(40, 1.0, 5, 1);

@@ -205,6 +205,25 @@ TEST(BulkSearchState, BitExactOnDenserModel) {
   h.run_script(7, 30);
 }
 
+TEST(BulkSearchState, BitExactOverEveryRowReading) {
+  // The rank-B pass reads a chunk's dense rows in place when they are
+  // stored at the lane width and through a widened per-chunk copy
+  // otherwise.  x1 gives int16 lanes over int8 rows (copied), x128 int16
+  // lanes over int16 rows (in place), x1000 int32 lanes over int16 rows
+  // (copied).
+  for (const Weight scale : {1, 128, 1000}) {
+    SCOPED_TRACE(scale);
+    const QuboModel m =
+        random_model(64, 0.3, 9, 46, QuboBackend::kDense, scale);
+    ASSERT_EQ(m.row_width(), scale == 1 ? RowWidth::kInt8 : RowWidth::kInt16);
+    ASSERT_EQ(m.delta_width(),
+              scale == 1000 ? DeltaWidth::kInt64 : DeltaWidth::kInt16);
+    Harness h(m, 65);
+    h.run_script(10, 25);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 TEST(BulkSearchState, Int32DeltaPathIsExact) {
   // Weights up to 1e5 push the worst-case |Delta| bound past int16.
   const QuboModel m = random_model(80, 0.5, 100000, 44, QuboBackend::kDense);

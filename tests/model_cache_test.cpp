@@ -45,21 +45,40 @@ TEST(ModelCache, ApproximateBytesCoversArrays) {
 }
 
 TEST(ModelCache, ApproximateBytesChargesDenseRowsAtTheirWidth) {
-  // The same dense structure stored at int16 and, scaled past the int16
-  // bound, at int32: the charge is the model's own footprint and differs
+  // The same dense structure stored at int8 and, scaled past the int16
+  // range, at int32: the charge is the model's own footprint and differs
   // by exactly the n x n matrix width.
   const std::size_t n = 40;
   const QuboModel narrow =
       testing::random_model(n, 0.9, 5, 4, QuboBackend::kDense);
   const QuboModel wide =
       testing::random_model(n, 0.9, 5, 4, QuboBackend::kDense, 1 << 20);
-  ASSERT_EQ(narrow.delta_width(), DeltaWidth::kInt16);
-  ASSERT_EQ(wide.delta_width(), DeltaWidth::kInt64);
+  ASSERT_EQ(narrow.row_width(), RowWidth::kInt8);
+  ASSERT_EQ(wide.row_width(), RowWidth::kInt32);
   EXPECT_EQ(ModelCache::approximate_bytes(narrow), narrow.memory_bytes());
   EXPECT_EQ(ModelCache::approximate_bytes(wide), wide.memory_bytes());
   EXPECT_EQ(ModelCache::approximate_bytes(wide) -
                 ModelCache::approximate_bytes(narrow),
-            n * n * (sizeof(Weight) - sizeof(std::int16_t)));
+            n * n * (sizeof(Weight) - sizeof(std::int8_t)));
+}
+
+TEST(ModelCache, Int8RowsAreChargedHalfTheInt16Matrix) {
+  // A +-1 model and its x128 copy: the same structure and Delta width,
+  // rows stored at int8 and at int16.  Over the CSR-only footprint, the
+  // int8 model is charged exactly half the int16 one.
+  const std::size_t n = 64;
+  const QuboModel int8_rows =
+      testing::random_model(n, 0.9, 1, 5, QuboBackend::kDense);
+  const QuboModel int16_rows =
+      testing::random_model(n, 0.9, 1, 5, QuboBackend::kDense, 128);
+  const QuboModel csr = testing::random_model(n, 0.9, 1, 5, QuboBackend::kCsr);
+  ASSERT_EQ(int8_rows.row_width(), RowWidth::kInt8);
+  ASSERT_EQ(int16_rows.row_width(), RowWidth::kInt16);
+  ASSERT_EQ(int16_rows.delta_width(), int8_rows.delta_width());
+  const std::size_t base = ModelCache::approximate_bytes(csr);
+  EXPECT_EQ(ModelCache::approximate_bytes(int8_rows) - base, n * n);
+  EXPECT_EQ(ModelCache::approximate_bytes(int16_rows) - base,
+            2 * (ModelCache::approximate_bytes(int8_rows) - base));
 }
 
 TEST(ModelCache, InternDedupesEqualContent) {

@@ -33,6 +33,37 @@ TEST(MaxCut, CutValueCountsCrossingEdges) {
   EXPECT_EQ(inst.cut_value(BitVector(4)), 0);
 }
 
+TEST(MaxCut, CutValueMatchesTheBranchyLoop) {
+  // cut_value adds each edge's weight under a mask; the reference branches
+  // per edge.  Weights span +-w and zero, endpoints repeat, and the
+  // partitions include all-zero and all-one.
+  Rng rng(17);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(trial);
+    pr::MaxCutInstance inst;
+    inst.n = 1 + rng.next_index(150);
+    const std::size_t m = rng.next_index(4 * inst.n + 1);
+    for (std::size_t t = 0; t < m; ++t) {
+      const auto u = static_cast<VarIndex>(rng.next_index(inst.n));
+      const auto v = static_cast<VarIndex>(rng.next_index(inst.n));
+      const Weight big = trial % 4 == 0 ? 1 << 20 : 5;
+      const auto w = static_cast<Weight>(
+          static_cast<Weight>(rng.next_index(2 * big + 1)) - big);
+      inst.edges.push_back({u, v, t % 7 == 0 ? 0 : w});
+    }
+    for (int p = 0; p < 8; ++p) {
+      BitVector x = testing::random_solution(inst.n, rng);
+      if (p == 0) x = BitVector(inst.n);
+      if (p == 1) x.fill(true);
+      Energy want = 0;
+      for (const pr::WeightedEdge& e : inst.edges) {
+        if (x.get(e.u) != x.get(e.v)) want += e.w;
+      }
+      EXPECT_EQ(inst.cut_value(x), want);
+    }
+  }
+}
+
 TEST(MaxCut, EnergyEqualsNegativeCutForAllAssignments) {
   const auto inst = tiny_instance();
   const QuboModel m = pr::maxcut_to_qubo(inst);

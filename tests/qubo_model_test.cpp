@@ -112,13 +112,9 @@ TEST(QuboBuilder, MatchesReferenceCoalescer) {
       if (m.has_dense_rows()) {
         std::vector<Weight> dense(n, 0);
         for (const auto& [j, w] : rows[i]) dense[j] = w;
-        if (m.delta_width() == DeltaWidth::kInt16) {
-          EXPECT_TRUE(std::equal(dense.begin(), dense.end(),
-                                 m.dense_row<std::int16_t>(i)));
-        } else {
-          EXPECT_TRUE(std::equal(dense.begin(), dense.end(),
-                                 m.dense_row<Weight>(i)));
-        }
+        m.with_dense_rows([&](const auto* w) {
+          EXPECT_TRUE(std::equal(dense.begin(), dense.end(), w + i * n));
+        });
       }
     }
     EXPECT_EQ(m.delta_bound(), bound);
@@ -253,8 +249,9 @@ TEST(QuboModel, DeltaBoundIsTheLargestFlipBound) {
 }
 
 TEST(QuboModel, WidthSwitchesAboveInt16Max) {
-  // Row 0 sums |2| + |-5| + |W_00|; the bound decides the width exactly at
-  // INT16_MAX, and the dense matrix is stored once at that width.
+  // Row 0 sums |2| + |-5| + |W_00|; the bound decides the Delta width
+  // exactly at INT16_MAX.  The rows hold only |W_ij| <= 5, so the dense
+  // matrix is stored once at int8 on both sides of that bound.
   constexpr Weight kMax16 = std::numeric_limits<std::int16_t>::max();
   for (const Weight extra : {0, 1}) {
     QuboBuilder b(3);
@@ -263,18 +260,70 @@ TEST(QuboModel, WidthSwitchesAboveInt16Max) {
     b.set_backend(QuboBackend::kDense);
     const QuboModel m = b.build();
     EXPECT_EQ(m.delta_bound(), static_cast<std::uint64_t>(kMax16 + extra));
-    const bool narrow = extra == 0;
     EXPECT_EQ(m.delta_width(),
-              narrow ? DeltaWidth::kInt16 : DeltaWidth::kInt64);
-    const std::size_t row_bytes = narrow ? 2 : 4;
+              extra == 0 ? DeltaWidth::kInt16 : DeltaWidth::kInt64);
+    EXPECT_EQ(m.row_width(), RowWidth::kInt8);
     QuboBuilder csr(3);
     csr.add_linear(0, -(kMax16 - 7 + extra));
     csr.add_quadratic(0, 1, 2).add_quadratic(0, 2, -5);
     csr.set_backend(QuboBackend::kCsr);
-    EXPECT_EQ(m.memory_bytes() - csr.build().memory_bytes(), 9 * row_bytes);
-    const Weight w01 = narrow ? m.dense_row<std::int16_t>(0)[1]
-                              : m.dense_row<Weight>(0)[1];
-    EXPECT_EQ(w01, 2);
+    EXPECT_EQ(m.memory_bytes() - csr.build().memory_bytes(), 9u);
+    m.with_dense_rows([](const auto* w) { EXPECT_EQ(Weight{w[1]}, 2); });
+  }
+}
+
+TEST(QuboModel, RowWidthIsTheNarrowestHoldingEveryCoupling) {
+  // The largest off-diagonal |W_ij| decides: 127 fits int8, 128 and -128
+  // do not (int8 excludes its lowest value, so a weight negates in place);
+  // likewise 32767 / 32768 / -32768 at int16.  A diagonal far past every
+  // bound never counts.
+  struct Case {
+    Weight w;
+    RowWidth want;
+    std::size_t bytes;
+  };
+  constexpr Weight kMax16 = std::numeric_limits<std::int16_t>::max();
+  for (const Case& c : {Case{127, RowWidth::kInt8, 1},
+                        Case{-127, RowWidth::kInt8, 1},
+                        Case{128, RowWidth::kInt16, 2},
+                        Case{-128, RowWidth::kInt16, 2},
+                        Case{kMax16, RowWidth::kInt16, 2},
+                        Case{-kMax16, RowWidth::kInt16, 2},
+                        Case{kMax16 + 1, RowWidth::kInt32, 4},
+                        Case{-kMax16 - 1, RowWidth::kInt32, 4}}) {
+    SCOPED_TRACE(c.w);
+    for (const QuboBackend backend : {QuboBackend::kDense,
+                                      QuboBackend::kCsr}) {
+      QuboBuilder b(3);
+      b.add_linear(1, std::numeric_limits<Weight>::min());
+      b.add_quadratic(0, 1, c.w).add_quadratic(1, 2, -1);
+      b.set_backend(backend);
+      const QuboModel m = b.build();
+      EXPECT_EQ(m.row_width(), c.want);
+      EXPECT_EQ(m.delta_width(), DeltaWidth::kInt64);
+      if (backend == QuboBackend::kCsr) {
+        EXPECT_EQ(m.describe().find("rows="), std::string::npos);
+        continue;
+      }
+      EXPECT_NE(m.describe().find(std::string("rows=") + to_string(c.want)),
+                std::string::npos);
+      QuboBuilder csr(3);
+      csr.add_linear(1, std::numeric_limits<Weight>::min());
+      csr.add_quadratic(0, 1, c.w).add_quadratic(1, 2, -1);
+      csr.set_backend(QuboBackend::kCsr);
+      EXPECT_EQ(m.memory_bytes() - csr.build().memory_bytes(), 9 * c.bytes);
+      m.with_dense_rows([&](const auto* w) {
+        EXPECT_EQ(sizeof(*w), c.bytes);
+        EXPECT_EQ(Weight{w[1]}, c.w);  // W_01
+        EXPECT_EQ(Weight{w[3]}, c.w);  // W_10
+        EXPECT_EQ(Weight{w[4]}, 0);    // the diagonal slot
+        EXPECT_EQ(Weight{w[5]}, -1);   // W_12
+      });
+      BitVector ones(3);
+      ones.fill(true);
+      EXPECT_EQ(m.energy(ones), Energy{std::numeric_limits<Weight>::min()} +
+                                    c.w - 1);
+    }
   }
 }
 

@@ -767,17 +767,42 @@ INSTANTIATE_TEST_SUITE_P(
 // power-of-two scale keeps exact), so both must make the same flips: the
 // same solutions, flip clock, generator state and tabu clock, with every
 // energy differing by exactly the scale.
-void expect_scaled_walk(const Side& narrow, const Side& wide) {
+void expect_scaled_walk(const Side& narrow, const Side& wide, Weight scale) {
   EXPECT_EQ(narrow.state.solution(), wide.state.solution());
-  EXPECT_EQ(narrow.state.energy() * kWideScale, wide.state.energy());
+  EXPECT_EQ(narrow.state.energy() * scale, wide.state.energy());
   EXPECT_EQ(narrow.state.best(), wide.state.best());
-  EXPECT_EQ(narrow.state.best_energy() * kWideScale,
-            wide.state.best_energy());
+  EXPECT_EQ(narrow.state.best_energy() * scale, wide.state.best_energy());
   EXPECT_EQ(narrow.state.flip_count(), wide.state.flip_count());
   EXPECT_EQ(narrow.rng.state(), wide.rng.state());
   const std::size_t n = narrow.state.size();
   EXPECT_EQ(tabu_clock(narrow.tabu, n, narrow.state.flip_count()),
             tabu_clock(wide.tabu, n, wide.state.flip_count()));
+}
+
+/// Three rounds of one batch's phases by hand on m and on its copy scaled
+/// by `scale`: walk, greedy, then main search `id` at three lengths.
+void expect_same_flips(const QuboModel& m, const QuboModel& scaled,
+                       Weight scale, MainSearch id) {
+  Rng start_rng(46);
+  const BitVector start = random_solution(m.size(), start_rng);
+  Side narrow(m, start, 47, 8), wide(scaled, start, 47, 8);
+  expect_scaled_walk(narrow, wide, scale);
+  auto algo_narrow = make_search_algorithm(id);
+  auto algo_wide = make_search_algorithm(id);
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    const BitVector target = random_solution(m.size(), start_rng);
+    EXPECT_EQ(straight_walk(narrow.state, target),
+              straight_walk(wide.state, target));
+    expect_scaled_walk(narrow, wide, scale);
+    EXPECT_EQ(greedy_descent(narrow.state), greedy_descent(wide.state));
+    expect_scaled_walk(narrow, wide, scale);
+    for (const std::uint64_t T : {1u, 17u, 130u}) {
+      algo_narrow->run(narrow.state, narrow.rng, &narrow.tabu, T);
+      algo_wide->run(wide.state, wide.rng, &wide.tabu, T);
+      expect_scaled_walk(narrow, wide, scale);
+    }
+  }
 }
 
 using WidthParam = std::tuple<MainSearch, QuboBackend>;
@@ -792,27 +817,7 @@ TEST_P(WidthEquivalence, ScaledModelMakesTheSameFlips) {
       random_model(130, density, 9, 2200, backend, kWideScale);
   ASSERT_EQ(m.delta_width(), DeltaWidth::kInt16);
   ASSERT_EQ(scaled.delta_width(), DeltaWidth::kInt64);
-  Rng start_rng(46);
-  const BitVector start = random_solution(m.size(), start_rng);
-  Side narrow(m, start, 47, 8), wide(scaled, start, 47, 8);
-  expect_scaled_walk(narrow, wide);
-  auto algo_narrow = make_search_algorithm(id);
-  auto algo_wide = make_search_algorithm(id);
-  // One batch's phases by hand: walk, greedy, then the main search.
-  for (int round = 0; round < 3; ++round) {
-    SCOPED_TRACE(round);
-    const BitVector target = random_solution(m.size(), start_rng);
-    EXPECT_EQ(straight_walk(narrow.state, target),
-              straight_walk(wide.state, target));
-    expect_scaled_walk(narrow, wide);
-    EXPECT_EQ(greedy_descent(narrow.state), greedy_descent(wide.state));
-    expect_scaled_walk(narrow, wide);
-    for (const std::uint64_t T : {1u, 17u, 130u}) {
-      algo_narrow->run(narrow.state, narrow.rng, &narrow.tabu, T);
-      algo_wide->run(wide.state, wide.rng, &wide.tabu, T);
-      expect_scaled_walk(narrow, wide);
-    }
-  }
+  expect_same_flips(m, scaled, kWideScale, id);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -822,6 +827,29 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(to_string(std::get<0>(info.param))) + "_" +
              to_string(std::get<1>(info.param));
     });
+
+// Row-width equivalence.  A dense +-1 model and its x128 copy keep the
+// same int16 Delta width but store their rows at int8 and at int16, so
+// only the row element type of the one dense flip loop differs: both must
+// make the same flips, with every energy differing by exactly 128.
+class RowWidthEquivalence : public ::testing::TestWithParam<MainSearch> {};
+
+TEST_P(RowWidthEquivalence, Int8AndInt16RowsMakeTheSameFlips) {
+  const QuboModel m = random_model(130, 0.5, 1, 2201, QuboBackend::kDense);
+  const QuboModel scaled =
+      random_model(130, 0.5, 1, 2201, QuboBackend::kDense, 128);
+  ASSERT_EQ(m.row_width(), RowWidth::kInt8);
+  ASSERT_EQ(scaled.row_width(), RowWidth::kInt16);
+  ASSERT_EQ(m.delta_width(), DeltaWidth::kInt16);
+  ASSERT_EQ(scaled.delta_width(), DeltaWidth::kInt16);
+  expect_same_flips(m, scaled, 128, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, RowWidthEquivalence,
+                         ::testing::ValuesIn(kAllMainSearches),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
 
 // ---------------------------------------------------------------------------
 // Sentinel edge: at int16 a real Delta can equal INT16_MAX, so no Step-2

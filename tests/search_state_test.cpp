@@ -294,6 +294,38 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{2100}),
                        ::testing::Values(Weight{1}, Weight{1 << 20})));
 
+TEST(SearchState, ScansKeepTheFirstOccurrenceAcrossBlocks) {
+  // n = 2100 spans three 1024-slot scan blocks.  With W_kk = -1 and no
+  // couplings, Delta_k is +1 for a set bit and -1 for a clear one.  Bits
+  // 0..1023 are set except 1000, so the least Delta, -1, first occurs at
+  // 1000 and again at every bit of the later blocks: the argmin and the
+  // walk's masked word must both come from the first block.
+  const std::size_t n = 2100;
+  for (const QuboBackend backend : {QuboBackend::kDense, QuboBackend::kCsr}) {
+    SCOPED_TRACE(to_string(backend));
+    QuboBuilder b(n);
+    for (VarIndex k = 0; k < n; ++k) b.add_linear(k, -1);
+    b.set_backend(backend);
+    const QuboModel m = b.build();
+    ASSERT_EQ(m.backend(), backend);
+    BitVector x(n);
+    for (VarIndex k = 0; k < 1024; ++k) x.set(k, k != 1000);
+    const std::vector<std::int16_t> off(
+        n, std::numeric_limits<std::int16_t>::min());
+    SearchState s(m);
+    s.reset_to(x);
+    EXPECT_EQ(s.scan().argmin, 1000u);
+    EXPECT_EQ(s.scan(std::span<const std::int16_t>(off)).word, 1000u / 64);
+    // Flipping bit 5 (set, Delta +1) keeps the picture.
+    const MaskedScan after =
+        s.flip_and_scan(5, std::span<const std::int16_t>(off));
+    EXPECT_EQ(after.scan.min_delta, -1);
+    EXPECT_EQ(after.scan.argmin, 5u);  // now clear: Delta_5 = -1
+    EXPECT_EQ(after.word, 0u);
+    EXPECT_EQ(s.flip_and_scan(5).argmin, 1000u);
+  }
+}
+
 TEST(SearchState, MaskedScanRejectsAMaskOfTheWrongWidth) {
   const QuboModel m = random_model(20, 0.5, 9, 701);
   ASSERT_EQ(m.delta_width(), DeltaWidth::kInt16);
