@@ -12,7 +12,6 @@
 
 #include "net/http_client.hpp"
 #include "net/job_api.hpp"
-#include "net/shard_router.hpp"
 #include "net/solve_server.hpp"
 #include "obs/metrics.hpp"
 #include "qubo/qubo_builder.hpp"
@@ -137,26 +136,15 @@ BENCHMARK(BM_MetricsOverheadContended)->Threads(1)->Threads(4);
 // ---------------------------------------------------------------------------
 // HTTP solve server: the same pipeline through SolveServer + the wire.
 
-/// One running solve server, single-process or internally sharded, plus
-/// the client plumbing to drive it.  Shards > 1 forks workers, so the
-/// group is constructed before any thread exists in this scope (same
-/// fork-before-threads ordering dabs_cli serve uses).
+/// One running solve server (two solver workers) plus the thread running
+/// its event loop.
 class BenchServer {
  public:
-  explicit BenchServer(std::size_t shards, std::size_t total_workers = 2) {
-    net::JobApi::Config api;
-    api.threads = std::max<std::size_t>(1, total_workers / shards);
-    api.max_events_per_job = 16;
-    if (shards > 1) {
-      group_ = std::make_unique<net::ShardGroup>(api, shards);
-      backend_ = std::make_unique<net::ShardBackend>(*group_);
-    } else {
-      backend_ = std::make_unique<net::JobApi>(api);
-    }
+  BenchServer() : api_(api_config()) {
     net::SolveServer::Config config;
     config.http.port = 0;
     config.http.stream_poll_seconds = 0.001;
-    server_ = std::make_unique<net::SolveServer>(config, *backend_);
+    server_ = std::make_unique<net::SolveServer>(config, api_);
     thread_ = std::thread([this] { server_->run(); });
   }
   ~BenchServer() {
@@ -166,14 +154,20 @@ class BenchServer {
   std::uint16_t port() const { return server_->port(); }
 
  private:
-  std::unique_ptr<net::ShardGroup> group_;  // forked before any thread
-  std::unique_ptr<net::JobBackend> backend_;
+  static net::JobApi::Config api_config() {
+    net::JobApi::Config api;
+    api.threads = 2;
+    api.max_events_per_job = 16;
+    return api;
+  }
+
+  net::JobApi api_;
   std::unique_ptr<net::SolveServer> server_;
   std::thread thread_;
 };
 
 std::string bench_job(std::uint64_t seed) {
-  // Distinct seeds spread the consistent-hash ring across shards.
+  // Distinct seeds: every job encodes a fresh model (a cache miss).
   return R"({"problem": "maxcut", "params": {"n": 32, "m": 120, "seed": )" +
          std::to_string(seed) +
          R"(}, "solver": "sa", "max_batches": 500, "seed": )" +
@@ -192,12 +186,10 @@ bool is_terminal(const std::string& status_body) {
 
 /// Sustained jobs/second through the HTTP server: batches of short solve
 /// jobs submitted and polled to completion over one keep-alive connection.
-/// Arg = shard count (1 = in-process JobApi, >1 = forked shard workers);
-/// total solver threads are held constant so the numbers compare the
-/// topology, not the core count.
+/// Arg(1) is the one server process; it keeps the result names of earlier
+/// BENCH_micro.json reports.
 void BM_HttpServerJobThroughput(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  BenchServer server(shards);
+  BenchServer server;
   net::HttpClient client("127.0.0.1", server.port());
 
   constexpr int kJobsPerIter = 32;
@@ -219,21 +211,18 @@ void BM_HttpServerJobThroughput(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(state.iterations() * kJobsPerIter);
-  state.SetLabel(shards == 1 ? "1 process" : std::to_string(shards) +
-                                                 " forked shards");
 }
 BENCHMARK(BM_HttpServerJobThroughput)
     ->Arg(1)
-    ->Arg(2)
-    ->UseRealTime()  // the work happens on server threads / forked workers
+    ->UseRealTime()  // the work happens on server threads
     ->Unit(benchmark::kMillisecond);
 
 /// Submit -> first solver tick latency over HTTP: time from POST /v1/jobs
 /// to the first event observed on the chunked events stream.  Reported as
-/// p50/p99 counters (seconds) across the benchmark's iterations.
+/// p50/p99 counters (seconds) across the benchmark's iterations.  Arg(1)
+/// as for BM_HttpServerJobThroughput.
 void BM_HttpSubmitToFirstTick(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  BenchServer server(shards);
+  BenchServer server;
   net::HttpClient submit_client("127.0.0.1", server.port());
 
   std::vector<double> samples;
@@ -273,12 +262,9 @@ void BM_HttpSubmitToFirstTick(benchmark::State& state) {
   };
   state.counters["p50_submit_to_first_tick_s"] = percentile(0.50);
   state.counters["p99_submit_to_first_tick_s"] = percentile(0.99);
-  state.SetLabel(shards == 1 ? "1 process" : std::to_string(shards) +
-                                                 " forked shards");
 }
 BENCHMARK(BM_HttpSubmitToFirstTick)
     ->Arg(1)
-    ->Arg(2)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

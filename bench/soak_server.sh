@@ -3,16 +3,14 @@
 # fixed wall-clock window and reports sustained jobs/s, terminal-state mix,
 # and HTTP error counts.  Non-gating — operator tooling, not CI.
 #
-# Usage: bench/soak_server.sh [BUILD_DIR] [SECONDS] [SHARDS]
+# Usage: bench/soak_server.sh [BUILD_DIR] [SECONDS]
 #   BUILD_DIR  build tree containing examples/dabs_cli (default: build)
 #   SECONDS    soak window (default: 30)
-#   SHARDS     worker processes behind the server (default: 1)
 set -u
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-${repo_root}/build}"
 duration="${2:-30}"
-shards="${3:-1}"
 CLI="${build_dir}/examples/dabs_cli"
 [ -x "$CLI" ] || { echo "error: $CLI not built" >&2; exit 1; }
 command -v curl >/dev/null 2>&1 || { echo "error: curl not found" >&2; exit 1; }
@@ -23,10 +21,7 @@ BASE="http://127.0.0.1:$PORT/v1"
 SERVER_PID=""
 trap '[ -n "$SERVER_PID" ] && kill -TERM "$SERVER_PID" 2>/dev/null; rm -rf "$WORK"' EXIT
 
-shard_args=()
-[ "$shards" -gt 1 ] && shard_args=(--shards "$shards")
-"$CLI" serve --port "$PORT" --jobs 2 --queue-limit 256 "${shard_args[@]}" \
-  2> "$WORK/server.err" &
+"$CLI" serve --port "$PORT" --jobs 2 --queue-limit 256 2> "$WORK/server.err" &
 SERVER_PID=$!
 for _ in $(seq 1 100); do
   curl -sf "$BASE/healthz" >/dev/null 2>&1 && break
@@ -34,7 +29,7 @@ for _ in $(seq 1 100); do
   sleep 0.05
 done
 
-echo "soaking $BASE for ${duration}s (shards=$shards)..." >&2
+echo "soaking $BASE for ${duration}s..." >&2
 submitted=0
 shed=0
 errors=0
@@ -60,7 +55,7 @@ done
 echo "$stats" > "$WORK/stats.json"
 
 # Final scrape: the metrics ledger must agree with itself.  Sums are per
-# metric family across every label set (per-shard samples included).
+# metric family across every label set.
 curl -sf "$BASE/metrics" > "$WORK/metrics.prom" \
   || { echo "FAIL: /v1/metrics scrape failed" >&2; exit 1; }
 sum_metric() {

@@ -40,7 +40,6 @@
 #include "io/json_writer.hpp"
 #include "io/solution_io.hpp"
 #include "net/net_util.hpp"
-#include "net/shard_router.hpp"
 #include "net/solve_server.hpp"
 #include "problems/problem_registry.hpp"
 #include "qubo/model_info.hpp"
@@ -55,8 +54,7 @@ void usage(const std::string& prog) {
       << "       " << prog << " --problem <name[:path]> [options]\n"
       << "       " << prog << " batch <jobs.jsonl> [--jobs <n>] "
          "[--journal <path> [--resume]]\n"
-      << "       " << prog << " serve [--port <p>] [--shards <n> | "
-         "--shard-of <k>/<n>]\n"
+      << "       " << prog << " serve [--port <p>] [--host <addr>]\n"
       << "  --list-solvers              print the solver registry and exit\n"
       << "  --list-problems             print the problem registry and exit\n"
       << "  --problem <name[:path]>     solve a registered problem instead "
@@ -118,16 +116,8 @@ void usage(const std::string& prog) {
          "8080)\n"
       << "  --host <addr>               bind address (default 127.0.0.1)\n"
       << "  --jobs/--cache-mb/--time-limit/--attempts/--queue-limit/\n"
-      << "  --journal/--resume/--trace  as for batch, per shard (shard "
-         "workers write\n"
-      << "                              <path>.shard<k>)\n"
-      << "  --shards <n>                fork <n> shard workers behind this "
-         "server,\n"
-      << "                              routed by consistent hash of the "
-         "model key\n"
-      << "  --shard-of <k>/<n>          serve shard k of an externally "
-         "balanced\n"
-      << "                              group (misrouted requests get 421)\n"
+      << "  --journal/--resume/--trace  as for batch (unknown serve options "
+         "exit 2)\n"
       << "(SIGINT/SIGTERM stop the server gracefully; with --journal, "
          "restart with\n"
       << " --resume to re-enqueue jobs that never finished)\n"
@@ -245,74 +235,35 @@ int run_batch_command(const dabs::ArgParser& args) {
   return dabs::service::run_batch(in, std::cout, std::cerr, opts);
 }
 
-/// `dabs_cli serve`: the HTTP solve API over a local JobApi, a forked
-/// shard group (--shards), or one slice of an external group (--shard-of).
+/// `dabs_cli serve`: the HTTP solve API over one in-process JobApi.
+/// Unlike batch, an unknown option is fatal: a server started without a
+/// setting its operator asked for would fail later and less visibly.
 int run_serve_command(const dabs::ArgParser& args) {
   const std::int64_t port = args.get_int("port", 8080);
   const std::string host = args.get("host").value_or("127.0.0.1");
-  const std::int64_t shards = args.get_int("shards", 1);
-  const auto shard_of = args.get("shard-of");
-  if (port < 0 || port > 65535 || shards < 1) {
+  if (port < 0 || port > 65535) {
     std::cerr << "serve: option out of range (see --help)\n";
-    return 2;
-  }
-  if (shard_of && shards > 1) {
-    std::cerr << "serve: --shards and --shard-of are mutually exclusive\n";
     return 2;
   }
   dabs::net::JobApi::Config api;
   if (!read_job_config(args, api)) return 2;
+  const std::vector<std::string> unknown = args.unused();
+  if (!unknown.empty()) {
+    std::cerr << "serve: unknown option --" << unknown.front() << "\n";
+    return 2;
+  }
 
   dabs::net::SolveServer::Config config;
   config.http.host = host;
   config.http.port = static_cast<std::uint16_t>(port);
 
-  if (shard_of) {
-    // "k/n": this process is shard k of an externally balanced group.
-    const std::size_t slash = shard_of->find('/');
-    std::size_t k = 0;
-    std::size_t n = 0;
-    try {
-      if (slash == std::string::npos) throw std::invalid_argument("");
-      k = std::stoul(shard_of->substr(0, slash));
-      n = std::stoul(shard_of->substr(slash + 1));
-    } catch (const std::exception&) {
-      n = 0;
-    }
-    if (n < 1 || k >= n) {
-      std::cerr << "serve: --shard-of wants <k>/<n> with k < n\n";
-      return 2;
-    }
-    api.shard_idx = k;
-    api.shards = n;
-    config.shard_of_idx = k;
-    config.shard_of_total = n;
-  }
-  for (const std::string& name : args.unused()) {
-    std::cerr << "warning: unknown option --" << name << "\n";
-  }
-
   std::signal(SIGINT, on_batch_signal);
   std::signal(SIGTERM, on_batch_signal);
 
-  // Sharded topology forks the workers FIRST: fork() and threads do not
-  // mix, and both the JobApi (service pool, reaper) and the journal come
-  // alive per worker, on the worker's side of the fork.
-  std::unique_ptr<dabs::net::ShardGroup> group;
-  std::unique_ptr<dabs::net::JobBackend> backend;
-  if (shards > 1) {
-    group = std::make_unique<dabs::net::ShardGroup>(
-        api, static_cast<std::size_t>(shards));
-    backend = std::make_unique<dabs::net::ShardBackend>(*group);
-  } else {
-    backend = std::make_unique<dabs::net::JobApi>(api);
-  }
-
-  dabs::net::SolveServer server(config, *backend);
-  std::cerr << "dabs-serve: listening on " << host << ":" << server.port();
-  if (shards > 1) std::cerr << " (" << shards << " shards)";
-  if (shard_of) std::cerr << " (shard " << *shard_of << ")";
-  std::cerr << "\n";
+  dabs::net::JobApi jobs(api);
+  dabs::net::SolveServer server(config, jobs);
+  std::cerr << "dabs-serve: listening on " << host << ":" << server.port()
+            << "\n";
   server.run(&g_batch_interrupted);
   std::cerr << "dabs-serve: shutting down\n";
   return 0;
@@ -341,8 +292,8 @@ void parse_opts(const std::string& spec, dabs::SolverOptions& opts) {
 int main(int argc, char** argv) {
   using namespace dabs;
   // Process-wide: every socket/stdout write path (batch report stream,
-  // HTTP server, shard RPC) sees a dead peer as EPIPE, never as a
-  // process-killing signal.
+  // HTTP server) sees a dead peer as EPIPE, never as a process-killing
+  // signal.
   net::ignore_sigpipe();
   const ArgParser args(argc, argv);
   try {
@@ -403,11 +354,11 @@ int main(int argc, char** argv) {
       }
       const std::string path = args.positional()[0];
       const std::string format = args.get("format", "qubo");
-      if (!service::known_model_format(format)) {
+      if (!ProblemRegistry::global().is_loader(format)) {
         std::cerr << "unknown format '" << format << "'\n";
         return 2;
       }
-      model = service::load_model_file(format, path);
+      model = ProblemRegistry::global().create(format + ":" + path)->encode();
     }
 
     if (args.get_bool("describe")) {

@@ -93,25 +93,24 @@ ApiReply JobApi::submit_internal(const std::string& body,
     return {500, error_body(e.what())};
   }
   const std::string fingerprint = entry.fingerprint;
-  service::JobId local = 0;
+  service::JobId id = 0;
   try {
-    local = ledger_.submit(std::move(entry), std::move(job));
+    id = ledger_.submit(std::move(entry), std::move(job));
   } catch (const std::exception& e) {
     return {400, error_body(e.what())};  // unknown solver / bad options
   }
 
   service::SolverService& service = ledger_.service();
-  const std::uint64_t global = to_global(local);
-  const service::JobState state = service.state(local);
+  const service::JobState state = service.state(id);
   std::ostringstream out;
   {
     io::JsonWriter json(out);
     json.begin_object()
-        .value("job_id", global)
+        .value("job_id", id)
         .value("fingerprint", fingerprint)
         .value("state", service::to_string(state));
     if (state == service::JobState::kRejected) {
-      json.value("error", service.snapshot(local).error);
+      json.value("error", service.snapshot(id).error);
     }
     json.end_object();
   }
@@ -119,14 +118,14 @@ ApiReply JobApi::submit_internal(const std::string& body,
   return {state == service::JobState::kRejected ? 429 : 202, out.str()};
 }
 
-std::string JobApi::render_status(std::uint64_t global_id,
+std::string JobApi::render_status(service::JobId id,
                                   const service::JobSnapshot& snap,
                                   const std::string& fingerprint) const {
   std::ostringstream out;
   {
     io::JsonWriter json(out);
     json.begin_object()
-        .value("job_id", global_id)
+        .value("job_id", id)
         .value("state", service::to_string(snap.state));
     if (!fingerprint.empty()) json.value("fingerprint", fingerprint);
     if (!snap.tag.empty()) json.value("tag", snap.tag);
@@ -142,52 +141,40 @@ std::string JobApi::render_status(std::uint64_t global_id,
   return out.str();
 }
 
-ApiReply JobApi::status(std::uint64_t id) {
-  if (config_.shards > 1 && id % config_.shards != config_.shard_idx) {
-    return {404, error_body("job " + std::to_string(id) +
-                            " is owned by shard " +
-                            std::to_string(id % config_.shards))};
-  }
-  const service::JobId local = id / config_.shards;
+ApiReply JobApi::status(service::JobId id) {
   std::lock_guard lock(mu_);
-  const auto done = finished_.find(local);
+  const auto done = finished_.find(id);
   if (done != finished_.end()) {
     return {200, render_status(id, done->second.snap,
                                done->second.fingerprint)};
   }
   try {
-    const service::JobSnapshot snap = ledger_.service().snapshot(local);
+    const service::JobSnapshot snap = ledger_.service().snapshot(id);
     if (service::is_terminal(snap.state)) {
       // Finished but not yet reaped: retire it now, so no client sees a
       // terminal state before its annotations, journal record and
       // retention exist.
-      retire_locked(local);
-      const auto retired = finished_.find(local);
+      retire_locked(id);
+      const auto retired = finished_.find(id);
       if (retired != finished_.end()) {
         return {200, render_status(id, retired->second.snap,
                                    retired->second.fingerprint)};
       }
     }
-    return {200, render_status(id, snap, ledger_.fingerprint_of(local))};
+    return {200, render_status(id, snap, ledger_.fingerprint_of(id))};
   } catch (const std::out_of_range&) {
     return {404, error_body("unknown job id " + std::to_string(id))};
   }
 }
 
-ApiReply JobApi::events(std::uint64_t id, std::uint64_t* cursor, bool* done,
-                        std::size_t* count) {
+ApiReply JobApi::events(service::JobId id, std::uint64_t* cursor,
+                        bool* done, std::size_t* count) {
   *done = false;
   *count = 0;
-  if (config_.shards > 1 && id % config_.shards != config_.shard_idx) {
-    return {404, error_body("job " + std::to_string(id) +
-                            " is owned by shard " +
-                            std::to_string(id % config_.shards))};
-  }
-  const service::JobId local = id / config_.shards;
 
   std::lock_guard lock(mu_);
   service::JobEventBatch batch;
-  const auto finished = finished_.find(local);
+  const auto finished = finished_.find(id);
   if (finished != finished_.end()) {
     // Serve from the retained final snapshot (the service record is
     // already released).  Same sequence numbering as events_since().
@@ -206,7 +193,7 @@ ApiReply JobApi::events(std::uint64_t id, std::uint64_t* cursor, bool* done,
     *cursor = total;
   } else {
     try {
-      batch = ledger_.service().events_since(local, *cursor);
+      batch = ledger_.service().events_since(id, *cursor);
     } catch (const std::out_of_range&) {
       return {404, error_body("unknown job id " + std::to_string(id))};
     }
@@ -236,20 +223,14 @@ ApiReply JobApi::events(std::uint64_t id, std::uint64_t* cursor, bool* done,
   return {200, out.str()};
 }
 
-ApiReply JobApi::cancel(std::uint64_t id) {
-  if (config_.shards > 1 && id % config_.shards != config_.shard_idx) {
-    return {404, error_body("job " + std::to_string(id) +
-                            " is owned by shard " +
-                            std::to_string(id % config_.shards))};
-  }
-  const service::JobId local = id / config_.shards;
+ApiReply JobApi::cancel(service::JobId id) {
   std::lock_guard lock(mu_);
-  if (finished_.count(local) != 0) {
+  if (finished_.count(id) != 0) {
     return {409, error_body("job " + std::to_string(id) +
                             " is already terminal")};
   }
   try {
-    if (ledger_.service().cancel(local)) {
+    if (ledger_.service().cancel(id)) {
       std::ostringstream out;
       {
         io::JsonWriter json(out);
@@ -261,7 +242,7 @@ ApiReply JobApi::cancel(std::uint64_t id) {
       return {202, out.str()};
     }
     // Known id, already terminal (reaper has not collected it yet).
-    ledger_.service().state(local);  // throws when the id was never submitted
+    ledger_.service().state(id);  // throws when the id was never submitted
     return {409, error_body("job " + std::to_string(id) +
                             " is already terminal")};
   } catch (const std::out_of_range&) {
@@ -276,8 +257,6 @@ ApiReply JobApi::stats() {
   {
     io::JsonWriter json(out);
     json.begin_object()
-        .value("shard", static_cast<std::uint64_t>(config_.shard_idx))
-        .value("shards", static_cast<std::uint64_t>(config_.shards))
         .value("queue_depth", static_cast<std::uint64_t>(s.queue_depth))
         .value("active", static_cast<std::uint64_t>(s.active))
         .value("outstanding", static_cast<std::uint64_t>(s.outstanding))
@@ -309,12 +288,6 @@ ApiReply JobApi::metrics() {
   return {200, out.str()};
 }
 
-std::string JobApi::metrics_snapshot_json() {
-  std::ostringstream out;
-  obs::write_snapshot_json(obs::MetricsRegistry::global().snapshot(), out);
-  return out.str();
-}
-
 void JobApi::reaper_loop() {
   while (true) {
     const bool stopping = stop_reaper_.load(std::memory_order_relaxed);
@@ -331,12 +304,11 @@ void JobApi::reaper_loop() {
   }
 }
 
-void JobApi::retire_locked(service::JobId local) {
-  std::optional<service::JobLedger::Retired> retired =
-      ledger_.retire(local, to_global(local));
+void JobApi::retire_locked(service::JobId id) {
+  std::optional<service::JobLedger::Retired> retired = ledger_.retire(id);
   if (!retired) return;  // released elsewhere; nothing to retain
-  finished_[local] = std::move(*retired);
-  finish_order_.push_back(local);
+  finished_[id] = std::move(*retired);
+  finish_order_.push_back(id);
   while (finish_order_.size() > config_.retention_jobs) {
     finished_.erase(finish_order_.front());
     finish_order_.pop_front();

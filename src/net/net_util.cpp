@@ -71,21 +71,6 @@ long read_some(int fd, void* data, std::size_t size) {
   }
 }
 
-bool read_exact(int fd, void* data, std::size_t size) {
-  char* p = static_cast<char*>(data);
-  std::size_t got = 0;
-  while (got < size) {
-    const long n = ::read(fd, p + got, size - got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;  // EOF mid-frame
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 void ignore_sigpipe() { std::signal(SIGPIPE, SIG_IGN); }
 
 std::string errno_string() {

@@ -50,22 +50,22 @@ std::uint64_t cursor_from_query(const std::string& query) {
   return 0;
 }
 
-/// Streams event pages as chunks until the backend reports the job
+/// Streams event pages as chunks until the JobApi reports the job
 /// terminal and drained.  Pages with no events are skipped (kIdle) so an
 /// idle stream costs poll cycles, not bytes.
 class EventStream final : public ChunkSource {
  public:
-  EventStream(JobBackend& backend, std::uint64_t id, std::uint64_t cursor)
-      : backend_(backend), id_(id), cursor_(cursor) {}
+  EventStream(JobApi& api, service::JobId id, std::uint64_t cursor)
+      : api_(api), id_(id), cursor_(cursor) {}
 
   Next next(std::string& chunk) override {
     if (finished_) return Next::kDone;
     bool done = false;
     std::size_t count = 0;
-    const ApiReply page = backend_.events(id_, &cursor_, &done, &count);
+    const ApiReply page = api_.events(id_, &cursor_, &done, &count);
     if (page.status != 200) {
-      // The job vanished (retention eviction) or the shard went away;
-      // the error object is the stream's last line.
+      // The job vanished (retention eviction); the error object is the
+      // stream's last line.
       finished_ = true;
       chunk = page.body + "\n";
       return Next::kChunk;
@@ -77,19 +77,17 @@ class EventStream final : public ChunkSource {
   }
 
  private:
-  JobBackend& backend_;
-  const std::uint64_t id_;
+  JobApi& api_;
+  const service::JobId id_;
   std::uint64_t cursor_;
   bool finished_ = false;
 };
 
 }  // namespace
 
-SolveServer::SolveServer(Config config, JobBackend& backend)
-    : config_(std::move(config)),
-      backend_(backend),
-      ring_(config_.shard_of_total == 0 ? 1 : config_.shard_of_total),
-      http_(config_.http,
+SolveServer::SolveServer(Config config, JobApi& api)
+    : api_(api),
+      http_(std::move(config.http),
             [this](const HttpRequest& request) { return route(request); }) {}
 
 HttpResult SolveServer::route(const HttpRequest& request) {
@@ -103,7 +101,7 @@ HttpResult SolveServer::route(const HttpRequest& request) {
   }
   if (request.path == "/v1/metrics") {
     if (request.method != "GET") return reply(405, error_body("GET only"));
-    HttpResult result = from_api(backend_.metrics());
+    HttpResult result = from_api(api_.metrics());
     if (result.response.status == 200) {
       result.response.content_type =
           "text/plain; version=0.0.4; charset=utf-8";
@@ -154,31 +152,7 @@ HttpResult SolveServer::handle_jobs_path(const HttpRequest& request) {
     if (request.method != "POST") {
       return reply(405, error_body("POST a job object to /v1/jobs"));
     }
-    if (config_.shard_of_idx) {
-      // External-LB sharding: this process owns one slice of the ring.
-      // A misrouted submission is the balancer's bug; point at the owner.
-      service::BatchJob job;
-      try {
-        job = service::parse_batch_job(request.body);
-      } catch (const std::exception& e) {
-        return reply(400, error_body(e.what()));
-      }
-      const std::size_t owner = ring_.owner(service::spec_key(job));
-      if (owner != *config_.shard_of_idx) {
-        std::ostringstream out;
-        {
-          io::JsonWriter json(out);
-          json.begin_object()
-              .value("error", "key is owned by shard " +
-                                  std::to_string(owner) + " of " +
-                                  std::to_string(config_.shard_of_total))
-              .value("shard", static_cast<std::uint64_t>(owner))
-              .end_object();
-        }
-        return reply(421, out.str());
-      }
-    }
-    return from_api(backend_.submit(request.body));
+    return from_api(api_.submit(request.body));
   }
 
   // "/v1/jobs/{id}" or "/v1/jobs/{id}/events".
@@ -193,24 +167,9 @@ HttpResult SolveServer::handle_jobs_path(const HttpRequest& request) {
   }
   const std::uint64_t id = std::strtoull(id_text.c_str(), nullptr, 10);
 
-  if (config_.shard_of_idx && config_.shard_of_total > 1 &&
-      id % config_.shard_of_total != *config_.shard_of_idx) {
-    std::ostringstream out;
-    {
-      io::JsonWriter json(out);
-      json.begin_object()
-          .value("error", "job " + id_text + " is owned by shard " +
-                              std::to_string(id % config_.shard_of_total))
-          .value("shard",
-                 static_cast<std::uint64_t>(id % config_.shard_of_total))
-          .end_object();
-    }
-    return reply(421, out.str());
-  }
-
   if (tail.empty()) {
-    if (request.method == "GET") return from_api(backend_.status(id));
-    if (request.method == "DELETE") return from_api(backend_.cancel(id));
+    if (request.method == "GET") return from_api(api_.status(id));
+    if (request.method == "DELETE") return from_api(api_.cancel(id));
     return reply(405, error_body("GET or DELETE a job"));
   }
   if (tail == "/events") {
@@ -218,9 +177,9 @@ HttpResult SolveServer::handle_jobs_path(const HttpRequest& request) {
     std::uint64_t cursor = cursor_from_query(request.query);
     bool done = false;
     std::size_t count = 0;
-    // First page inline: a 404/503 stays a plain response (no stream is
+    // First page inline: a 404 stays a plain response (no stream is
     // started), and the client always gets an immediate state line.
-    const ApiReply first = backend_.events(id, &cursor, &done, &count);
+    const ApiReply first = api_.events(id, &cursor, &done, &count);
     if (first.status != 200) return from_api(first);
     HttpResult result;
     result.response.status = 200;
@@ -230,7 +189,7 @@ HttpResult SolveServer::handle_jobs_path(const HttpRequest& request) {
       return result;
     }
     result.response.body.clear();
-    auto stream = std::make_unique<EventStream>(backend_, id, cursor);
+    auto stream = std::make_unique<EventStream>(api_, id, cursor);
     // The first page becomes the first chunk by prepending it.
     class FirstThen final : public ChunkSource {
      public:
@@ -264,14 +223,7 @@ HttpResult SolveServer::healthz_result() {
     json.begin_object()
         .value("status", "ok")
         .value("uptime_seconds", uptime_.elapsed_seconds())
-        .value("pid", static_cast<std::int64_t>(::getpid()))
-        .value("shards", static_cast<std::uint64_t>(backend_.shards()));
-    if (config_.shard_of_idx) {
-      json.value("shard_of_idx",
-                 static_cast<std::uint64_t>(*config_.shard_of_idx))
-          .value("shard_of_total",
-                 static_cast<std::uint64_t>(config_.shard_of_total));
-    }
+        .value("pid", static_cast<std::int64_t>(::getpid()));
     json.begin_object("build")
         .value("version", build.version)
         .value("git", build.git)
@@ -285,7 +237,7 @@ HttpResult SolveServer::healthz_result() {
 }
 
 HttpResult SolveServer::stats_result() {
-  const ApiReply backend = backend_.stats();
+  const ApiReply stats = api_.stats();
   const HttpServer::Counters& c = http_.counters();
   std::ostringstream http_json;
   {
@@ -301,7 +253,7 @@ HttpResult SolveServer::stats_result() {
   }
   // Both parts are rendered JSON objects; splice rather than re-parse.
   return reply(200, "{\"http\": " + http_json.str() +
-                        ", \"service\": " + backend.body + "}");
+                        ", \"service\": " + stats.body + "}");
 }
 
 }  // namespace dabs::net

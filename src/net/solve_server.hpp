@@ -1,5 +1,4 @@
-// SolveServer: the HTTP/1.1 solve API, mounted over any JobBackend (a
-// local JobApi or a ShardBackend).  Endpoints:
+// SolveServer: the HTTP/1.1 solve API, mounted over a JobApi.  Endpoints:
 //
 //   POST   /v1/jobs             submit one batch-schema job object
 //   GET    /v1/jobs/{id}        state + SolveReport (decode/verify extras)
@@ -7,32 +6,25 @@
 //   DELETE /v1/jobs/{id}        cancel
 //   GET    /v1/solvers          solver registry listing
 //   GET    /v1/problems         problem registry listing
-//   GET    /v1/healthz          liveness + uptime, pid, shard topology,
-//                               build info
-//   GET    /v1/stats            backend stats + HTTP counters
-//   GET    /v1/metrics          Prometheus text exposition (sharded
-//                               topologies aggregate every worker's
-//                               registry with per-shard labels)
+//   GET    /v1/healthz          liveness + uptime, pid, build info
+//   GET    /v1/stats            job stats + HTTP counters
+//   GET    /v1/metrics          Prometheus text exposition
 //
 // Status mapping: 400 schema/parse (the batch runner's validation
 // messages), 404 unknown id, 409 cancel of a terminal job, 413/431 size
-// limits, 421 a key/id this --shard-of server does not own, 429 admission
-// shed, 500 handler error, 503 shard RPC failure.
+// limits, 429 admission shed, 500 handler error.
 //
 // The events endpoint streams chunked transfer encoding: one JSON object
-// per chunk (an event page with a cursor), polled from the backend at the
+// per chunk (an event page with a cursor), polled from the JobApi at the
 // server's stream cadence until the job is terminal and drained.  A
 // cursor query parameter (?cursor=N) resumes a dropped stream.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
-#include <string>
 
 #include "net/http_server.hpp"
 #include "net/job_api.hpp"
-#include "net/shard_router.hpp"
 #include "util/timer.hpp"
 
 namespace dabs::net {
@@ -41,17 +33,10 @@ class SolveServer {
  public:
   struct Config {
     HttpServer::Config http;
-    /// Set when this process serves one shard of an externally
-    /// load-balanced group (`--shard-of k/N`): requests for keys or ids
-    /// another shard owns come back 421 with the owner in the body.
-    /// Leave unset for the single-server and internally-sharded
-    /// topologies (their routing happens before/inside the backend).
-    std::optional<std::size_t> shard_of_idx;
-    std::size_t shard_of_total = 1;
   };
 
-  /// Binds immediately (see HttpServer); `backend` must outlive this.
-  SolveServer(Config config, JobBackend& backend);
+  /// Binds immediately (see HttpServer); `api` must outlive this.
+  SolveServer(Config config, JobApi& api);
 
   std::uint16_t port() const noexcept { return http_.port(); }
   void run(const std::atomic<bool>* stop = nullptr) { http_.run(stop); }
@@ -66,12 +51,9 @@ class SolveServer {
   HttpResult stats_result();
   HttpResult healthz_result();
 
-  Config config_;
-  JobBackend& backend_;
+  JobApi& api_;
   /// Server lifetime, for /v1/healthz uptime_seconds.
   Stopwatch uptime_;
-  /// Only used in --shard-of mode, for submit-key ownership checks.
-  HashRing ring_;
   HttpServer http_;  // declared last: its handler captures `this`
 };
 

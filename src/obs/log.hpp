@@ -1,7 +1,7 @@
 // Leveled structured logger for the service/net layers.  One line per
 // event, written to stderr with a single EINTR-safe write(2) so concurrent
-// processes (forked shard workers) never interleave mid-line and a SIGPIPE'd
-// or full stderr cannot wedge a worker.
+// writers never interleave mid-line and a SIGPIPE'd or full stderr cannot
+// wedge a worker.
 //
 // Configuration comes from the DABS_LOG environment variable, read once:
 //
@@ -16,9 +16,8 @@
 // fields, for log shippers.
 //
 // Call sites that can fire at high frequency (journal append on a dying
-// disk, shard RPC failures in a crash loop) guard with a LogRateLimit so
-// stderr sees at most one line per interval, with a `suppressed=N` count
-// attached when the gate reopens.
+// disk) guard with a LogRateLimit so stderr sees at most one line per
+// interval, with a `suppressed=N` count attached when the gate reopens.
 #pragma once
 
 #include <atomic>
@@ -62,7 +61,7 @@ bool log_enabled(LogLevel level) noexcept;
 void log_configure(std::string_view spec);
 
 /// Emit one line.  `component` is a short subsystem tag (journal, batch,
-/// shard, serve, http); `message` is a fixed human phrase; variable data
+/// serve, http); `message` is a fixed human phrase; variable data
 /// goes in `fields`.
 void log(LogLevel level, std::string_view component, std::string_view message,
          std::initializer_list<LogField> fields = {});

@@ -9,10 +9,8 @@
 //                                  "Requests served.", {{"class", "2xx"}});
 //   reqs.inc();
 //
-// The registry renders Prometheus text exposition format (render_prometheus)
-// and a JSON snapshot form (write_snapshot_json / parse_snapshot_json) that
-// the shard RPC uses to aggregate forked workers' registries into one
-// /v1/metrics scrape with per-shard labels (add_label + merge_snapshots).
+// The registry renders Prometheus text exposition format (render_prometheus),
+// which is what /v1/metrics serves.
 //
 // Handles returned by counter()/gauge()/histogram() are stable for the
 // registry's lifetime: fetch them once (a static struct per call site is
@@ -180,22 +178,5 @@ class MetricsRegistry {
 /// Prometheus text exposition format (# HELP / # TYPE + samples; histogram
 /// families expand to _bucket{le=...}/_sum/_count).
 void render_prometheus(const MetricsSnapshot& snapshot, std::ostream& out);
-
-/// JSON form for cross-process aggregation (the shard "metrics" RPC).
-void write_snapshot_json(const MetricsSnapshot& snapshot, std::ostream& out);
-/// Inverse of write_snapshot_json; throws std::invalid_argument on
-/// malformed input.
-MetricsSnapshot parse_snapshot_json(const std::string& text);
-
-/// Appends `key`="value" to every sample (used to tag a worker snapshot
-/// with its shard index before merging).  Existing keys are left alone.
-void add_label(MetricsSnapshot& snapshot, const std::string& key,
-               const std::string& value);
-
-/// Merges by family name: samples concatenate; the first snapshot's
-/// help/kind win; a family whose kind disagrees across snapshots keeps the
-/// first and drops the mismatched samples (defensive — cannot happen when
-/// every process runs the same binary).
-MetricsSnapshot merge_snapshots(std::vector<MetricsSnapshot> parts);
 
 }  // namespace dabs::obs

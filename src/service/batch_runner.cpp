@@ -211,7 +211,7 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
     // Keep streaming while reading: with a slow producer (stdin pipes)
     // reports must not wait for EOF.
     while (const std::optional<JobId> id = service.try_any_finished()) {
-      ledger.retire(*id, *id, write_report);
+      ledger.retire(*id, write_report);
     }
   }
   if (interrupted()) was_interrupted = true;
@@ -242,7 +242,7 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
       id = service.wait_any_finished();
       if (!id) break;
     }
-    ledger.retire(*id, *id, write_report);
+    ledger.retire(*id, write_report);
   }
 
   if (!options.trace_path.empty()) {

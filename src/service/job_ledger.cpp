@@ -58,20 +58,6 @@ obs::Counter& journal_error_counter() {
 
 }  // namespace
 
-bool known_model_format(const std::string& format) {
-  // Shim: the legacy formats are exactly the registry's file loaders.
-  return ProblemRegistry::global().is_loader(format);
-}
-
-QuboModel load_model_file(const std::string& format,
-                          const std::string& path) {
-  if (!known_model_format(format)) {
-    throw std::invalid_argument("unknown model format '" + format +
-                                "' (expected qubo, gset, or qaplib)");
-  }
-  return ProblemRegistry::global().create(format + ":" + path)->encode();
-}
-
 BatchJob parse_batch_job(const std::string& json_line) {
   const io::JsonValue root = io::parse_json(json_line);
   if (!root.is_object()) {
@@ -163,7 +149,8 @@ BatchJob parse_batch_job(const std::string& json_line) {
   if (have_params && !have_problem) {
     throw std::invalid_argument("'params' requires a 'problem' job");
   }
-  if (have_model && !known_model_format(job.format)) {
+  // The legacy "format" values are exactly the registry's file loaders.
+  if (have_model && !ProblemRegistry::global().is_loader(job.format)) {
     throw std::invalid_argument("unknown model format '" + job.format +
                                 "' (expected qubo, gset, or qaplib)");
   }
@@ -369,8 +356,10 @@ void JobLedger::load(Entry& entry, const BatchJob& job) {
       cache_key,
       [&entry, &job] {
         fail::point("batch.model_load");
-        return entry.problem ? entry.problem->encode()
-                             : load_model_file(job.format, job.model_path);
+        if (entry.problem) return entry.problem->encode();
+        return ProblemRegistry::global()
+            .create(job.format + ":" + job.model_path)
+            ->encode();
       },
       &entry.cache_hit);
 }
@@ -408,8 +397,7 @@ JobId JobLedger::submit(Entry entry, BatchJob job) {
 }
 
 std::optional<JobLedger::Retired> JobLedger::retire(
-    JobId id, std::uint64_t trace_id,
-    const std::function<void(const Retired&)>& publish) {
+    JobId id, const std::function<void(const Retired&)>& publish) {
   Retired retired;
   try {
     retired.snap = service_.snapshot(id);
@@ -467,9 +455,7 @@ std::optional<JobLedger::Retired> JobLedger::retire(
       break;
   }
   if (!config_.trace_path.empty()) {
-    obs::JobTrace trace = job_trace(snap);
-    trace.job_id = trace_id;
-    obs::append_job_trace(trace_, trace);
+    obs::append_job_trace(trace_, job_trace(snap));
   }
   service_.release(id);
   // Drop the spec entry once no in-flight job holds its problem, so a long

@@ -96,22 +96,10 @@ std::string job_fingerprint(const BatchJob& job);
 
 /// The job's model spec: the problem spec + params, or "<format>#<path>"
 /// for file jobs.  Deliberately the *spec*, not the canonical resolved
-/// model key — computing it runs no generator — and stable across
-/// processes, so the ledger shares one Problem per spec and every shard
-/// front end and worker agrees on ownership.
+/// model key: computing it runs no generator, so admit() can find the
+/// Problem that in-flight jobs with the same spec already share before
+/// creating one.
 std::string spec_key(const BatchJob& job);
-
-/// Deprecated shim over ProblemRegistry (kept for the legacy "format"
-/// key): true exactly for the registered file-loader families — qubo,
-/// gset, qaplib.  New code should query ProblemRegistry::global().
-bool known_model_format(const std::string& format);
-
-/// Deprecated shim over ProblemRegistry (the one loader surface): builds
-/// "<format>:<path>" and encodes it.  Throws std::invalid_argument for an
-/// unknown format and the reader's error on IO failure.  New code should
-/// create a Problem and keep it for decode/verify.
-QuboModel load_model_file(const std::string& format,
-                          const std::string& path);
 
 /// The bounded-run policy the single-run CLI applies, shared with service
 /// jobs: when a wall-clock or work budget governs the run, lift the
@@ -227,13 +215,11 @@ class JobLedger {
   JobId submit(Entry entry, BatchJob job);
 
   /// Retires a finished job: decode + verify (problem jobs), `publish`,
-  /// the terminal record, the job trace (under `trace_id`), and release
-  /// from the service.  `publish` runs before the terminal record, so a
+  /// the terminal record, the job trace, and release from the service.  `publish` runs before the terminal record, so a
   /// crash between the two re-runs the job on resume instead of losing
   /// its report.  nullopt when the service no longer knows `id`.
   std::optional<Retired> retire(
-      JobId id, std::uint64_t trace_id,
-      const std::function<void(const Retired&)>& publish = {});
+      JobId id, const std::function<void(const Retired&)>& publish = {});
 
   /// Jobs submitted and not yet retired.
   std::size_t in_flight() const noexcept { return in_flight_.size(); }

@@ -17,6 +17,7 @@
 #include "net/job_api.hpp"
 #include "obs/metrics.hpp"
 #include "service/batch_runner.hpp"
+#include "service/job_ledger.hpp"
 #include "util/failpoint.hpp"
 
 namespace dabs {
@@ -141,6 +142,25 @@ TEST(JobLedgerContract, BatchJournalAppendFailuresReachTheMetric) {
   EXPECT_EQ(service::run_batch(in, out, err, options), 0) << err.str();
   // submitted, started and done all failed to append.
   EXPECT_GE(journal_error_total() - before, 3.0);
+}
+
+// spec_key() keys the ledger's shared Problems: it must tell specs apart
+// by their params and name a file job by format and path, without running
+// a generator.
+TEST(JobLedgerSpecKey, CoversTheSpecNotTheResolvedModel) {
+  service::BatchJob a;
+  a.problem = "maxcut";
+  a.params.set("n", "24");
+  a.params.set("seed", "1");
+  service::BatchJob b = a;
+  b.params.set("seed", "2");
+  EXPECT_NE(service::spec_key(a), service::spec_key(b));
+  EXPECT_EQ(service::spec_key(a), service::spec_key(a));
+
+  service::BatchJob file_job;
+  file_job.model_path = "/data/q.qubo";
+  file_job.format = "qubo";
+  EXPECT_EQ(service::spec_key(file_job), "qubo#/data/q.qubo");
 }
 
 }  // namespace

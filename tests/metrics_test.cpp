@@ -1,8 +1,7 @@
 // Unit tests for obs metrics: counters/gauges, histogram bucket semantics
-// and quantile extraction, registry get-or-create rules, Prometheus
-// rendering, snapshot JSON round trips, and shard-label merging.  The
-// concurrent tests are TSan targets: every update path is relaxed atomics
-// and totals must still be exact.
+// and quantile extraction, registry get-or-create rules, and Prometheus
+// rendering.  The concurrent tests are TSan targets: every update path is
+// relaxed atomics and totals must still be exact.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -196,73 +195,6 @@ TEST(Render, EscapesLabelValues) {
   std::ostringstream out;
   render_prometheus(reg.snapshot(), out);
   EXPECT_NE(out.str().find("path=\"a\\\"b\\\\c\\nd\""), std::string::npos);
-}
-
-TEST(Snapshot, JsonRoundTrip) {
-  MetricsRegistry reg;
-  reg.counter("dabs_jobs_total", "Jobs.", {{"disposition", "done"}}).inc(5);
-  reg.gauge("dabs_active", "Active.").set(-2);
-  Histogram& h = reg.histogram("dabs_wait_seconds", "Wait.", {0.5, 5.0});
-  h.observe(0.1);
-  h.observe(10.0);
-
-  std::ostringstream out;
-  write_snapshot_json(reg.snapshot(), out);
-  const MetricsSnapshot parsed = parse_snapshot_json(out.str());
-
-  // The round-tripped snapshot renders byte-identically.
-  std::ostringstream before;
-  std::ostringstream after;
-  render_prometheus(reg.snapshot(), before);
-  render_prometheus(parsed, after);
-  EXPECT_EQ(before.str(), after.str());
-}
-
-TEST(Snapshot, ParseRejectsGarbage) {
-  EXPECT_THROW(parse_snapshot_json("not json"), std::invalid_argument);
-  EXPECT_THROW(parse_snapshot_json("{\"families\": 3}"),
-               std::invalid_argument);
-}
-
-TEST(Snapshot, MergeAddsShardLabels) {
-  MetricsRegistry shard0;
-  MetricsRegistry shard1;
-  shard0.counter("dabs_jobs_total", "Jobs.").inc(2);
-  shard1.counter("dabs_jobs_total", "Jobs.").inc(3);
-  shard1.counter("dabs_only_on_one_total", "One.").inc(1);
-
-  MetricsSnapshot s0 = shard0.snapshot();
-  MetricsSnapshot s1 = shard1.snapshot();
-  add_label(s0, "shard", "0");
-  add_label(s1, "shard", "1");
-  const MetricsSnapshot merged = merge_snapshots({s0, s1});
-
-  std::ostringstream out;
-  render_prometheus(merged, out);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("dabs_jobs_total{shard=\"0\"} 2"), std::string::npos);
-  EXPECT_NE(text.find("dabs_jobs_total{shard=\"1\"} 3"), std::string::npos);
-  EXPECT_NE(text.find("dabs_only_on_one_total{shard=\"1\"} 1"),
-            std::string::npos);
-  // One HELP/TYPE block per family even after the merge.
-  std::size_t help_count = 0;
-  for (std::size_t pos = text.find("# HELP dabs_jobs_total");
-       pos != std::string::npos;
-       pos = text.find("# HELP dabs_jobs_total", pos + 1)) {
-    ++help_count;
-  }
-  EXPECT_EQ(help_count, 1u);
-}
-
-TEST(Snapshot, AddLabelSkipsExistingKey) {
-  MetricsRegistry reg;
-  reg.counter("dabs_labelled_total", "h", {{"shard", "front"}}).inc();
-  MetricsSnapshot snap = reg.snapshot();
-  add_label(snap, "shard", "9");
-  ASSERT_EQ(snap.size(), 1u);
-  ASSERT_EQ(snap[0].samples.size(), 1u);
-  ASSERT_EQ(snap[0].samples[0].labels.size(), 1u);
-  EXPECT_EQ(snap[0].samples[0].labels[0].second, "front");
 }
 
 TEST(Registry, GlobalIsASingleton) {

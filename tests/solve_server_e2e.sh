@@ -55,6 +55,19 @@ wait_state() {  # wait_state <id> <state>
   fail "job $1 never reached state $2: $(curl -sf "$BASE/jobs/$1")"
 }
 
+# --- 0. unknown options are refused, never ignored -------------------------
+# The server is one process; the retired multi-process flags must stop the
+# start, not be dropped silently.  timeout turns a server that starts
+# anyway into a failure instead of a hang.
+for opt in "--shards 2" "--shard-of 0/2"; do
+  rc=0
+  # shellcheck disable=SC2086  # $opt is a flag and its value
+  timeout 10 "$CLI" serve --port 0 $opt 2> "$WORK/refused.err" || rc=$?
+  [ "$rc" -eq 2 ] || fail "serve $opt exited $rc, wanted 2"
+  grep -q -- "${opt%% *}" "$WORK/refused.err" \
+    || fail "serve $opt: message does not name the option"
+done
+
 # --- 1. basic lifecycle over HTTP ------------------------------------------
 start_server
 

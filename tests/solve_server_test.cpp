@@ -1,7 +1,6 @@
 // Solve-API tests: JobApi lifecycle (submit/status/events/cancel/stats,
-// duplicate fingerprints, shedding, journal resume, global-id encoding),
-// the consistent-hash ring, the forked shard group + router, the shard.rpc
-// failpoint, and the HTTP surface end-to-end through SolveServer.
+// duplicate fingerprints, shedding, journal resume) and the HTTP surface
+// end-to-end through SolveServer.
 #include "net/solve_server.hpp"
 
 #include <atomic>
@@ -20,9 +19,7 @@
 #include "io/json_reader.hpp"
 #include "net/http_client.hpp"
 #include "net/job_api.hpp"
-#include "net/shard_router.hpp"
 #include "service/job_journal.hpp"
-#include "util/failpoint.hpp"
 
 namespace dabs::net {
 namespace {
@@ -54,12 +51,12 @@ std::string state_of(const std::string& body) {
   return parse(body).find("state")->as_string();
 }
 
-/// Polls `backend.status(id)` until the job is terminal (10s deadline).
-ApiReply wait_terminal(JobBackend& backend, std::uint64_t id) {
+/// Polls `api.status(id)` until the job is terminal (10s deadline).
+ApiReply wait_terminal(JobApi& api, std::uint64_t id) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   for (;;) {
-    ApiReply reply = backend.status(id);
+    ApiReply reply = api.status(id);
     if (reply.status == 200) {
       const std::string state = state_of(reply.body);
       if (state != "queued" && state != "running" && state != "cancelling") {
@@ -280,188 +277,15 @@ TEST(JobApiTest, ResumeResubmitsNonTerminalJobsUnderOriginalFingerprint) {
   EXPECT_EQ(fp, fp_a + "#3");
 }
 
-TEST(JobApiTest, GlobalIdEncodingForShardWorkers) {
-  JobApi::Config config = fast_config();
-  config.shard_idx = 1;
-  config.shards = 3;
-  JobApi api(config);
-  const ApiReply a = api.submit(small_job(31));
-  const ApiReply b = api.submit(small_job(32));
-  ASSERT_EQ(a.status, 202);
-  ASSERT_EQ(b.status, 202);
-  const std::uint64_t id_a = job_id_of(a);
-  const std::uint64_t id_b = job_id_of(b);
-  EXPECT_EQ(id_a % 3, 1u);
-  EXPECT_EQ(id_b % 3, 1u);
-  EXPECT_NE(id_a, id_b);
-  EXPECT_EQ(wait_terminal(api, id_a).status, 200);
-  // Ids congruent to another shard are not this worker's.
-  EXPECT_EQ(api.status(id_a + 1).status, 404);
-}
-
-// ---------------------------------------------------------------------------
-// HashRing
-
-TEST(HashRingTest, DeterministicAcrossInstances) {
-  const HashRing a(4);
-  const HashRing b(4);
-  for (int i = 0; i < 500; ++i) {
-    const std::string key = "key-" + std::to_string(i);
-    EXPECT_EQ(a.owner(key), b.owner(key));
-  }
-}
-
-TEST(HashRingTest, SpreadsKeysAcrossAllShards) {
-  for (const std::size_t shards : {2u, 4u, 8u}) {
-    const HashRing ring(shards);
-    std::vector<int> counts(shards, 0);
-    const int keys = 4000;
-    for (int i = 0; i < keys; ++i) {
-      const std::size_t owner =
-          ring.owner("maxcut\x1fn=24\x1fseed=" + std::to_string(i));
-      ASSERT_LT(owner, shards);
-      ++counts[owner];
-    }
-    for (std::size_t s = 0; s < shards; ++s) {
-      // Every shard owns a meaningful share (vnodes smooth the ring; the
-      // bound is loose enough to be timing/seed independent).
-      EXPECT_GT(counts[s], keys / static_cast<int>(shards) / 4)
-          << "shard " << s << "/" << shards << " starved";
-    }
-  }
-}
-
-TEST(HashRingTest, GrowingTheRingMovesOnlyAFractionOfKeys) {
-  const HashRing before(3);
-  const HashRing after(4);
-  const int keys = 2000;
-  int moved = 0;
-  for (int i = 0; i < keys; ++i) {
-    const std::string key = "stable-key-" + std::to_string(i);
-    if (before.owner(key) != after.owner(key)) ++moved;
-  }
-  // Consistent hashing: adding a 4th shard should move roughly 1/4 of the
-  // keys, not rehash the world.
-  EXPECT_LT(moved, keys / 2);
-  EXPECT_GT(moved, 0);
-}
-
-TEST(HashRingTest, RoutingKeyCoversSpecNotResolvedModel) {
-  service::BatchJob a;
-  a.problem = "maxcut";
-  a.params.set("n", "24");
-  a.params.set("seed", "1");
-  service::BatchJob b = a;
-  b.params.set("seed", "2");
-  EXPECT_NE(service::spec_key(a), service::spec_key(b));
-  EXPECT_EQ(service::spec_key(a), service::spec_key(a));
-
-  service::BatchJob file_job;
-  file_job.model_path = "/data/q.qubo";
-  file_job.format = "qubo";
-  EXPECT_EQ(service::spec_key(file_job), "qubo#/data/q.qubo");
-}
-
-// ---------------------------------------------------------------------------
-// Shard group (forked workers) + router
-
-TEST(ShardGroupTest, RoutesJobsAndComposesGlobalIds) {
-  JobApi::Config config = fast_config();
-  ShardGroup group(config, 2);
-  ShardBackend backend(group);
-
-  std::set<std::uint64_t> shards_used;
-  std::vector<std::uint64_t> ids;
-  for (int seed = 0; seed < 6; ++seed) {
-    const ApiReply reply = backend.submit(small_job(seed));
-    ASSERT_EQ(reply.status, 202) << reply.body;
-    const std::uint64_t id = job_id_of(reply);
-    ids.push_back(id);
-    shards_used.insert(id % 2);
-  }
-  // With the mixed ring, 6 distinct specs land on both shards.
-  EXPECT_EQ(shards_used.size(), 2u);
-
-  for (const std::uint64_t id : ids) {
-    const ApiReply done = wait_terminal(backend, id);
-    ASSERT_EQ(done.status, 200);
-    EXPECT_EQ(state_of(done.body), "done");
-  }
-
-  // Fan-out stats: one entry per worker.
-  const ApiReply stats = backend.stats();
-  ASSERT_EQ(stats.status, 200);
-  const auto body = parse(stats.body);
-  EXPECT_EQ(body.find("shards")->as_int(), 2);
-  const auto& workers = body.find("workers")->as_array();
-  ASSERT_EQ(workers.size(), 2u);
-  std::int64_t total_done = 0;
-  for (const auto& worker : workers) {
-    total_done += worker.find("done")->as_int();
-  }
-  EXPECT_EQ(total_done, 6);
-
-  // Identical job specs always route to the same worker.
-  const ApiReply dup1 = backend.submit(small_job(0));
-  const ApiReply dup2 = backend.submit(small_job(0));
-  ASSERT_EQ(dup1.status, 202);
-  ASSERT_EQ(dup2.status, 202);
-  EXPECT_EQ(job_id_of(dup1) % 2, job_id_of(dup2) % 2);
-  EXPECT_EQ(job_id_of(dup1) % 2, ids[0] % 2);
-  wait_terminal(backend, job_id_of(dup1));
-  wait_terminal(backend, job_id_of(dup2));
-
-  // Events ride the RPC too.
-  std::uint64_t cursor = 0;
-  bool done_flag = false;
-  std::size_t count = 0;
-  const ApiReply page = backend.events(ids[0], &cursor, &done_flag, &count);
-  ASSERT_EQ(page.status, 200) << page.body;
-  EXPECT_TRUE(done_flag);
-  EXPECT_GE(count, 1u);
-
-  EXPECT_EQ(backend.status(9999).status, 404);
-  EXPECT_EQ(backend.submit("{bad json").status, 400);
-}
-
-class ShardFailpointTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!fail::compiled_in()) GTEST_SKIP() << "built with DABS_FAILPOINTS=OFF";
-    fail::clear();
-  }
-  void TearDown() override {
-    if (fail::compiled_in()) fail::clear();
-  }
-};
-
-TEST_F(ShardFailpointTest, RpcFaultIs503ThenNextCallRecovers) {
-  JobApi::Config config = fast_config();
-  ShardGroup group(config, 1);
-  ShardBackend backend(group);
-
-  fail::configure("shard.rpc", "nth:1");
-  const ApiReply faulted = backend.submit(small_job(41));
-  EXPECT_EQ(faulted.status, 503) << faulted.body;
-  EXPECT_NE(parse(faulted.body).find("error")->as_string().find("shard"),
-            std::string::npos);
-
-  // The fault fired before any bytes hit the pipe, so the frame stream is
-  // still in sync: the very next call goes through.
-  const ApiReply ok = backend.submit(small_job(41));
-  ASSERT_EQ(ok.status, 202) << ok.body;
-  wait_terminal(backend, job_id_of(ok));
-}
-
 // ---------------------------------------------------------------------------
 // SolveServer over HTTP
 
 /// SolveServer + JobApi + run() thread, for driving with HttpClient.
 class ServerUnderTest {
  public:
-  explicit ServerUnderTest(JobApi::Config api_config = fast_config(),
-                           SolveServer::Config config = {})
+  explicit ServerUnderTest(JobApi::Config api_config = fast_config())
       : api_(std::move(api_config)) {
+    SolveServer::Config config;
     config.http.port = 0;
     config.http.stream_poll_seconds = 0.005;
     server_ = std::make_unique<SolveServer>(config, api_);
@@ -489,7 +313,6 @@ TEST(SolveServerTest, EndToEndJobLifecycle) {
   EXPECT_EQ(health_body.find("status")->as_string(), "ok");
   EXPECT_GE(health_body.find("uptime_seconds")->as_double(), 0.0);
   EXPECT_GT(health_body.find("pid")->as_int(), 0);
-  EXPECT_EQ(health_body.find("shards")->as_int(), 1);
   const io::JsonValue* build = health_body.find("build");
   ASSERT_NE(build, nullptr);
   EXPECT_FALSE(build->find("version")->as_string().empty());
@@ -686,92 +509,6 @@ TEST(SolveServerTest, MetricsEndpointServesPrometheusText) {
   EXPECT_TRUE(names.count("dabs_service_job_seconds_bucket"));
   EXPECT_TRUE(names.count("dabs_model_cache_misses_total"));
   EXPECT_EQ(client.request("POST", "/v1/metrics").status, 405);
-}
-
-TEST(ShardGroupTest, MetricsAggregateAcrossShardsWithLabels) {
-  JobApi::Config config = fast_config();
-  ShardGroup group(config, 2);
-  ShardBackend backend(group);
-
-  // Spread a few jobs over both workers, then wait them out.
-  std::vector<std::uint64_t> ids;
-  for (int seed = 0; seed < 6; ++seed) {
-    const ApiReply reply = backend.submit(small_job(seed, 0.05));
-    ASSERT_EQ(reply.status, 202) << reply.body;
-    ids.push_back(job_id_of(reply));
-  }
-  for (const std::uint64_t id : ids) wait_terminal(backend, id);
-
-  const ApiReply scrape = backend.metrics();
-  ASSERT_EQ(scrape.status, 200);
-  const std::set<std::string> names = check_prometheus_text(scrape.body);
-  EXPECT_TRUE(names.count("dabs_service_jobs_submitted_total"));
-  // Worker registries arrive labelled per shard; the front end's own
-  // registry (RPC metrics) is labelled shard="front".
-  EXPECT_NE(scrape.body.find("shard=\"0\""), std::string::npos);
-  EXPECT_NE(scrape.body.find("shard=\"1\""), std::string::npos);
-  EXPECT_NE(scrape.body.find(
-                "dabs_shard_rpc_frames_total{shard=\"front\"}"),
-            std::string::npos)
-      << scrape.body;
-  EXPECT_TRUE(names.count("dabs_shard_submits_total"));
-
-  // The submitted totals across both shards must add up to what we sent —
-  // modulo the fork baseline: each worker's registry was copied from this
-  // process at fork time, and the front-end's own (unchanging) sample IS
-  // that baseline, so shard_sum == 2 * front_baseline + jobs_sent.
-  std::uint64_t shard_sum = 0;
-  std::uint64_t front_baseline = 0;
-  std::istringstream in(scrape.body);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("dabs_service_jobs_submitted_total{", 0) == 0) {
-      const std::uint64_t v =
-          std::strtoull(line.c_str() + line.rfind(' ') + 1, nullptr, 10);
-      if (line.find("shard=\"front\"") != std::string::npos) {
-        front_baseline += v;
-      } else {
-        shard_sum += v;
-      }
-    }
-  }
-  EXPECT_EQ(shard_sum, 2 * front_baseline + ids.size());
-}
-
-TEST(SolveServerTest, ShardOfModeRejectsForeignKeysAndIds) {
-  // A --shard-of 0/2 server behind an external LB: requests belonging to
-  // shard 1 come back 421 with the owner, so the LB (or client) can redo
-  // the request against the right server.
-  SolveServer::Config config;
-  config.shard_of_idx = 0;
-  config.shard_of_total = 2;
-  ServerUnderTest server(fast_config(), config);
-  HttpClient client("127.0.0.1", server.port());
-
-  const HashRing ring(2);
-  int owned = 0;
-  int foreign = 0;
-  for (int seed = 0; seed < 8; ++seed) {
-    const std::string body = small_job(seed);
-    const auto reply = client.request("POST", "/v1/jobs", body);
-    service::BatchJob job = service::parse_batch_job(body);
-    if (ring.owner(service::spec_key(job)) == 0) {
-      EXPECT_EQ(reply.status, 202) << reply.body;
-      ++owned;
-    } else {
-      EXPECT_EQ(reply.status, 421) << reply.body;
-      EXPECT_EQ(parse(reply.body).find("shard")->as_int(), 1);
-      ++foreign;
-    }
-  }
-  EXPECT_GT(owned, 0);
-  EXPECT_GT(foreign, 0);
-
-  // Id-keyed routes: odd global ids belong to shard 1.
-  EXPECT_EQ(client.request("GET", "/v1/jobs/3").status, 421);
-  EXPECT_EQ(client.request("DELETE", "/v1/jobs/7").status, 421);
-  // Even ids are this shard's (404 here: never submitted).
-  EXPECT_EQ(client.request("GET", "/v1/jobs/4").status, 404);
 }
 
 }  // namespace
