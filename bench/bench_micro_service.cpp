@@ -65,7 +65,6 @@ void BM_ServiceThroughput(benchmark::State& state) {
     }
     for (const service::JobId id : ids) {
       benchmark::DoNotOptimize(svc.wait(id).report.best_energy);
-      svc.release(id);  // keep per-iteration service state uniform
     }
   }
   state.SetItemsProcessed(state.iterations() * kJobsPerIter);

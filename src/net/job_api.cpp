@@ -24,6 +24,37 @@ const char* event_kind_name(service::JobEvent::Kind kind) {
   return kind == service::JobEvent::Kind::kNewBest ? "new_best" : "tick";
 }
 
+ApiReply unknown_job(service::JobId id) {
+  return {404, error_body("unknown job id " + std::to_string(id))};
+}
+
+/// One job's status JSON.  The fingerprint rides in the extras from
+/// submit on (the ledger puts it there).
+std::string render_status(service::JobId id,
+                          const service::JobSnapshot& snap) {
+  std::ostringstream out;
+  {
+    io::JsonWriter json(out);
+    json.begin_object()
+        .value("job_id", id)
+        .value("state", service::to_string(snap.state));
+    const auto fingerprint = snap.report.extras.find("fingerprint");
+    if (fingerprint != snap.report.extras.end()) {
+      json.value("fingerprint", fingerprint->second);
+    }
+    if (!snap.tag.empty()) json.value("tag", snap.tag);
+    if (snap.state == service::JobState::kFailed ||
+        snap.state == service::JobState::kRejected) {
+      json.value("error", snap.error);
+    } else if (snap.state != service::JobState::kQueued) {
+      snap.report.write_json(json, "report");
+    }
+    json.value("events_dropped", snap.events_dropped);
+    json.end_object();
+  }
+  return out.str();
+}
+
 }  // namespace
 
 JobApi::JobApi(Config config) : config_(std::move(config)), ledger_(config_) {
@@ -49,13 +80,13 @@ JobApi::JobApi(Config config) : config_(std::move(config)), ledger_(config_) {
       if (reply.status == 202) ++resumed_;
     }
   }
-
-  reaper_ = std::thread([this] { reaper_loop(); });
 }
 
 JobApi::~JobApi() {
-  stop_reaper_.store(true, std::memory_order_relaxed);
-  if (reaper_.joinable()) reaper_.join();
+  // Retire what is left (one `cancelled` record each) before the trace is
+  // written, so the trace holds every job the journal does.
+  ledger_.service().cancel_all();
+  ledger_.service().wait_all();
   if (!config_.trace_path.empty() && !ledger_.trace().empty()) {
     ledger_.trace().write_file(config_.trace_path);
   }
@@ -74,7 +105,6 @@ ApiReply JobApi::submit_internal(const std::string& body,
     return {400, error_body(e.what())};
   }
 
-  std::lock_guard lock(mu_);
   service::JobLedger::Entry entry;
   try {
     entry = ledger_.admit(job,
@@ -114,56 +144,15 @@ ApiReply JobApi::submit_internal(const std::string& body,
     }
     json.end_object();
   }
-  // A shed job is terminal already; the reaper journals its record.
+  // A shed job is terminal already, its record journaled.
   return {state == service::JobState::kRejected ? 429 : 202, out.str()};
 }
 
-std::string JobApi::render_status(service::JobId id,
-                                  const service::JobSnapshot& snap,
-                                  const std::string& fingerprint) const {
-  std::ostringstream out;
-  {
-    io::JsonWriter json(out);
-    json.begin_object()
-        .value("job_id", id)
-        .value("state", service::to_string(snap.state));
-    if (!fingerprint.empty()) json.value("fingerprint", fingerprint);
-    if (!snap.tag.empty()) json.value("tag", snap.tag);
-    if (snap.state == service::JobState::kFailed ||
-        snap.state == service::JobState::kRejected) {
-      json.value("error", snap.error);
-    } else if (snap.state != service::JobState::kQueued) {
-      snap.report.write_json(json, "report");
-    }
-    json.value("events_dropped", snap.events_dropped);
-    json.end_object();
-  }
-  return out.str();
-}
-
 ApiReply JobApi::status(service::JobId id) {
-  std::lock_guard lock(mu_);
-  const auto done = finished_.find(id);
-  if (done != finished_.end()) {
-    return {200, render_status(id, done->second.snap,
-                               done->second.fingerprint)};
-  }
   try {
-    const service::JobSnapshot snap = ledger_.service().snapshot(id);
-    if (service::is_terminal(snap.state)) {
-      // Finished but not yet reaped: retire it now, so no client sees a
-      // terminal state before its annotations, journal record and
-      // retention exist.
-      retire_locked(id);
-      const auto retired = finished_.find(id);
-      if (retired != finished_.end()) {
-        return {200, render_status(id, retired->second.snap,
-                                   retired->second.fingerprint)};
-      }
-    }
-    return {200, render_status(id, snap, ledger_.fingerprint_of(id))};
+    return {200, render_status(id, ledger_.service().snapshot(id))};
   } catch (const std::out_of_range&) {
-    return {404, error_body("unknown job id " + std::to_string(id))};
+    return unknown_job(id);
   }
 }
 
@@ -172,31 +161,11 @@ ApiReply JobApi::events(service::JobId id, std::uint64_t* cursor,
   *done = false;
   *count = 0;
 
-  std::lock_guard lock(mu_);
   service::JobEventBatch batch;
-  const auto finished = finished_.find(id);
-  if (finished != finished_.end()) {
-    // Serve from the retained final snapshot (the service record is
-    // already released).  Same sequence numbering as events_since().
-    const service::JobSnapshot& snap = finished->second.snap;
-    batch.state = snap.state;
-    const std::uint64_t first = snap.events_dropped;
-    const std::uint64_t total = first + snap.events.size();
-    if (*cursor < first) {
-      batch.gap = true;
-      *cursor = first;
-    }
-    if (*cursor > total) *cursor = total;
-    for (std::uint64_t seq = *cursor; seq < total; ++seq) {
-      batch.events.push_back(snap.events[seq - first]);
-    }
-    *cursor = total;
-  } else {
-    try {
-      batch = ledger_.service().events_since(id, *cursor);
-    } catch (const std::out_of_range&) {
-      return {404, error_body("unknown job id " + std::to_string(id))};
-    }
+  try {
+    batch = ledger_.service().events_since(id, *cursor);
+  } catch (const std::out_of_range&) {
+    return unknown_job(id);
   }
   *done = service::is_terminal(batch.state);
   *count = batch.events.size();
@@ -224,11 +193,6 @@ ApiReply JobApi::events(service::JobId id, std::uint64_t* cursor,
 }
 
 ApiReply JobApi::cancel(service::JobId id) {
-  std::lock_guard lock(mu_);
-  if (finished_.count(id) != 0) {
-    return {409, error_body("job " + std::to_string(id) +
-                            " is already terminal")};
-  }
   try {
     if (ledger_.service().cancel(id)) {
       std::ostringstream out;
@@ -241,18 +205,17 @@ ApiReply JobApi::cancel(service::JobId id) {
       }
       return {202, out.str()};
     }
-    // Known id, already terminal (reaper has not collected it yet).
-    ledger_.service().state(id);  // throws when the id was never submitted
+    // Known id, already terminal (or finishing right now).
+    ledger_.service().state(id);  // throws for an unknown id
     return {409, error_body("job " + std::to_string(id) +
                             " is already terminal")};
   } catch (const std::out_of_range&) {
-    return {404, error_body("unknown job id " + std::to_string(id))};
+    return unknown_job(id);
   }
 }
 
 ApiReply JobApi::stats() {
   const service::ServiceStats s = ledger_.service().stats();
-  std::lock_guard lock(mu_);
   std::ostringstream out;
   {
     io::JsonWriter json(out);
@@ -266,8 +229,6 @@ ApiReply JobApi::stats() {
         .value("failed", s.failed)
         .value("cancelled", s.cancelled)
         .value("rejected", s.rejected)
-        .value("finished_retained",
-               static_cast<std::uint64_t>(finished_.size()))
         .value("resumed", static_cast<std::uint64_t>(resumed_))
         .value("journal_errors", ledger_.journal_errors());
     json.begin_object("model_cache")
@@ -286,33 +247,6 @@ ApiReply JobApi::metrics() {
   std::ostringstream out;
   obs::render_prometheus(obs::MetricsRegistry::global().snapshot(), out);
   return {200, out.str()};
-}
-
-void JobApi::reaper_loop() {
-  while (true) {
-    const bool stopping = stop_reaper_.load(std::memory_order_relaxed);
-    std::optional<service::JobId> id = ledger_.service().try_any_finished();
-    if (!id) {
-      if (stopping) break;
-      // Block briefly off-lock; returns (and claims) early when a job
-      // finishes, so the claim must be consumed, not discarded.
-      id = ledger_.service().wait_any_finished_for(0.05);
-      if (!id) continue;
-    }
-    std::lock_guard lock(mu_);
-    retire_locked(*id);
-  }
-}
-
-void JobApi::retire_locked(service::JobId id) {
-  std::optional<service::JobLedger::Retired> retired = ledger_.retire(id);
-  if (!retired) return;  // released elsewhere; nothing to retain
-  finished_[id] = std::move(*retired);
-  finish_order_.push_back(id);
-  while (finish_order_.size() > config_.retention_jobs) {
-    finished_.erase(finish_order_.front());
-    finish_order_.pop_front();
-  }
 }
 
 }  // namespace dabs::net

@@ -8,21 +8,24 @@
 // JobLedger lifecycle as a batch job — same fingerprint, same journal
 // records, same report extras.  A job id is the SolverService's id.
 //
+// Every job retires on the thread that ends it (the ledger's hook on the
+// service), before it is visibly terminal, so a status read is a plain
+// read of the service: a terminal job already carries its decode/verify
+// extras and its journal record.  Finished jobs stay readable until
+// SolverService::kRetainedJobs newer ones have finished, then are 404.
+//
 // Durability: with a journal armed, every accept's `submitted` record
-// holds the raw request body in its detail field, and the reaper retires
-// finished jobs through the ledger.  `resume()`-style recovery happens in
-// the constructor: fingerprints whose last journal record is non-terminal
-// are re-submitted from that stored body under their original
-// fingerprint.  A journal that cannot be opened refuses the start.
+// holds the raw request body in its detail field.  `resume()`-style
+// recovery happens in the constructor: fingerprints whose last journal
+// record is non-terminal are re-submitted from that stored body under
+// their original fingerprint.  A journal that cannot be opened refuses
+// the start.  Destroying the JobApi cancels what is still queued or
+// running; each such job journals one `cancelled` record, which --resume
+// re-runs.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "service/job_ledger.hpp"
 
@@ -36,13 +39,8 @@ struct ApiReply {
   std::string body;
 };
 
-/// A JobLedger (SolverService + ModelCache + optional journal) plus a
-/// reaper thread that retires finished jobs through it and bounds
-/// retention.
-///
-/// Thread-safety: the job operations and the reaper serialize on one
-/// internal mutex (operations are queue-sized, not solve-sized — the
-/// solving itself happens on the service's worker pool).
+/// HTTP-shaped operations over a JobLedger (SolverService + ModelCache +
+/// optional journal).  Thread-safe: it keeps no job state of its own.
 class JobApi {
  public:
   struct Config : service::JobConfig {
@@ -50,9 +48,6 @@ class JobApi {
       threads = 2;
       max_events_per_job = 256;
     }
-    /// Finished jobs kept queryable after the reaper releases them from
-    /// the service (oldest evicted beyond this many).
-    std::size_t retention_jobs = 1024;
   };
 
   explicit JobApi(Config config);
@@ -91,29 +86,11 @@ class JobApi {
  private:
   ApiReply submit_internal(const std::string& body,
                            const std::string& forced_fingerprint);
-  void reaper_loop();
-  /// Retires one finished job through the ledger and retains its final
-  /// snapshot; a no-op if it was already retired.  Caller holds mu_.
-  void retire_locked(service::JobId id);
-  /// Renders one job's status JSON from a snapshot.
-  std::string render_status(service::JobId id,
-                            const service::JobSnapshot& snap,
-                            const std::string& fingerprint) const;
 
   const Config config_;
-  /// Intake, retire and the maps below serialize on mu_ (the ledger's
-  /// journal is also written from the service's worker threads).
   service::JobLedger ledger_;
-
-  mutable std::mutex mu_;
-  /// Terminal jobs after release: the annotated final snapshot, retained
-  /// for status/events until evicted (finish order).
-  std::map<service::JobId, service::JobLedger::Retired> finished_;
-  std::deque<service::JobId> finish_order_;
+  /// Set by the constructor only.
   std::size_t resumed_ = 0;
-
-  std::atomic<bool> stop_reaper_{false};
-  std::thread reaper_;
 };
 
 }  // namespace dabs::net

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <functional>
 #include <istream>
+#include <mutex>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -35,22 +36,17 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
           << " more unreadable journal lines\n";
     }
   }
-  JobLedger ledger(options);
-  if (!options.journal_path.empty() && !ledger.journaled()) {
-    // No journal, no durability — but the batch itself can still run; the
-    // operator sees the warning and the summary's error count.
-    err << "batch: " << ledger.journal_error()
-        << " (continuing without journal)\n";
-  }
-  SolverService& service = ledger.service();
-
+  // Report lines come from whichever thread ends a job (a solver worker,
+  // or this thread for cancels and admission rejects), so every write to
+  // `out` and every counter the reports touch is under out_mu.
+  std::mutex out_mu;
   // With SIGPIPE ignored process-wide, a consumer that hung up (head,
   // a dead pipe) surfaces as stream failure after a flush.  The batch
   // then stops intake and cancels — but keeps journaling terminal
   // records, so a later --resume still sees the truth.
-  bool output_broken = false;
-  const auto check_output = [&out, &output_broken] {
-    if (!output_broken && !out) output_broken = true;
+  std::atomic<bool> output_broken{false};
+  const auto check_output = [&out, &output_broken] {  // caller holds out_mu
+    if (!out) output_broken.store(true, std::memory_order_relaxed);
   };
   std::size_t line_no = 0;
   std::size_t submitted = 0;
@@ -64,12 +60,12 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
   // inputs to outcomes; the batch keeps going either way.  "invalid"
   // means fix the input (schema violation, unknown solver/option);
   // "failed" means the environment broke (model unreadable) — retryable.
-  const auto emit_problem = [&out, &line_no](const char* status,
-                                             const std::string& tag,
-                                             const std::string& what,
-                                             const std::string& fingerprint =
-                                                 {},
-                                             std::uint32_t attempts = 0) {
+  const auto emit_problem = [&out, &out_mu, &check_output, &line_no](
+                                  const char* status, const std::string& tag,
+                                  const std::string& what,
+                                  const std::string& fingerprint = {},
+                                  std::uint32_t attempts = 0) {
+    std::lock_guard lock(out_mu);
     io::JsonWriter json(out);
     json.begin_object()
         .value("line", static_cast<std::uint64_t>(line_no))
@@ -80,6 +76,7 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
     json.value("error", what).end_object();
     out << "\n";
     out.flush();
+    check_output();
   };
 
   // Writes one report line before the ledger journals the terminal event
@@ -87,6 +84,7 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
   std::size_t failed = 0;
   std::size_t cancelled = 0;
   const auto write_report = [&](const JobLedger::Retired& done) {
+    std::lock_guard lock(out_mu);
     const JobSnapshot& snap = done.snap;
     if (snap.state == JobState::kFailed) ++failed;
     if (snap.state == JobState::kCancelled) ++cancelled;
@@ -115,6 +113,15 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
     check_output();
   };
 
+  JobLedger ledger(options, write_report);
+  if (!options.journal_path.empty() && !ledger.journaled()) {
+    // No journal, no durability — but the batch itself can still run; the
+    // operator sees the warning and the summary's error count.
+    err << "batch: " << ledger.journal_error()
+        << " (continuing without journal)\n";
+  }
+  SolverService& service = ledger.service();
+
   bool was_interrupted = false;
   std::string line;
   while (std::getline(jobs_in, line)) {
@@ -123,7 +130,6 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
       was_interrupted = true;
       break;
     }
-    check_output();
     if (output_broken) break;  // nobody is reading; stop taking work
     const std::size_t first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
@@ -179,7 +185,10 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
       if (!retryable || load_attempt >= attempts_allowed || interrupted()) {
         break;
       }
-      ++retries_attempted;
+      {
+        std::lock_guard lock(out_mu);
+        ++retries_attempted;
+      }
       const double backoff_seconds = retry_backoff(
           options.retry_backoff_seconds, options.retry_backoff_max_seconds,
           load_attempt, std::hash<std::string>{}(fingerprint));
@@ -199,7 +208,10 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
                    load_attempt);
       continue;
     }
-    if (load_attempt > 1) ++retries_recovered;
+    if (load_attempt > 1) {
+      std::lock_guard lock(out_mu);
+      ++retries_recovered;
+    }
     const std::string tag = job.spec.tag;  // survives the move below
     try {
       ledger.submit(std::move(entry), std::move(job));
@@ -208,41 +220,25 @@ int run_batch(std::istream& jobs_in, std::ostream& out, std::ostream& err,
       ++invalid;  // unknown solver / bad option values
       emit_problem("invalid", tag, e.what(), fingerprint);
     }
-    // Keep streaming while reading: with a slow producer (stdin pipes)
-    // reports must not wait for EOF.
-    while (const std::optional<JobId> id = service.try_any_finished()) {
-      ledger.retire(*id, write_report);
-    }
   }
   if (interrupted()) was_interrupted = true;
   if (was_interrupted || output_broken) {
-    // Stop intake, cancel everything outstanding; the drain below still
-    // emits (and journals) one line per submitted job, so nothing earned
+    // Stop intake, cancel everything outstanding; every submitted job
+    // still emits (and journals) one line as it ends, so nothing earned
     // is lost and the journal re-enqueues the cancellations on --resume.
     // (With a broken output stream the emits go nowhere, but the journal
     // records are the part that must survive.)
     service.cancel_all();
   }
 
-  // Drain the rest as they complete, out of order.  With an interrupt
-  // flag armed, poll so a signal arriving mid-drain cancels the stragglers
-  // instead of waiting out their full time limits.
-  while (ledger.in_flight() != 0) {
-    std::optional<JobId> id;
-    if (options.interrupt != nullptr) {
-      id = service.wait_any_finished_for(0.05);
-      if (!id) {
-        if (interrupted() && !was_interrupted) {
-          was_interrupted = true;
-          service.cancel_all();
-        }
-        continue;
-      }
-    } else {
-      id = service.wait_any_finished();
-      if (!id) break;
+  // Wait for the rest to finish (each reports itself as it ends), polling
+  // so a signal arriving mid-drain cancels the stragglers instead of
+  // waiting out their full time limits.
+  while (!service.wait_all_for(0.05)) {
+    if (interrupted() && !was_interrupted) {
+      was_interrupted = true;
+      service.cancel_all();
     }
-    ledger.retire(*id, write_report);
   }
 
   if (!options.trace_path.empty()) {

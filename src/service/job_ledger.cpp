@@ -227,32 +227,28 @@ std::string spec_key(const BatchJob& job) {
   return key;
 }
 
-JobLedger::JobLedger(const JobConfig& config)
-    : config_(config), service_([this] {
+JobLedger::JobLedger(const JobConfig& config, Publish publish)
+    : config_(config),
+      publish_(std::move(publish)),
+      journal_([this]() -> std::unique_ptr<JobJournal> {
+        if (config_.journal_path.empty()) return nullptr;
+        try {
+          return std::make_unique<JobJournal>(config_.journal_path);
+        } catch (const std::exception& e) {
+          journal_error_ = e.what();
+          journal_errors_.store(1, std::memory_order_relaxed);
+          return nullptr;
+        }
+      }()),
+      service_([this] {
         SolverService::Config sc;
         sc.threads = config_.threads;
         sc.max_events_per_job = config_.max_events_per_job;
         sc.cache_bytes = config_.cache_bytes;
         sc.max_queue_depth = config_.max_queue_depth;
-        sc.on_started = [this](JobId, const JobSpec& spec) {
-          const auto it = spec.extras.find("fingerprint");
-          if (it == spec.extras.end()) return;
-          JournalRecord record;
-          record.event = JournalEvent::kStarted;
-          record.fingerprint = it->second;
-          record.tag = spec.tag;
-          append(record);
-        };
+        sc.on_transition = [this](JobSnapshot& snap) { on_transition(snap); };
         return sc;
-      }()) {
-  if (config_.journal_path.empty()) return;
-  try {
-    journal_ = std::make_unique<JobJournal>(config_.journal_path);
-  } catch (const std::exception& e) {
-    journal_error_ = e.what();
-    journal_errors_.store(1, std::memory_order_relaxed);
-  }
-}
+      }()) {}
 
 JobLedger::~JobLedger() = default;
 
@@ -301,12 +297,14 @@ void JobLedger::record(const Entry& entry, JournalEvent event,
 
 std::string JobLedger::fingerprint(const BatchJob& job) {
   std::string fingerprint = job_fingerprint(job);
+  std::lock_guard lock(mu_);
   const std::uint64_t occurrence = ++occurrences_[fingerprint];
   if (occurrence > 1) fingerprint += "#" + std::to_string(occurrence);
   return fingerprint;
 }
 
 void JobLedger::seed_occurrences(const JobJournal::Replay& replay) {
+  std::lock_guard lock(mu_);
   for (const auto& [fp, event] : replay.last_event) {
     const std::size_t hash = fp.find('#');
     std::uint64_t occurrence =
@@ -333,9 +331,16 @@ JobLedger::Entry JobLedger::admit(const BatchJob& job,
   // job (no terminal record = re-enqueue on resume).
   record(entry, JournalEvent::kSubmitted, body, 0);
   if (job.problem.empty()) return entry;
-  const auto shared = problems_by_spec_.find(entry.spec_key);
-  if (shared != problems_by_spec_.end()) entry.problem = shared->second.lock();
+  {
+    std::lock_guard lock(mu_);
+    const auto shared = problems_by_spec_.find(entry.spec_key);
+    if (shared != problems_by_spec_.end()) {
+      entry.problem = shared->second.lock();
+    }
+  }
   if (!entry.problem) {
+    // Created off the lock (a registry spec may read a file); concurrent
+    // admits of one new spec may each create one, the last one is shared.
     try {
       entry.problem = ProblemRegistry::global().create(job.problem, job.params);
     } catch (const std::exception& e) {
@@ -343,6 +348,7 @@ JobLedger::Entry JobLedger::admit(const BatchJob& job,
              0);
       throw;
     }
+    std::lock_guard lock(mu_);
     problems_by_spec_[entry.spec_key] = entry.problem;
   }
   return entry;
@@ -385,34 +391,48 @@ JobId JobLedger::submit(Entry entry, BatchJob job) {
   spec.extras["model_cache_hits"] =
       std::to_string(service_.cache().stats().hits);
   spec.extras["fingerprint"] = entry.fingerprint;
-  JobId id = 0;
+  // Registered before the service sees the job: a worker can finish it
+  // (and an admission reject retires it) before submit() returns.
+  const std::string fingerprint = entry.fingerprint;
+  {
+    std::lock_guard lock(mu_);
+    in_flight_.emplace(fingerprint, entry);
+  }
   try {
-    id = service_.submit(std::move(spec));
+    return service_.submit(std::move(spec));
   } catch (const std::exception& e) {
+    {
+      std::lock_guard lock(mu_);
+      in_flight_.erase(fingerprint);
+    }
     fail(entry, std::string("invalid: ") + e.what());
     throw;
   }
-  in_flight_.emplace(id, std::move(entry));
-  return id;
 }
 
-std::optional<JobLedger::Retired> JobLedger::retire(
-    JobId id, const std::function<void(const Retired&)>& publish) {
-  Retired retired;
-  try {
-    retired.snap = service_.snapshot(id);
-  } catch (const std::out_of_range&) {
-    return std::nullopt;  // already retired
+void JobLedger::on_transition(JobSnapshot& snap) {
+  const auto fingerprint = snap.report.extras.find("fingerprint");
+  if (fingerprint == snap.report.extras.end()) return;
+  if (snap.state == JobState::kRunning) {
+    JournalRecord record;
+    record.event = JournalEvent::kStarted;
+    record.fingerprint = fingerprint->second;
+    record.tag = snap.tag;
+    append(record);
+    return;
   }
   Entry entry;
-  if (auto node = in_flight_.extract(id)) entry = std::move(node.mapped());
-  retired.fingerprint = entry.fingerprint;
-  retired.line = entry.line;
-  JobSnapshot& snap = retired.snap;
-  const auto attempts = snap.report.extras.find("attempts");
-  if (attempts != snap.report.extras.end()) {
-    retired.attempts = static_cast<std::uint32_t>(
-        std::strtoul(attempts->second.c_str(), nullptr, 10));
+  {
+    std::lock_guard lock(mu_);
+    auto node = in_flight_.extract(fingerprint->second);
+    if (!node) return;
+    entry = std::move(node.mapped());
+  }
+  std::uint32_t attempts = 0;
+  const auto attempts_extra = snap.report.extras.find("attempts");
+  if (attempts_extra != snap.report.extras.end()) {
+    attempts = static_cast<std::uint32_t>(
+        std::strtoul(attempts_extra->second.c_str(), nullptr, 10));
   }
   // Problem jobs: decode the solved bits into domain terms and verify them
   // against the cached model (a job cancelled while queued carries an
@@ -435,42 +455,36 @@ std::optional<JobLedger::Retired> JobLedger::retire(
       snap.report.extras["verify_message"] = e.what();
     }
   }
-  if (publish) publish(retired);
+  if (publish_) publish_(Retired{snap, entry.fingerprint, entry.line, attempts});
 
   switch (snap.state) {
     case JobState::kDone:
-      record(entry, JournalEvent::kDone, "", retired.attempts);
+      record(entry, JournalEvent::kDone, "", attempts);
       break;
     case JobState::kFailed:
-      record(entry, JournalEvent::kFailed, snap.error, retired.attempts);
+      record(entry, JournalEvent::kFailed, snap.error, attempts);
       break;
     case JobState::kRejected:
-      record(entry, JournalEvent::kRejected, snap.error, retired.attempts);
+      record(entry, JournalEvent::kRejected, snap.error, attempts);
       break;
     default:
       record(entry, JournalEvent::kCancelled,
              snap.report.extras.count("deadline_exceeded") != 0 ? "deadline"
                                                                  : "cancelled",
-             retired.attempts);
+             attempts);
       break;
   }
   if (!config_.trace_path.empty()) {
     obs::append_job_trace(trace_, job_trace(snap));
   }
-  service_.release(id);
   // Drop the spec entry once no in-flight job holds its problem, so a long
   // run of distinct specs does not accumulate stale weak_ptrs.
   entry.problem.reset();
+  std::lock_guard lock(mu_);
   const auto shared = problems_by_spec_.find(entry.spec_key);
   if (shared != problems_by_spec_.end() && shared->second.expired()) {
     problems_by_spec_.erase(shared);
   }
-  return retired;
-}
-
-std::string JobLedger::fingerprint_of(JobId id) const {
-  const auto it = in_flight_.find(id);
-  return it == in_flight_.end() ? std::string() : it->second.fingerprint;
 }
 
 }  // namespace dabs::service

@@ -11,13 +11,13 @@
 //   load()         the model through the service's ModelCache
 //   submit()       spec defaults + extras, enqueue on the SolverService
 //   fail()         terminal `failed` record for a job that never ran
-//   retire()       decode + verify, publish, terminal record, job trace,
-//                  release
+//   (retire)       decode + verify, publish, terminal record, job trace —
+//                  run by the service's on_transition hook on whichever
+//                  thread ends the job, before the job is visibly terminal
 //
-// The `started` record comes from the service's on_started hook on a
-// worker thread.  Journal writes are thread-safe; every other call must be
-// made by one thread at a time (the batch's driving thread, or under
-// JobApi's mutex).
+// The `started` record comes from the same hook on the worker that picks
+// the job up.  Every call is thread-safe: the ledger's maps share one
+// mutex, never held across a model load, a solve or a journal write.
 //
 // Job schema (one JSON object; exactly one of "model" / "problem"):
 //
@@ -55,7 +55,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include "obs/trace.hpp"
@@ -151,7 +150,7 @@ class JobLedger {
     std::uint64_t line = 0;
     std::string tag;
     std::string spec_key;
-    /// Problem jobs only: decode/verify happens at retire().
+    /// Problem jobs only: decode/verify happens when the job retires.
     std::shared_ptr<const Problem> problem;
     std::shared_ptr<const QuboModel> model;
     bool cache_hit = false;
@@ -159,18 +158,23 @@ class JobLedger {
 
   /// A finished job: its annotated final snapshot and ledger identity.
   struct Retired {
-    JobSnapshot snap;
-    std::string fingerprint;
+    const JobSnapshot& snap;
+    const std::string& fingerprint;
     std::uint64_t line = 0;
     /// solve() attempts made (the report's "attempts" extra; 0 when the
     /// job never started).
     std::uint32_t attempts = 0;
   };
+  /// Called once per finished job, on the thread that ends it, before the
+  /// terminal record: a crash between the two re-runs the job on resume
+  /// instead of losing its report (reports are at-least-once, terminal
+  /// records exactly-once).
+  using Publish = std::function<void(const Retired&)>;
 
   /// Starts the SolverService and opens the journal.  A journal that
   /// cannot be opened leaves journaled() false and journal_error() set;
   /// each front end decides whether to run without it.
-  explicit JobLedger(const JobConfig& config);
+  explicit JobLedger(const JobConfig& config, Publish publish = {});
   ~JobLedger();
 
   JobLedger(const JobLedger&) = delete;
@@ -210,40 +214,40 @@ class JobLedger {
   void fail(const Entry& entry, const std::string& detail,
             std::uint32_t attempt = 0);
   /// Fills the spec defaults (time limit, budgets, attempts, backoff) and
-  /// extras, then enqueues the job.  Unknown solver / bad options: journals
-  /// `failed` and rethrows.
+  /// extras, then enqueues the job.  From here on the job retires itself
+  /// (see Publish).  Unknown solver / bad options: journals `failed` and
+  /// rethrows.
   JobId submit(Entry entry, BatchJob job);
 
-  /// Retires a finished job: decode + verify (problem jobs), `publish`,
-  /// the terminal record, the job trace, and release from the service.  `publish` runs before the terminal record, so a
-  /// crash between the two re-runs the job on resume instead of losing
-  /// its report.  nullopt when the service no longer knows `id`.
-  std::optional<Retired> retire(
-      JobId id, const std::function<void(const Retired&)>& publish = {});
-
-  /// Jobs submitted and not yet retired.
-  std::size_t in_flight() const noexcept { return in_flight_.size(); }
-  /// An in-flight job's fingerprint; empty when `id` is not in flight.
-  std::string fingerprint_of(JobId id) const;
   /// Retired jobs' trace spans (empty unless JobConfig::trace_path).
   const obs::TraceCollector& trace() const noexcept { return trace_; }
 
  private:
+  /// The service's on_transition hook: `started` on pickup; on the
+  /// terminal transition decode + verify (problem jobs), publish_, the
+  /// terminal record and the job trace.
+  void on_transition(JobSnapshot& snap);
   void append(const JournalRecord& record);
   void record(const Entry& entry, JournalEvent event,
               const std::string& detail, std::uint32_t attempt);
 
   const JobConfig config_;
+  const Publish publish_;
   /// Guards journal_error_ (appends fail on worker threads too).
   mutable std::mutex journal_mu_;
   std::string journal_error_;
   std::atomic<std::uint64_t> journal_errors_{0};
-  /// Declared before service_: the on_started hook appends from worker
-  /// threads until the service destructor has joined them.
-  std::unique_ptr<JobJournal> journal_;
-  SolverService service_;
 
-  std::map<JobId, Entry> in_flight_;
+  // Everything the hook touches is declared before service_: the service
+  // destructor cancels what is left, and those jobs retire through the
+  // hook before service_ is gone.
+  std::unique_ptr<JobJournal> journal_;
+  /// Guards in_flight_, problems_by_spec_ and occurrences_.
+  std::mutex mu_;
+  /// Submitted jobs not yet retired, by fingerprint (unique per process;
+  /// known before the service assigns an id, so a job that finishes
+  /// inside submit() still finds its entry).
+  std::map<std::string, Entry> in_flight_;
   /// Spec-level Problem sharing: identical "problem"+"params" jobs share
   /// one instance (one generator run / file read), weakly held so a spec
   /// whose jobs all finished frees its instance data — only the
@@ -251,6 +255,7 @@ class JobLedger {
   std::map<std::string, std::weak_ptr<const Problem>> problems_by_spec_;
   std::map<std::string, std::uint64_t> occurrences_;
   obs::TraceCollector trace_;
+  SolverService service_;
 };
 
 }  // namespace dabs::service

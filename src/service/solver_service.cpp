@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "rng/xorshift.hpp"
 #include "util/failpoint.hpp"
@@ -172,6 +173,9 @@ struct SolverService::Job {
   std::uint32_t attempts = 0;
   /// Set by the watchdog when this job's deadline came due.
   bool deadline_exceeded = false;
+  /// Terminal state decided and the hook running; `state` still shows the
+  /// pre-terminal state until finish() publishes.
+  bool finishing = false;
   // Bounded ring: newest events overwrite the oldest once full.
   std::vector<JobEvent> events;
   std::size_t ring_next = 0;
@@ -276,9 +280,8 @@ JobId SolverService::submit(JobSpec spec) {
       SolverRegistry::global().create(spec.solver, spec.options);
 
   JobId id = 0;
-  bool rejected = false;
   {
-    std::lock_guard lock(mu_);
+    std::unique_lock lock(mu_);
     if (shutting_down_) {
       throw std::runtime_error("SolverService is shutting down");
     }
@@ -286,17 +289,20 @@ JobId SolverService::submit(JobSpec spec) {
     // between validation and enqueue (caller sees the submit throw).
     fail::point("service.queue_push");
     // Admission control: past the configured depth the job is shed, not
-    // queued — it becomes a terminal kRejected record that still flows
-    // through the completion stream so batch consumers see one outcome
-    // per submit (and can journal + retry it on a later run).
-    rejected = config_.max_queue_depth > 0 &&
-               pending_.size() >= config_.max_queue_depth;
+    // queued — it becomes a terminal kRejected record, so callers see one
+    // outcome per submit (and can journal + retry it on a later run).
+    const bool rejected = config_.max_queue_depth > 0 &&
+                          pending_.size() >= config_.max_queue_depth;
     id = next_id_++;
     ++stat_submitted_;
+    ++unfinished_;
     service_metrics().submitted->inc();
     auto job = std::make_unique<Job>();
     job->id = id;
     job->spec = std::move(spec);
+    // Caller annotations are readable from submit on (the fingerprint a
+    // front end puts here names a queued job too).
+    job->report.extras = job->spec.extras;
     job->solver = std::move(solver);
     job->submitted_seconds = epoch_.elapsed_seconds();
     if (rejected) {
@@ -306,8 +312,7 @@ JobId SolverService::submit(JobSpec spec) {
                    std::to_string(config_.max_queue_depth);
       Job& record = *job;
       jobs_.emplace(id, std::move(job));
-      ++unclaimed_;
-      finalize_locked(record, JobState::kRejected);
+      finish(record, JobState::kRejected, lock);
       return id;
     }
     pending_.emplace(PendingKey{job->spec.priority, id}, id);
@@ -321,7 +326,6 @@ JobId SolverService::submit(JobSpec spec) {
       cv_watchdog_.notify_one();
     }
     jobs_.emplace(id, std::move(job));
-    ++unclaimed_;
     update_gauges_locked();
   }
   // One drain task per submission: each pops whichever pending job is
@@ -333,6 +337,7 @@ JobId SolverService::submit(JobSpec spec) {
 
 void SolverService::run_one() {
   Job* job = nullptr;
+  JobSnapshot started;
   {
     std::lock_guard lock(mu_);
     if (pending_.empty()) return;  // its job was cancelled while queued
@@ -347,8 +352,9 @@ void SolverService::run_one() {
                                             job->submitted_seconds);
     }
     update_gauges_locked();
+    if (config_.on_transition) started = snapshot_of(*job);
   }
-  if (config_.on_started) config_.on_started(job->id, job->spec);
+  if (config_.on_transition) config_.on_transition(started);
 
   EventLogObserver observer(*this, *job);
   const std::uint32_t max_attempts = job->spec.max_attempts;
@@ -396,8 +402,7 @@ void SolverService::run_one() {
     if (interrupted_in_backoff) break;
   }
 
-  std::lock_guard lock(mu_);
-  --running_;
+  std::unique_lock lock(mu_);
   job->attempts = attempt;
   if (interrupted_in_backoff) {
     // Cancelled (or shut down) while waiting to retry: the failed
@@ -406,15 +411,15 @@ void SolverService::run_one() {
     job->error = std::move(error);
     job->report = SolveReport{};
     job->report.cancelled = true;
-    finalize_locked(*job, JobState::kCancelled);
+    finish(*job, JobState::kCancelled, lock);
   } else if (failed) {
     job->error = std::move(error);
-    finalize_locked(*job, JobState::kFailed);
+    finish(*job, JobState::kFailed, lock);
   } else {
     const JobState state =
         report.cancelled ? JobState::kCancelled : JobState::kDone;
     job->report = std::move(report);
-    finalize_locked(*job, state);
+    finish(*job, state, lock);
   }
 }
 
@@ -433,8 +438,8 @@ void SolverService::watchdog_loop() {
       continue;
     }
     const auto next = deadlines_.begin()->first;
-    if (cv_watchdog_.wait_until(lock, next,
-                                [this] { return shutting_down_; })) {
+    if (cv_watchdog_.wait_for(lock, next - std::chrono::steady_clock::now(),
+                              [this] { return shutting_down_; })) {
       break;
     }
     // Either the earliest deadline came due or an earlier one was armed;
@@ -444,15 +449,19 @@ void SolverService::watchdog_loop() {
       const JobId id = deadlines_.begin()->second;
       deadlines_.erase(deadlines_.begin());
       const auto it = jobs_.find(id);
-      if (it == jobs_.end() || is_terminal(it->second->state)) continue;
+      if (it == jobs_.end() || it->second->finishing ||
+          is_terminal(it->second->state)) {
+        continue;
+      }
       Job& job = *it->second;
       job.deadline_exceeded = true;
       service_metrics().deadline_hits->inc();
       if (job.state == JobState::kQueued) {
-        // Never ran and never will: retire in place.
+        // Never ran and never will: retire in place (finish() drops and
+        // retakes the lock; the loop re-reads deadlines_ afterwards).
         pending_.erase(PendingKey{job.spec.priority, job.id});
         job.report.cancelled = true;
-        finalize_locked(job, JobState::kCancelled);
+        finish(job, JobState::kCancelled, lock);
       } else {
         // Running (or backing off between retries): stop cooperatively.
         job.token.request_stop();
@@ -480,9 +489,33 @@ void SolverService::update_gauges_locked() {
   m.active->set(static_cast<std::int64_t>(running_));
 }
 
-void SolverService::finalize_locked(Job& job, JobState state) {
-  job.state = state;
+void SolverService::finish(Job& job, JobState state,
+                           std::unique_lock<std::mutex>& lock) {
+  job.finishing = true;
   job.finished_seconds = epoch_.elapsed_seconds();
+  annotate_locked(job, state);
+  if (config_.on_transition) {
+    JobSnapshot snap = snapshot_of(job);
+    snap.state = state;
+    lock.unlock();
+    try {
+      config_.on_transition(snap);
+    } catch (const std::exception& e) {
+      // A throwing hook must not strand the job short of terminal (every
+      // waiter would hang); its annotations are what it managed to write.
+      obs::log(obs::LogLevel::kWarn, "service", "on_transition threw",
+               {{"job_id", job.id}, {"error", e.what()}});
+    }
+    lock.lock();
+    job.report = std::move(snap.report);
+  }
+  if (job.state == JobState::kRunning) --running_;
+  job.state = state;
+  // The record outlives the run: drop what only the run needed (the model
+  // may be large, and the cache decides how long it lives).
+  job.solver.reset();
+  job.spec.model.reset();
+  --unfinished_;
   ServiceMetrics& metrics = service_metrics();
   switch (state) {
     case JobState::kDone:
@@ -510,6 +543,15 @@ void SolverService::finalize_locked(Job& job, JobState state) {
     h->observe(job.finished_seconds - job.submitted_seconds);
   }
   update_gauges_locked();
+  retired_.push_back(job.id);
+  while (retired_.size() > kRetainedJobs) {
+    jobs_.erase(retired_.front());
+    retired_.pop_front();
+  }
+  cv_.notify_all();
+}
+
+void SolverService::annotate_locked(Job& job, JobState state) {
   if (job.report.solver.empty()) job.report.solver = job.spec.solver;
   // Caller annotations win over same-named solver extras: the caller set
   // them deliberately per job.
@@ -537,7 +579,7 @@ void SolverService::finalize_locked(Job& job, JobState state) {
       break;
     case JobState::kQueued:
     case JobState::kRunning:
-      break;  // finalize is never called with a non-terminal state
+      break;  // only terminal states are annotated
   }
   if (job.deadline_exceeded) job.report.extras["deadline_exceeded"] = "true";
   if (!job.error.empty() && state != JobState::kFailed &&
@@ -556,8 +598,6 @@ void SolverService::finalize_locked(Job& job, JobState state) {
           format_seconds(job.finished_seconds - job.started_seconds);
     }
   }
-  finished_.push_back(job.id);
-  cv_.notify_all();
 }
 
 JobState SolverService::state(JobId id) const {
@@ -575,7 +615,10 @@ JobSnapshot SolverService::snapshot(JobId id) const {
 JobSnapshot SolverService::snapshot_locked(JobId id) const {
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) throw std::out_of_range("unknown job id");
-  const Job& job = *it->second;
+  return snapshot_of(*it->second);
+}
+
+JobSnapshot SolverService::snapshot_of(const Job& job) {
   JobSnapshot snap;
   snap.id = job.id;
   snap.state = job.state;
@@ -601,96 +644,36 @@ JobSnapshot SolverService::wait(JobId id) {
   if (jobs_.find(id) == jobs_.end()) {
     throw std::out_of_range("unknown job id");
   }
-  // Re-find per evaluation: a concurrent release() may erase the record.
+  // Re-find per evaluation: retention may drop the record meanwhile.
   cv_.wait(lock, [this, id] {
     const auto it = jobs_.find(id);
     return it == jobs_.end() || is_terminal(it->second->state);
   });
-  return snapshot_locked(id);  // throws if the job was released meanwhile
-}
-
-std::optional<JobSnapshot> SolverService::wait_for(JobId id, double seconds) {
-  return wait_until(id, std::chrono::steady_clock::now() +
-                            std::chrono::duration_cast<
-                                std::chrono::steady_clock::duration>(
-                                std::chrono::duration<double>(seconds)));
-}
-
-std::optional<JobSnapshot> SolverService::wait_until(
-    JobId id, std::chrono::steady_clock::time_point deadline) {
-  std::unique_lock lock(mu_);
-  if (jobs_.find(id) == jobs_.end()) {
-    throw std::out_of_range("unknown job id");
-  }
-  const bool terminal = cv_.wait_until(lock, deadline, [this, id] {
-    const auto it = jobs_.find(id);
-    return it == jobs_.end() || is_terminal(it->second->state);
-  });
-  if (!terminal) return std::nullopt;
-  return snapshot_locked(id);  // throws if the job was released meanwhile
+  return snapshot_locked(id);  // throws if the record was dropped
 }
 
 void SolverService::wait_all() {
   std::unique_lock lock(mu_);
-  cv_.wait(lock, [this] { return pending_.empty() && running_ == 0; });
+  cv_.wait(lock, [this] { return unfinished_ == 0; });
 }
 
-std::optional<JobId> SolverService::wait_any_finished() {
+bool SolverService::wait_all_for(double seconds) {
   std::unique_lock lock(mu_);
-  cv_.wait(lock, [this] { return !finished_.empty() || unclaimed_ == 0; });
-  if (finished_.empty()) return std::nullopt;
-  const JobId id = finished_.front();
-  finished_.pop_front();
-  --unclaimed_;
-  return id;
-}
-
-std::optional<JobId> SolverService::wait_any_finished_for(double seconds) {
-  std::unique_lock lock(mu_);
-  cv_.wait_for(lock, std::chrono::duration<double>(seconds),
-               [this] { return !finished_.empty() || unclaimed_ == 0; });
-  if (finished_.empty()) return std::nullopt;
-  const JobId id = finished_.front();
-  finished_.pop_front();
-  --unclaimed_;
-  return id;
-}
-
-std::optional<JobId> SolverService::try_any_finished() {
-  std::lock_guard lock(mu_);
-  if (finished_.empty()) return std::nullopt;
-  const JobId id = finished_.front();
-  finished_.pop_front();
-  --unclaimed_;
-  return id;
-}
-
-bool SolverService::release(JobId id) {
-  std::lock_guard lock(mu_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end() || !is_terminal(it->second->state)) return false;
-  const auto claim = std::find(finished_.begin(), finished_.end(), id);
-  if (claim != finished_.end()) {
-    finished_.erase(claim);
-    --unclaimed_;
-    // unclaimed_ hitting zero can end a blocked wait_any_finished().
-    cv_.notify_all();
-  }
-  jobs_.erase(it);
-  return true;
+  return cv_.wait_for(lock, std::chrono::duration<double>(seconds),
+                      [this] { return unfinished_ == 0; });
 }
 
 bool SolverService::cancel(JobId id) {
-  std::lock_guard lock(mu_);
+  std::unique_lock lock(mu_);
   const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return false;
+  if (it == jobs_.end() || it->second->finishing) return false;
   Job& job = *it->second;
   switch (job.state) {
     case JobState::kQueued:
       // Never ran: retire immediately with an empty cancelled report.
       pending_.erase(PendingKey{job.spec.priority, job.id});
       job.report.cancelled = true;
-      finalize_locked(job, JobState::kCancelled);
+      finish(job, JobState::kCancelled, lock);
       return true;
     case JobState::kRunning:
       job.token.request_stop();
@@ -717,28 +700,13 @@ void SolverService::cancel_all() {
   for (const JobId id : ids) cancel(id);
 }
 
-std::size_t SolverService::queue_depth() const {
-  std::lock_guard lock(mu_);
-  return pending_.size();
-}
-
-std::size_t SolverService::active_count() const {
-  std::lock_guard lock(mu_);
-  return running_;
-}
-
-std::size_t SolverService::outstanding() const {
-  std::lock_guard lock(mu_);
-  return pending_.size() + running_;
-}
-
 ServiceStats SolverService::stats() const {
   ServiceStats out;
   {
     std::lock_guard lock(mu_);
     out.queue_depth = pending_.size();
     out.active = running_;
-    out.outstanding = pending_.size() + running_;
+    out.outstanding = unfinished_;
     out.retained = jobs_.size();
     out.submitted = stat_submitted_;
     out.done = stat_done_;

@@ -1,8 +1,7 @@
 // Asynchronous batch-solve service over the unified Solver API — the layer
 // that turns one-shot solve() calls into a concurrent, cancellable,
-// deduplicating job pipeline (PR 3 named it as its natural next step; the
-// job lifecycle in job_ledger.hpp, and the JSONL and HTTP front ends over
-// it, sit on top of this).
+// deduplicating job pipeline (the job lifecycle in job_ledger.hpp, and the
+// JSONL and HTTP front ends over it, sit on top of this).
 //
 //   SolverService svc({.threads = 4});
 //   JobSpec spec;
@@ -14,10 +13,18 @@
 //
 // Scheduling: jobs queue in (priority desc, submission order) and run on a
 // shared ThreadPool.  Cancellation: cancel() fires the job's StopToken
-// (PR 3's cooperative protocol) when running and retires the job
-// immediately when still queued.  Observability: a service-owned
+// (the cooperative protocol in core/solver.hpp) when running and retires
+// the job immediately when still queued.  Observability: a service-owned
 // ProgressObserver feeds a bounded per-job event log (new-best and tick
 // events) readable from any thread via snapshot().
+//
+// One terminal path: whichever thread ends a job — the worker after
+// solve() returns, the canceller or the watchdog for a queued job, the
+// submitter for an admission reject — runs Config::on_transition on it
+// outside the service lock, and only then makes the job visibly terminal.
+// So a reader never sees a terminal job its hook has not finished with,
+// and every job passes its hook exactly once.  Finished records stay
+// readable until kRetainedJobs newer ones have finished.
 //
 // Robustness (the fault-tolerance slice):
 //
@@ -32,10 +39,7 @@
 //     cooperatively; the report extras carry "deadline_exceeded".
 //   - Admission control: Config::max_queue_depth sheds load instead of
 //     growing the queue unboundedly — an over-capacity submit returns a
-//     job that is immediately terminal in the new kRejected state.
-//   - Observation hook: Config::on_started fires (on the worker thread,
-//     outside the service lock) when a worker picks a job up — the batch
-//     runner journals the transition.
+//     job that is immediately terminal in the kRejected state.
 #pragma once
 
 #include <chrono>
@@ -178,8 +182,8 @@ struct JobEventBatch {
 struct ServiceStats {
   std::size_t queue_depth = 0;  // submitted, not yet picked up
   std::size_t active = 0;       // inside Solver::solve right now
-  std::size_t outstanding = 0;  // queue_depth + active
-  std::size_t retained = 0;     // job records held (not yet release()d)
+  std::size_t outstanding = 0;  // not yet terminal (queued + running)
+  std::size_t retained = 0;     // job records held, live and finished
   std::uint64_t submitted = 0;  // lifetime submits (rejected ones included)
   std::uint64_t done = 0;
   std::uint64_t failed = 0;
@@ -208,11 +212,18 @@ class SolverService {
     /// Admission bound: submits past this queue depth are shed as
     /// kRejected instead of queued (0 = unbounded).
     std::size_t max_queue_depth = 0;
-    /// Fired on the worker thread, outside the service lock, when the
-    /// worker picks the job up (once per job, before the first attempt).
-    /// Keep it fast; must not call back into the service.
-    std::function<void(JobId, const JobSpec&)> on_started;
+    /// Fired outside the service lock on two transitions: with state
+    /// kRunning by the worker that picks the job up (before the first
+    /// attempt), and with the terminal state by whichever thread ends the
+    /// job — before any reader can see that state.  At the terminal call
+    /// the report is final (extras annotated, finished_seconds stamped);
+    /// what the hook writes into `snap.report` becomes the job's report.
+    /// Must not wait on the service.
+    std::function<void(JobSnapshot& snap)> on_transition;
   };
+
+  /// Finished job records kept readable; the oldest is dropped past this.
+  static constexpr std::size_t kRetainedJobs = 1024;
 
   SolverService();
   explicit SolverService(Config config);
@@ -225,8 +236,7 @@ class SolverService {
   /// Validates the spec (non-null model, known solver, buildable options —
   /// throws std::invalid_argument otherwise) and enqueues the job.  When
   /// admission control sheds it, the returned job is already terminal in
-  /// state kRejected (it still flows through the completion stream so
-  /// batch consumers see exactly one outcome per submit).
+  /// state kRejected (its on_transition hook has run on this thread).
   JobId submit(JobSpec spec);
 
   /// Current state; throws std::out_of_range for an unknown id.
@@ -237,43 +247,14 @@ class SolverService {
 
   /// Blocks until the job reaches a terminal state, then snapshots it.
   /// Throws std::out_of_range for an id that was never submitted, and for
-  /// one whose record a concurrent release() dropped mid-wait.
+  /// one whose finished record was dropped (kRetainedJobs) mid-wait.
   JobSnapshot wait(JobId id);
-
-  /// wait() with a timeout: nullopt when the job is still not terminal
-  /// after `seconds`.  Same std::out_of_range contract as wait().
-  std::optional<JobSnapshot> wait_for(JobId id, double seconds);
-
-  /// wait() with an absolute deadline; same contract as wait_for().
-  std::optional<JobSnapshot> wait_until(
-      JobId id, std::chrono::steady_clock::time_point deadline);
 
   /// Blocks until every submitted job is terminal.
   void wait_all();
-
-  /// Completion stream for out-of-order consumers: blocks until some job
-  /// finishes that no previous wait_any_finished() call returned, and
-  /// returns its id.  Returns nullopt when no submitted job remains
-  /// unclaimed.  Each finished job is delivered exactly once across all
-  /// callers.
-  std::optional<JobId> wait_any_finished();
-
-  /// wait_any_finished() with a timeout: nullopt when nothing finished
-  /// within `seconds` (callers distinguish "timed out" from "none left"
-  /// via outstanding()/their own bookkeeping).
-  std::optional<JobId> wait_any_finished_for(double seconds);
-
-  /// Non-blocking wait_any_finished(): a finished unclaimed job id if one
-  /// is ready right now, nullopt otherwise.
-  std::optional<JobId> try_any_finished();
-
-  /// Drops a terminal job's record (report, events, solution) so long
-  /// batches do not accumulate every finished job for the service's
-  /// lifetime.  Also forfeits the job's pending completion-stream
-  /// delivery if it was never claimed.  Returns false when the id is
-  /// unknown or the job has not finished; after release the id is
-  /// unknown to state()/snapshot()/wait().
-  bool release(JobId id);
+  /// wait_all() with a timeout: false when some job is still not terminal
+  /// after `seconds`.
+  bool wait_all_for(double seconds);
 
   /// Cancels a job: a queued job retires immediately (kCancelled), a
   /// running job gets its StopToken fired and winds down cooperatively
@@ -284,16 +265,8 @@ class SolverService {
   /// Fires every non-terminal job's cancellation.
   void cancel_all();
 
-  /// Jobs submitted but not yet picked up by a worker.
-  std::size_t queue_depth() const;
-  /// Jobs currently inside Solver::solve.
-  std::size_t active_count() const;
-  /// Jobs not yet terminal (queued + running).
-  std::size_t outstanding() const;
-
   /// Every gauge and lifetime counter in one locked read (plus the model
-  /// cache's own stats) — a mutually consistent snapshot, unlike calling
-  /// the individual accessors back to back.
+  /// cache's own stats), so the numbers agree with each other.
   ServiceStats stats() const;
 
   /// Events appended to `id`'s log at sequence >= `cursor`, advancing
@@ -315,8 +288,12 @@ class SolverService {
   void watchdog_loop();
   void ensure_watchdog_locked();
   void update_gauges_locked();
-  void finalize_locked(Job& job, JobState state);
+  /// The one terminal path: annotates the report, runs on_transition with
+  /// `lock` released, then publishes the state.  Caller holds `lock`.
+  void finish(Job& job, JobState state, std::unique_lock<std::mutex>& lock);
+  void annotate_locked(Job& job, JobState state);
   JobSnapshot snapshot_locked(JobId id) const;
+  static JobSnapshot snapshot_of(const Job& job);
   static SolveRequest request_for(const Job& job,
                                   ProgressObserver* observer);
 
@@ -342,13 +319,15 @@ class SolverService {
   std::condition_variable cv_watchdog_;
   std::map<JobId, std::unique_ptr<Job>> jobs_;
   std::map<PendingKey, JobId> pending_;
-  std::deque<JobId> finished_;  // terminal, not yet claimed by wait_any
+  /// Terminal jobs in finish order; the front is dropped past
+  /// kRetainedJobs.
+  std::deque<JobId> retired_;
   /// Armed per-job deadlines (absolute), consumed by the watchdog; entries
   /// for already-terminal jobs are skipped when they come due.
   std::multimap<std::chrono::steady_clock::time_point, JobId> deadlines_;
   JobId next_id_ = 1;
-  std::size_t running_ = 0;
-  std::size_t unclaimed_ = 0;  // submitted minus wait_any deliveries
+  std::size_t running_ = 0;     // picked up, not yet terminal
+  std::size_t unfinished_ = 0;  // submitted, not yet terminal
   /// Lifetime counters behind stats(): bumped at submit / finalize.
   std::uint64_t stat_submitted_ = 0;
   std::uint64_t stat_done_ = 0;

@@ -6,9 +6,13 @@
 #   2. Start the same batch with a journal and SIGKILL it mid-flight — the
 #      hardest crash there is: no handlers, no flushing, no goodbyes.
 #   3. Re-run with --resume until the batch completes.
-#   4. The union of report fingerprints across the crashed run and the
-#      resumed runs must equal the reference set — nothing lost, nothing
-#      duplicated.
+#   4. Check the contract JobLedger documents: the final journal holds
+#      exactly one done/failed record per job, and the union of done
+#      reports equals the reference set (nothing lost).  Reports are
+#      at-least-once — each is written before its terminal record — so a
+#      job may be reported by both runs only if the kill landed between
+#      its report and its record, i.e. the journal copied right after the
+#      kill has no terminal record for it.
 #
 # Usage: crash_replay_e2e.sh <path-to-dabs_cli>
 set -u
@@ -60,6 +64,7 @@ done
 kill -9 "$VICTIM" 2>/dev/null
 wait "$VICTIM" 2>/dev/null
 [ -f "$JOURNAL" ] || fail "journaled run never created the journal"
+cp "$JOURNAL" "$WORK/journal_at_kill.jsonl"
 
 # --- 3. resume -------------------------------------------------------------
 # Exit 0 from a --resume pass means every job that was not already terminal
@@ -68,15 +73,26 @@ wait "$VICTIM" 2>/dev/null
   > "$WORK/resume1.jsonl" 2> "$WORK/resume1.err" \
   || fail "resume exited $? ($(cat "$WORK/resume1.err"))"
 
-# --- 4. union check: nothing lost, nothing duplicated ----------------------
-# Only count completed reports — the torn run1 tail may hold a partial line.
-grep -h '"status":"done"' "$WORK"/run1.jsonl "$WORK"/resume*.jsonl \
-  | sed -n 's/.*"fingerprint":"\([^"]*\)".*/\1/p' | sort > "$WORK/actual_all.txt"
-sort -u "$WORK/actual_all.txt" > "$WORK/actual_unique.txt"
-
-diff "$WORK/expected.txt" "$WORK/actual_unique.txt" >&2 \
+# --- 4. the contract ------------------------------------------------------
+terminal_fps() {  # complete done/failed records; a torn last line is not one
+  grep -h '}$' "$@" | sed -n 's/.*"event":"\(done\|failed\)".*"fp":"\([^"]*\)".*/\2/p' | sort
+}
+done_reports() {  # only completed lines: the torn run1 tail may be partial
+  grep -h '"status":"done"' "$@" | sed -n 's/.*"fingerprint":"\([^"]*\)".*/\1/p' | sort
+}
+terminal_fps "$JOURNAL" > "$WORK/terminal.txt"
+diff "$WORK/expected.txt" "$WORK/terminal.txt" >&2 \
+  || fail "the journal does not hold exactly one terminal record per job"
+done_reports "$WORK/run1.jsonl" "$WORK/resume1.jsonl" | sort -u > "$WORK/reported.txt"
+diff "$WORK/expected.txt" "$WORK/reported.txt" >&2 \
   || fail "resumed fingerprint set differs from the uninterrupted reference"
-cmp -s "$WORK/actual_all.txt" "$WORK/actual_unique.txt" \
-  || fail "some job was reported done more than once across the runs"
+for f in run1 resume1; do
+  [ -z "$(done_reports "$WORK/$f.jsonl" | uniq -d)" ] \
+    || fail "$f.jsonl reports some job done twice"
+done
+comm -12 <(done_reports "$WORK/run1.jsonl") <(done_reports "$WORK/resume1.jsonl") \
+  | comm -12 - <(terminal_fps "$WORK/journal_at_kill.jsonl") > "$WORK/dup.txt"
+[ ! -s "$WORK/dup.txt" ] \
+  || fail "re-reported jobs that were already terminal at the kill: $(cat "$WORK/dup.txt")"
 
 echo "PASS: 12/12 fingerprints recovered across crash + resume"

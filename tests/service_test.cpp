@@ -3,13 +3,13 @@
 // control, journal + resume, interrupts), and the JSONL batch front end.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <optional>
+#include <map>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -72,7 +72,7 @@ TEST(SolverService, RunsOneJobToCompletion) {
   EXPECT_FALSE(snap.report.cancelled);
   // Service provenance lands in the extras.
   EXPECT_EQ(snap.report.extras.at("job_id"), std::to_string(id));
-  EXPECT_EQ(svc.outstanding(), 0u);
+  EXPECT_EQ(svc.stats().outstanding, 0u);
 }
 
 // Acceptance: a fixed-seed job through the service is bit-identical to the
@@ -116,6 +116,7 @@ TEST(SolverService, SubmitValidatesSpec) {
 
   EXPECT_THROW(svc.state(999), std::out_of_range);
   EXPECT_THROW(svc.snapshot(999), std::out_of_range);
+  EXPECT_THROW(svc.wait(999), std::out_of_range);
   EXPECT_FALSE(svc.cancel(999));
 }
 
@@ -143,17 +144,9 @@ TEST(SolverService, HigherPriorityRunsFirst) {
   svc.wait_all();
 
   // Whatever the blocker did, the high-priority probe must have been
-  // popped (and therefore finished) before the low-priority one.
-  std::vector<JobId> order;
-  while (const std::optional<JobId> id = svc.wait_any_finished()) {
-    order.push_back(*id);
-  }
-  ASSERT_EQ(order.size(), 3u);
-  const auto pos = [&order](JobId id) {
-    return std::find(order.begin(), order.end(), id) - order.begin();
-  };
-  EXPECT_LT(pos(high_id), pos(low_id));
-  EXPECT_EQ(svc.wait_any_finished(), std::nullopt);
+  // popped before the low-priority one.
+  EXPECT_LT(svc.snapshot(high_id).started_seconds,
+            svc.snapshot(low_id).started_seconds);
 }
 
 TEST(SolverService, ExtremePrioritiesScheduleAndCancelCleanly) {
@@ -212,29 +205,51 @@ TEST(SolverService, CancellationUnderLoad) {
     EXPECT_LT(snap.report.best_energy, kInfiniteEnergy);
     EXPECT_FALSE(snap.report.cancelled);
   }
-
-  // The completion stream delivers each job exactly once.
-  std::set<JobId> seen;
-  while (const std::optional<JobId> id = svc.wait_any_finished()) {
-    EXPECT_TRUE(seen.insert(*id).second);
-  }
-  EXPECT_EQ(seen.size(), kJobs);
 }
 
-TEST(SolverService, DestructorCancelsOutstandingJobs) {
+// Every terminal path — the worker, a canceller or the watchdog for a
+// queued job, the submitter for a shed one, the destructor — runs the hook
+// exactly once, before any reader can see the terminal state, and what the
+// hook writes lands in the report.
+TEST(SolverService, TransitionHookRunsOncePerJobBeforeTerminalIsVisible) {
   const auto model = shared_model(2);
+  std::mutex mu;
+  std::map<JobId, int> hooked;
+  SolverService* self = nullptr;
+  SolverService::Config config = service_config(1);
+  config.max_queue_depth = 2;
+  config.on_transition = [&](JobSnapshot& snap) {
+    if (!is_terminal(snap.state)) return;
+    EXPECT_FALSE(is_terminal(self->state(snap.id)));
+    snap.report.extras["hooked"] = "yes";
+    std::lock_guard lock(mu);
+    ++hooked[snap.id];
+  };
   std::vector<JobId> ids;
   {
-    SolverService svc(service_config(1));
-    for (int i = 0; i < 4; ++i) {
-      JobSpec spec = budget_spec(model, "sa", 0, i);
-      spec.stop.time_limit_seconds = 30.0;
-      spec.options.set("restarts", "1000000000");
-      ids.push_back(svc.submit(std::move(spec)));
+    SolverService svc(config);
+    self = &svc;
+    // The blocker runs until the destructor cancels it on its worker.
+    JobSpec blocker = budget_spec(model, "sa", 0, 1);
+    blocker.stop.time_limit_seconds = 30.0;
+    blocker.options.set("restarts", "1000000000");
+    ids.push_back(svc.submit(std::move(blocker)));
+    while (svc.state(ids[0]) == JobState::kQueued) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    // Destructor must fire every token and join without hanging.
+    JobSpec late = budget_spec(model, "sa", 100, 2);
+    late.deadline_seconds = 0.05;
+    ids.push_back(svc.submit(std::move(late)));
+    ids.push_back(svc.submit(budget_spec(model, "sa", 100, 3)));
+    ids.push_back(svc.submit(budget_spec(model, "sa", 100, 4)));  // shed
+    EXPECT_EQ(svc.snapshot(ids[3]).report.extras.at("hooked"), "yes");
+    EXPECT_EQ(svc.wait(ids[1]).report.extras.at("hooked"), "yes");
+    EXPECT_TRUE(svc.cancel(ids[2]));
+    EXPECT_EQ(svc.snapshot(ids[2]).report.extras.at("hooked"), "yes");
+    ids.push_back(svc.submit(budget_spec(model, "sa", 100, 5)));  // queued
   }
-  SUCCEED();
+  ASSERT_EQ(hooked.size(), ids.size());
+  for (const auto& [id, calls] : hooked) EXPECT_EQ(calls, 1) << "job " << id;
 }
 
 TEST(SolverService, EventLogIsBoundedAndChronological) {
@@ -255,40 +270,6 @@ TEST(SolverService, EventLogIsBoundedAndChronological) {
   EXPECT_EQ(snap.report.extras.at("tag"), "evented");
 }
 
-TEST(SolverService, ReleaseDropsTerminalJobsAndTheirClaims) {
-  SolverService svc;
-  const JobId done_id = svc.submit(budget_spec(shared_model(1), "sa", 300, 1));
-  (void)svc.wait(done_id);
-
-  EXPECT_FALSE(svc.release(999));  // unknown
-  EXPECT_TRUE(svc.release(done_id));
-  EXPECT_FALSE(svc.release(done_id));  // already gone
-  EXPECT_THROW(svc.state(done_id), std::out_of_range);
-  EXPECT_THROW(svc.snapshot(done_id), std::out_of_range);
-  // The released job's completion-stream claim went with it.
-  EXPECT_EQ(svc.try_any_finished(), std::nullopt);
-  EXPECT_EQ(svc.wait_any_finished(), std::nullopt);
-
-  // A claimed-then-released job behaves the same way.
-  const JobId second = svc.submit(budget_spec(shared_model(1), "sa", 300, 2));
-  (void)svc.wait(second);
-  ASSERT_EQ(svc.wait_any_finished(), second);
-  EXPECT_TRUE(svc.release(second));
-  EXPECT_EQ(svc.wait_any_finished(), std::nullopt);
-}
-
-TEST(SolverService, ReleaseRefusesRunningJobs) {
-  SolverService svc(service_config(1));
-  JobSpec spec = budget_spec(shared_model(2), "sa", 0, 1);
-  spec.stop.time_limit_seconds = 30.0;
-  spec.options.set("restarts", "1000000000");
-  const JobId id = svc.submit(std::move(spec));
-  EXPECT_FALSE(svc.release(id));  // queued or running: not releasable
-  EXPECT_TRUE(svc.cancel(id));
-  (void)svc.wait(id);
-  EXPECT_TRUE(svc.release(id));
-}
-
 TEST(SolverService, SpecExtrasMergeIntoReport) {
   SolverService svc;
   JobSpec spec = budget_spec(shared_model(6), "sa", 500, 3);
@@ -304,76 +285,13 @@ TEST(SolverService, PoolMetricsSettleAtZero) {
     (void)svc.submit(budget_spec(shared_model(1), "sa", 300, i));
   }
   svc.wait_all();
-  EXPECT_EQ(svc.queue_depth(), 0u);
-  EXPECT_EQ(svc.active_count(), 0u);
-  EXPECT_EQ(svc.outstanding(), 0u);
+  const service::ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(stats.active, 0u);
+  EXPECT_EQ(stats.outstanding, 0u);
   // The six equal models interned by the caller would have shared one
   // cache entry; here they bypassed the cache, so it stays empty.
   EXPECT_EQ(svc.cache().stats().entries, 0u);
-}
-
-// ---- Waiting contracts ---------------------------------------------------
-
-TEST(SolverService, WaitForTimesOutThenDelivers) {
-  SolverService svc(service_config(1));
-  JobSpec spec = budget_spec(shared_model(2), "sa", 0, 1);
-  spec.stop.time_limit_seconds = 30.0;
-  spec.options.set("restarts", "1000000000");
-  const JobId id = svc.submit(std::move(spec));
-
-  // Far from terminal: the timed wait must give up, not block.
-  EXPECT_EQ(svc.wait_for(id, 0.02), std::nullopt);
-  EXPECT_EQ(svc.wait_until(id, std::chrono::steady_clock::now() +
-                                   std::chrono::milliseconds(20)),
-            std::nullopt);
-  EXPECT_FALSE(is_terminal(svc.state(id)));
-
-  EXPECT_TRUE(svc.cancel(id));
-  const std::optional<JobSnapshot> snap = svc.wait_for(id, 30.0);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->state, JobState::kCancelled);
-  // Already-terminal waits return immediately.
-  EXPECT_TRUE(svc.wait_for(id, 0.0).has_value());
-}
-
-TEST(SolverService, WaitOnNeverSubmittedIdThrows) {
-  // Contract: an id the service never issued is out_of_range on every wait
-  // flavor, not a hang and not a default snapshot.
-  SolverService svc;
-  EXPECT_THROW(svc.wait(424242), std::out_of_range);
-  EXPECT_THROW(svc.wait_for(424242, 0.01), std::out_of_range);
-  EXPECT_THROW(
-      svc.wait_until(424242, std::chrono::steady_clock::now()),
-      std::out_of_range);
-  // wait_any_finished_for with nothing submitted: times out, no throw.
-  EXPECT_EQ(svc.wait_any_finished_for(0.01), std::nullopt);
-}
-
-TEST(SolverService, WaitAllRacesReleaseWithoutDeadlock) {
-  // Contract: wait_all() must terminate even while another thread strips
-  // finished jobs out from under it with release().
-  SolverService svc(service_config(2));
-  const auto model = shared_model(7);
-  constexpr int kJobs = 12;
-  for (int i = 0; i < kJobs; ++i) {
-    (void)svc.submit(budget_spec(model, "sa", 400, i));
-  }
-  std::thread releaser([&svc] {
-    int claimed = 0;
-    while (claimed < kJobs) {
-      if (const std::optional<JobId> id = svc.wait_any_finished()) {
-        EXPECT_TRUE(svc.release(*id));
-        ++claimed;
-      } else {
-        break;  // all remaining claims already delivered and released
-      }
-    }
-  });
-  svc.wait_all();
-  releaser.join();
-  EXPECT_EQ(svc.outstanding(), 0u);
-  // And a wait() on a released id reports out_of_range, not stale state.
-  EXPECT_THROW(svc.wait(1), std::out_of_range);
 }
 
 // ---- Retry / backoff -----------------------------------------------------
@@ -457,7 +375,7 @@ TEST(SolverService, QueuePushFailpointSurfacesAtSubmit) {
   EXPECT_THROW(svc.submit(budget_spec(shared_model(3), "sa", 200, 2)),
                fail::InjectedFault);
   EXPECT_EQ(svc.wait(ok).state, JobState::kDone);
-  EXPECT_EQ(svc.outstanding(), 0u);  // the failed submit left no ghost job
+  EXPECT_EQ(svc.stats().outstanding, 0u);  // the failed submit left no ghost
 }
 
 TEST(SolverService, CancelInterruptsRetryBackoff) {
@@ -473,9 +391,8 @@ TEST(SolverService, CancelInterruptsRetryBackoff) {
   // Give the first attempt time to fail and enter its backoff sleep.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_TRUE(svc.cancel(id));
-  const std::optional<JobSnapshot> snap = svc.wait_for(id, 10.0);
-  ASSERT_TRUE(snap.has_value()) << "cancel did not interrupt the backoff";
-  EXPECT_EQ(snap->state, JobState::kCancelled);
+  ASSERT_TRUE(svc.wait_all_for(10.0)) << "cancel did not interrupt the backoff";
+  EXPECT_EQ(svc.state(id), JobState::kCancelled);
 }
 
 // ---- Deadlines -----------------------------------------------------------
@@ -556,12 +473,7 @@ TEST(SolverService, AdmissionControlShedsOverCapacitySubmits) {
 
   EXPECT_TRUE(svc.cancel(blocker_id));
   svc.wait_all();
-  // The rejected job flows through the completion stream exactly once.
-  std::set<JobId> finished;
-  while (const std::optional<JobId> id = svc.wait_any_finished()) {
-    EXPECT_TRUE(finished.insert(*id).second);
-  }
-  EXPECT_EQ(finished.count(shed_id), 1u);
+  EXPECT_EQ(svc.stats().rejected, 1u);
   EXPECT_EQ(svc.wait(queued_id).state, JobState::kDone);
 }
 
@@ -1147,21 +1059,16 @@ TEST(SolverService, StatsSnapshotTracksLifecycleConsistently) {
   (void)svc.wait(a);
   (void)svc.wait(b);
 
-  service::ServiceStats stats = svc.stats();
+  const service::ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.submitted, 2u);
   EXPECT_EQ(stats.done, 2u);
   EXPECT_EQ(stats.outstanding, 0u);
-  EXPECT_EQ(stats.retained, 2u);  // terminal but not yet release()d
+  EXPECT_EQ(stats.retained, 2u);  // finished records stay readable
   // The snapshot is internally consistent: every submit is accounted for
   // exactly once across the terminal counters and the in-flight gauges.
   EXPECT_EQ(stats.submitted,
             stats.done + stats.failed + stats.cancelled + stats.rejected +
                 stats.outstanding);
-
-  svc.release(a);
-  stats = svc.stats();
-  EXPECT_EQ(stats.retained, 1u);
-  EXPECT_EQ(stats.done, 2u);  // lifetime counter unaffected by release
 }
 
 TEST(SolverService, StatsSnapshotCountsRejectedAndCancelled) {

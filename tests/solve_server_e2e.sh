@@ -71,6 +71,15 @@ done
 # --- 1. basic lifecycle over HTTP ------------------------------------------
 start_server
 
+# An idle server sleeps: nothing may poll while no job is in flight.
+cpu_ticks() { awk '{print $14 + $15}' "/proc/$SERVER_PID/stat"; }
+if [ -r "/proc/$SERVER_PID/stat" ]; then
+  T0=$(cpu_ticks); sleep 1; T1=$(cpu_ticks)
+  HZ=$(getconf CLK_TCK)
+  [ $(( (T1 - T0) * 5 )) -le "$HZ" ] \
+    || fail "idle server used $((T1 - T0)) of $HZ CPU ticks in 1 s (limit 0.2 s)"
+fi
+
 curl -sf "$BASE/solvers"  | grep -q '"sa"'   || fail "/v1/solvers missing sa"
 curl -sf "$BASE/problems" | grep -q 'maxcut' || fail "/v1/problems missing maxcut"
 

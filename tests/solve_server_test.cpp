@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -218,7 +219,7 @@ TEST(JobApiTest, StatsSnapshotCountsLifecycle) {
   EXPECT_EQ(body.find("submitted")->as_int(), 1);
   EXPECT_EQ(body.find("done")->as_int(), 1);
   EXPECT_EQ(body.find("outstanding")->as_int(), 0);
-  EXPECT_EQ(body.find("finished_retained")->as_int(), 1);
+  EXPECT_EQ(body.find("retained")->as_int(), 1);
   const io::JsonValue* cache = body.find("model_cache");
   ASSERT_NE(cache, nullptr);
   EXPECT_EQ(cache->find("misses")->as_int(), 1);
@@ -275,6 +276,60 @@ TEST(JobApiTest, ResumeResubmitsNonTerminalJobsUnderOriginalFingerprint) {
   ASSERT_EQ(again.status, 202);
   const std::string fp = parse(again.body).find("fingerprint")->as_string();
   EXPECT_EQ(fp, fp_a + "#3");
+}
+
+TEST(JobApiTest, OldestFinishedJobIsEvictedPastRetention) {
+  JobApi::Config config = fast_config();
+  config.threads = 1;  // jobs finish in submit order
+  JobApi api(config);
+  const std::size_t jobs = service::SolverService::kRetainedJobs + 1;
+  for (std::size_t i = 0; i < jobs; ++i) {
+    ASSERT_EQ(api.submit(R"({"problem": "maxcut", "params": {"n": 8, "m": 12},)"
+                         R"( "solver": "sa", "max_batches": 1})")
+                  .status,
+              202);
+  }
+  wait_terminal(api, jobs);
+  std::uint64_t cursor = 0;
+  bool done = false;
+  std::size_t count = 0;
+  EXPECT_EQ(api.status(1).status, 404);
+  EXPECT_EQ(api.events(1, &cursor, &done, &count).status, 404);
+  EXPECT_EQ(api.status(2).status, 200);
+  EXPECT_EQ(parse(api.stats().body).find("retained")->as_int(),
+            static_cast<std::int64_t>(jobs - 1));
+}
+
+TEST(JobApiTest, ShutdownJournalsOneCancelPerUnfinishedJob) {
+  const std::string path = temp_path("job_api_shutdown.jsonl");
+  JobApi::Config config = fast_config();
+  config.threads = 1;
+  config.journal_path = path;
+  std::string running_fp;
+  std::string queued_fp;
+  {
+    JobApi api(config);
+    const ApiReply running = api.submit(small_job(31, 30.0));
+    const ApiReply queued = api.submit(small_job(32, 30.0));
+    running_fp = parse(running.body).find("fingerprint")->as_string();
+    queued_fp = parse(queued.body).find("fingerprint")->as_string();
+    while (state_of(api.status(job_id_of(running)).body) != "running") {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  std::map<std::string, std::vector<std::string>> events;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    const io::JsonValue record = parse(line);
+    events[record.find("fp")->as_string()].push_back(
+        record.find("event")->as_string());
+  }
+  using Events = std::vector<std::string>;
+  EXPECT_EQ(events[running_fp], (Events{"submitted", "started", "cancelled"}));
+  EXPECT_EQ(events[queued_fp], (Events{"submitted", "cancelled"}));
+  // A cancelled record is not terminal: --resume runs both again.
+  config.resume = true;
+  EXPECT_EQ(JobApi(config).resumed(), 2u);
 }
 
 // ---------------------------------------------------------------------------
