@@ -82,18 +82,6 @@ BlockFold<D> reduce_block(const D* __restrict d, const D* __restrict off,
   return {lo, hi, ms};
 }
 
-/// min over k in [b0, b1) of max(d[k], off[k]) alone.
-template <class D>
-D masked_min(const D* __restrict d, const D* __restrict off, std::size_t b0,
-             std::size_t b1) {
-  D m = std::numeric_limits<D>::max();
-  for (std::size_t k = b0; k < b1; ++k) {
-    const D v = d[k] > off[k] ? d[k] : off[k];
-    m = v < m ? v : m;
-  }
-  return m;
-}
-
 /// Step 1's running reduction, folded one block at a time in block order,
 /// so each minimum keeps the first block attaining it.  With an off array
 /// it also carries the walk's masked minimum and its first block.
@@ -117,18 +105,23 @@ struct Reduction {
     }
   }
 
-  /// The first 64-variable word attaining the masked minimum, searched in
-  /// the first block that attains it (block starts are multiples of 64).
-  /// When nothing is below D's highest value the walk picks without it.
-  std::size_t masked_word(const D* d, const D* off, std::size_t n) const {
-    if (masked == std::numeric_limits<D>::max()) return masked_block / 64;
-    std::size_t w0 = masked_block;
-    for (;; w0 += 64) {
-      DABS_ASSERT(w0 < n);
-      if (w0 + 64 <= n ? masked_min(d + w0, off + w0, 0, 64) == masked
-                       : masked_min(d, off, w0, n) == masked) {
-        return w0 / 64;
-      }
+  /// The first variable attaining the masked minimum, searched word by
+  /// word from the first block that attains it (block starts are
+  /// multiples of 64); n when nothing is below D's highest value.  A real
+  /// Delta is above D's lowest value, so with off[k] at D's lowest or
+  /// highest, max(Delta_k, off[k]) equals a masked minimum below D's
+  /// highest exactly when Delta_k equals it and off[k] is at most it.
+  VarIndex masked_arg(const D* d, const D* off, std::size_t n) const {
+    if (masked == std::numeric_limits<D>::max()) {
+      return static_cast<VarIndex>(n);
+    }
+    for (std::size_t base = masked_block;; base += 64) {
+      DABS_ASSERT(base < n);
+      const std::size_t len = std::min<std::size_t>(64, n - base);
+      const std::uint64_t m =
+          compare_mask<Compare::kEqual>(d + base, len, masked) &
+          compare_mask<Compare::kLessEqual>(off + base, len, masked);
+      if (m != 0) return static_cast<VarIndex>(base + std::countr_zero(m));
     }
   }
 };
@@ -141,8 +134,7 @@ VarIndex first_equal(const D* __restrict d, std::size_t b0, std::size_t b1,
   for (std::size_t base = b0;; base += 64) {
     DABS_ASSERT(base < b1);
     const std::size_t len = std::min<std::size_t>(64, b1 - base);
-    const std::uint64_t m =
-        pack_word(base, len, [&](std::size_t k) { return d[k] == v; });
+    const std::uint64_t m = compare_mask<Compare::kEqual>(d + base, len, v);
     if (m != 0) return static_cast<VarIndex>(base + std::countr_zero(m));
   }
 }
@@ -282,7 +274,7 @@ MaskedScan SearchState::scan_impl(const D* d,
            b0);
   }
   return {finish_scan(d, r.mn, r.mx, r.mn_block), r.masked,
-          off ? r.masked_word(d, off, n) : 0};
+          off ? r.masked_arg(d, off, n) : 0};
 }
 
 ScanResult SearchState::scan() {
@@ -323,7 +315,7 @@ MaskedScan SearchState::flip_and_scan_impl(
     }
   });
   return {finish_scan(d, r.mn, r.mx, r.mn_block), r.masked,
-          off ? r.masked_word(d, off, n) : 0};
+          off ? r.masked_arg(d, off, n) : 0};
 }
 
 ScanResult SearchState::flip_and_scan(VarIndex i) {

@@ -47,14 +47,14 @@ struct ScanResult {
   VarIndex argmin;
 };
 
-/// Step 1 plus the straight walk's Step 2 reduction (see the masked
-/// scan()): masked_min is min_k max(Delta_k, off[k]); when it is below the
-/// storage width's highest value, word is the first 64-variable word that
-/// attains it.
+/// Step 1 plus the straight walk's Step 2 (see the masked scan()):
+/// masked_min is min_k max(Delta_k, off[k]); when it is below the storage
+/// width's highest value, masked_arg is the first variable that attains
+/// it, and size() otherwise.
 struct MaskedScan {
   ScanResult scan;
   Energy masked_min;
-  std::size_t word;
+  VarIndex masked_arg;
 };
 
 /// Read-only view of a SearchState's Delta array at its storage width.
@@ -130,7 +130,8 @@ class SearchState {
   /// once it is not.  Besides scan(), the same pass over each cache-hot
   /// block reduces max(Delta_k, off[k]), so a masked_min below D's highest
   /// is the least candidate Delta; the first block attaining it is then
-  /// searched word by word for its first occurrence.
+  /// searched word by word for its first occurrence, one equality and one
+  /// <= mask per word.
   template <class D>
   MaskedScan scan(std::span<const D> off);
   /// flip(i) followed by the masked scan(off), fused like flip_and_scan().

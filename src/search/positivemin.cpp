@@ -39,8 +39,8 @@ void run_at(SearchState& state, Rng& rng, TabuList* tabu,
     for_each_candidate(
         n,
         [&](std::size_t base, std::size_t len) {
-          return pack_word(base, len,
-                           [&](std::size_t k) { return delta[k] <= posmin; });
+          return compare_mask<Compare::kLessEqual>(delta.data() + base, len,
+                                                   posmin);
         },
         [&](VarIndex k) {
           ++seen_any;

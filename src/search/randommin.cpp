@@ -152,8 +152,9 @@ VarIndex candidate_argmin(std::span<const D> delta,
   if (best_w == words) return static_cast<VarIndex>(n);
   const std::size_t base = best_w * 64;
   const std::uint64_t eq =
-      pack_word(base, std::min<std::size_t>(64, n - base),
-                [&](std::size_t k) { return delta[k] == best; }) &
+      compare_mask<Compare::kEqual>(delta.data() + base,
+                                    std::min<std::size_t>(64, n - base),
+                                    best) &
       cand[best_w];
   return static_cast<VarIndex>(base + std::countr_zero(eq));
 }

@@ -5,7 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "qubo/candidate_mask.hpp"
 #include "util/assert.hpp"
 
 namespace dabs {
@@ -16,15 +15,15 @@ namespace {
 /// of Delta over the bits that still differ from the target.  A per-walk
 /// array off[k] holds D's lowest value while bit k differs and D's highest
 /// once it agrees.  The kernel reduces max(Delta_k, off[k]) during Step 1
-/// and reports the first word attaining the minimum (SearchState's masked
-/// scan), so the walk reads back only that word.  A differing bit's Delta can itself be D's highest
-/// (exactly INT16_MAX at int16); then the masked minimum cannot tell it
-/// from an agreeing bit, every differing bit ties at that value, and the
-/// first differing bit is the pick.  The walk counts the differing bits
-/// instead of treating that minimum as "X == target".
+/// and reports the first bit attaining the minimum (SearchState's masked
+/// scan), so the walk reads no Delta itself.  A differing bit's Delta can
+/// itself be D's highest (exactly INT16_MAX at int16); then the masked
+/// minimum cannot tell it from an agreeing bit, every differing bit ties
+/// at that value, and the first differing bit is the pick.  The walk
+/// counts the differing bits instead of treating that minimum as
+/// "X == target".
 template <class D>
-std::uint64_t walk(SearchState& state, const BitVector& target,
-                   std::span<const D> delta) {
+std::uint64_t walk(SearchState& state, const BitVector& target) {
   constexpr D kDiffer = std::numeric_limits<D>::min();
   constexpr D kAgree = std::numeric_limits<D>::max();
   const std::size_t n = state.size();
@@ -43,26 +42,16 @@ std::uint64_t walk(SearchState& state, const BitVector& target,
 
   std::uint64_t flips = 0;
   const std::span<const D> mask(off);
-  MaskedScan s = state.scan(mask);  // Step 1 + the first Step-2 reduction
+  MaskedScan s = state.scan(mask);  // Step 1 + the first Step-2 pick
   for (; remaining > 0; --remaining) {
-    x = state.solution().words();
-    std::size_t w = s.word;
-    std::uint64_t m;
+    VarIndex arg = s.masked_arg;
     if (s.masked_min == kAgree) {
-      w = 0;
+      x = state.solution().words();
+      std::size_t w = 0;
       while (x[w] == t[w]) ++w;
-      m = x[w] ^ t[w];
-    } else {
-      // One equality mask over the winning word, restricted to the bits
-      // that still differ.
-      const auto v = static_cast<D>(s.masked_min);
-      const std::size_t base = w * 64;
-      m = pack_word(base, std::min<std::size_t>(64, n - base),
-                    [&](std::size_t k) { return delta[k] == v; }) &
-          (x[w] ^ t[w]);
+      arg = static_cast<VarIndex>(w * 64 + std::countr_zero(x[w] ^ t[w]));
     }
-    DABS_ASSERT(m != 0);
-    const auto arg = static_cast<VarIndex>(w * 64 + std::countr_zero(m));
+    DABS_ASSERT(state.solution().get(arg) != target.get(arg));
     off[arg] = kAgree;
     s = state.flip_and_scan(arg, mask);  // Step 3 fused with the next Step 1
     ++flips;
@@ -79,8 +68,9 @@ std::uint64_t straight_walk(SearchState& state, const BitVector& target) {
   DABS_ASSERT(state.size() % 64 == 0 ||
               (target.words()[target.word_count() - 1] >>
                (state.size() % 64)) == 0);
-  return state.deltas().visit(
-      [&](auto delta) { return walk(state, target, delta); });
+  return state.deltas().visit([&](auto delta) {
+    return walk<typename decltype(delta)::value_type>(state, target);
+  });
 }
 
 }  // namespace dabs

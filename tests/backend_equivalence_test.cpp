@@ -229,7 +229,7 @@ void expect_same_kernels(const QuboModel& a, const QuboModel& b) {
         ASSERT_EQ(ra.scan.max_delta, rb.scan.max_delta);
         ASSERT_EQ(ra.scan.argmin, rb.scan.argmin);
         ASSERT_EQ(ra.masked_min, rb.masked_min);
-        ASSERT_EQ(ra.word, rb.word);
+        ASSERT_EQ(ra.masked_arg, rb.masked_arg);
       }
     }
     ASSERT_EQ(sa.energy(), sb.energy());

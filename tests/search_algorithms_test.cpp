@@ -994,13 +994,36 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Step2DifferentialEdge, CyclicMinWindowsWrap) {
-  // Minimum width 50 on 63 bits: every window after the first wraps.
-  const QuboModel m = random_model(63, 0.5, 9, 2100, QuboBackend::kDense);
-  CyclicMinSearch got(50);
-  ref::CyclicMin want(50);
-  expect_same_runs(got, want, m, 8, 37, {4, 4, 7, 1});
-  EXPECT_GT(want.wraps, 0);
-  EXPECT_EQ(got.window_position(), want.window_position());
+  // Every window after the first wraps past n: 63 bits with windows of at
+  // least 50, and n = 200 (200 % 64 = 8) with windows of at least 150, so
+  // each of a window's two ranges starts unaligned and ends in a partial
+  // word.  A tenure longer than the run makes the non-tabu re-selection
+  // search the same ranges.
+  const auto check = [](const QuboModel& m, std::uint32_t min_window,
+                        bool permuted, std::uint32_t tenure,
+                        std::uint64_t seed,
+                        std::initializer_list<std::uint64_t> schedule) {
+    CyclicMinSearch got(min_window, permuted);
+    ref::CyclicMin want(min_window, permuted);
+    expect_same_runs(got, want, m, tenure, seed, schedule);
+    EXPECT_GT(want.wraps, 0);
+    EXPECT_EQ(got.window_position(), want.window_position());
+  };
+  check(random_model(63, 0.5, 9, 2100, QuboBackend::kDense), 50, false, 8,
+        37, {4, 4, 7, 1});
+  for (const QuboBackend backend : {QuboBackend::kDense, QuboBackend::kCsr}) {
+    for (const Weight scale : {Weight{1}, Weight{1 << 20}}) {
+      for (const bool permuted : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << to_string(backend) << " scale " << scale
+                     << " permuted " << permuted);
+        const QuboModel m = random_model(200, 0.3, 9, 2104, backend, scale);
+        for (const std::uint32_t tenure : {0u, 100000u}) {
+          check(m, 150, permuted, tenure, 41, {4, 1, 1, 9, 60});
+        }
+      }
+    }
+  }
 }
 
 TEST(Step2DifferentialEdge, CyclicMinWindowsAllTabu) {

@@ -222,8 +222,8 @@ TEST(SearchState, ResetReturnsToZeroVector) {
 
 // The straight walk's masked Step 1: besides an unchanged Step 1, the
 // masked scan reports the least Delta over the candidate bits, or the
-// width's highest value when no candidate is below it, and the first word
-// holding a candidate at that value.  Sizes straddle words and the
+// width's highest value when no candidate is below it, and the first
+// candidate at that value (size() when none is below the highest).  Sizes straddle words and the
 // 1024-variable reduction blocks; scales put the model on both widths.
 template <class D>
 void expect_masked_scans(const QuboModel& m, std::uint64_t seed) {
@@ -263,9 +263,7 @@ void expect_masked_scans(const QuboModel& m, std::uint64_t seed) {
       }
     }
     EXPECT_EQ(got.masked_min, least);
-    if (least != kAgree) {
-      EXPECT_EQ(got.word, first / 64);
-    }
+    EXPECT_EQ(got.masked_arg, first);
   }
 }
 
@@ -299,7 +297,7 @@ TEST(SearchState, ScansKeepTheFirstOccurrenceAcrossBlocks) {
   // couplings, Delta_k is +1 for a set bit and -1 for a clear one.  Bits
   // 0..1023 are set except 1000, so the least Delta, -1, first occurs at
   // 1000 and again at every bit of the later blocks: the argmin and the
-  // walk's masked word must both come from the first block.
+  // walk's masked argmin must both come from the first block.
   const std::size_t n = 2100;
   for (const QuboBackend backend : {QuboBackend::kDense, QuboBackend::kCsr}) {
     SCOPED_TRACE(to_string(backend));
@@ -315,13 +313,13 @@ TEST(SearchState, ScansKeepTheFirstOccurrenceAcrossBlocks) {
     SearchState s(m);
     s.reset_to(x);
     EXPECT_EQ(s.scan().argmin, 1000u);
-    EXPECT_EQ(s.scan(std::span<const std::int16_t>(off)).word, 1000u / 64);
+    EXPECT_EQ(s.scan(std::span<const std::int16_t>(off)).masked_arg, 1000u);
     // Flipping bit 5 (set, Delta +1) keeps the picture.
     const MaskedScan after =
         s.flip_and_scan(5, std::span<const std::int16_t>(off));
     EXPECT_EQ(after.scan.min_delta, -1);
     EXPECT_EQ(after.scan.argmin, 5u);  // now clear: Delta_5 = -1
-    EXPECT_EQ(after.word, 0u);
+    EXPECT_EQ(after.masked_arg, 5u);
     EXPECT_EQ(s.flip_and_scan(5).argmin, 1000u);
   }
 }
