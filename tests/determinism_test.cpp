@@ -153,6 +153,74 @@ INSTANTIATE_TEST_SUITE_P(DenseAndCsr, GoldenFixedSeed,
                            return std::string(info.param.name);
                          });
 
+// Fixed-seed fingerprints of multi-island synchronous solves, one case per
+// kind of cross-round dependency: migration into the next pool, Xrossover
+// reading the neighbor pool, a restart check after every round, and a
+// target that stops the run mid-way.  Captured with the one-thread round
+// loop, before a synchronous solve ran batches in parallel; the 2000-bit
+// dense models make batches slow enough that a solve goes parallel.
+struct IslandGolden {
+  const char* name;
+  std::size_t bits;
+  std::size_t islands;
+  std::uint64_t migration_interval;
+  std::uint64_t merge_check_interval;
+  bool xrossover_only;
+  std::optional<Energy> target;
+  std::uint64_t max_batches;
+  std::uint64_t batches;
+  Energy best_energy;
+  std::uint64_t solution_hash;
+  std::uint32_t restarts;
+};
+
+constexpr IslandGolden kIslandGoldens[] = {
+    {"migrate2_merge1", 2000, 4, 2, 1, false, {}, 48, 48, -101754,
+     0xb84abae60e31c548ull, 3},
+    {"xrossover_only", 2000, 4, 0, 64, true, {}, 48, 48, -101918,
+     0x476dc14e63145f0cull, 0},
+    {"target_mid_run", 2000, 4, 2, 1, false, -101870, 200, 129, -101895,
+     0x63f81d2b43db7abdull, 8},
+    {"three_islands", 2000, 3, 3, 2, false, {}, 40, 40, -101695,
+     0x32f362d790e3fffaull, 1},
+    {"restarts_small_pools", 48, 4, 2, 1, false, {}, 3000, 3000, -374,
+     0x9f0fa4eea6abea11ull, 392},
+};
+
+class IslandGoldenFixedSeed : public ::testing::TestWithParam<IslandGolden> {
+};
+
+TEST_P(IslandGoldenFixedSeed, MatchesPinnedFingerprint) {
+  const IslandGolden& g = GetParam();
+  const QuboModel m = random_model(g.bits, 0.5, 9, 27001, QuboBackend::kDense);
+  SolverConfig c;
+  c.devices = g.islands;
+  c.device.blocks = 2;
+  c.mode = ExecutionMode::kSynchronous;
+  c.migration_interval = g.migration_interval;
+  c.migration_count = 2;
+  c.merge_check_interval = g.merge_check_interval;
+  if (g.xrossover_only) c.operations = {GeneticOp::kXrossover};
+  if (g.bits < 100) c.pool_capacity = 4;
+  c.stop.target_energy = g.target;
+  c.stop.max_batches = g.max_batches;
+  c.seed = 0x2701;
+  const SolveReport r = solve_on(DabsSolver(c), m);
+  EXPECT_EQ(r.batches, g.batches) << g.name;
+  EXPECT_EQ(r.best_energy, g.best_energy) << g.name;
+  EXPECT_EQ(r.best_solution.hash(), g.solution_hash)
+      << g.name << " hash 0x" << std::hex << r.best_solution.hash();
+  EXPECT_EQ(r.restarts, g.restarts) << g.name;
+  EXPECT_EQ(r.reached_target, g.target.has_value()) << g.name;
+  EXPECT_EQ(m.energy(r.best_solution), r.best_energy) << g.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Islands, IslandGoldenFixedSeed,
+                         ::testing::ValuesIn(kIslandGoldens),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
+
 TEST(SolverDeterminismMisc, WarmStartDoesNotBreakReproducibility) {
   const QuboModel m = random_model(20, 0.5, 9, 11002);
   Rng rng(5);
