@@ -9,10 +9,10 @@
 // The GA side (pools, adaptive selection, island ring, migration) lives in
 // the DiversityEngine (src/evolve); the solver is the driver that wires the
 // engine to the virtual-device substrate and the unified stop/progress
-// protocol.  Each host thread repeatedly (a) drains its device's outbox,
-// handing result packets to the engine and updating the global best, and
-// (b) asks the engine for the next target packet and pushes it to the
-// device inbox.
+// protocol.  In ExecutionMode::kThreaded each host thread repeatedly
+// (a) drains its device's outbox, handing result packets to the engine and
+// updating the global best, and (b) asks the engine for the next target
+// packet and pushes it to the device inbox.
 //
 // Termination runs through one shared StopContext (target energy, wall
 // clock, batch budget, cooperative cancellation); host threads serialize
@@ -20,8 +20,13 @@
 // has merged to the same solution the engine restarts the ring from random
 // pools (paper §IV-B).
 //
-// ExecutionMode::kSynchronous runs the identical logic single-threaded and
-// bit-reproducibly (used by tests and deterministic ablations).
+// ExecutionMode::kSynchronous (the default) runs the same logic as a
+// round-robin loop whose report depends only on the seed: round s runs
+// island s mod I, and rounds fold into the engine in round order.  Up to
+// one batch per island runs at once, on helper threads the solve starts
+// once its batches have taken about a millisecond; a round whose packet
+// reads a pool that an earlier unfolded round still changes (migration,
+// Xrossover, restart) waits for that fold.
 #pragma once
 
 #include "core/solve_report.hpp"

@@ -16,9 +16,12 @@
 namespace dabs {
 
 enum class ExecutionMode : std::uint8_t {
-  /// Host thread per pool + device block threads (the paper's architecture).
+  /// Host thread per pool + device block threads (the paper's
+  /// architecture); the trajectory depends on thread timing.  Required by
+  /// the bulk replica engine (DeviceConfig::replicas > 1).
   kThreaded,
-  /// Single-threaded, bit-reproducible round-robin loop (tests, ablations).
+  /// Bit-reproducible round-robin loop.  Its batches run on up to one
+  /// thread per island (and CPU), folded back in round order.
   kSynchronous,
 };
 
@@ -42,7 +45,7 @@ struct SolverConfig {
   DeviceConfig device;       // blocks per device, queue depth, s/b/tabu
   std::size_t pool_capacity = 100;
   std::uint64_t seed = 0x5eed5eed;
-  ExecutionMode mode = ExecutionMode::kThreaded;
+  ExecutionMode mode = ExecutionMode::kSynchronous;
 
   /// Adaptive-selection diversity.  Defaults: all 5 algorithms, all 8 ops.
   std::vector<MainSearch> algorithms{kAllMainSearches.begin(),

@@ -67,11 +67,12 @@ void VirtualDevice::stop() {
   started_ = false;
 }
 
-Packet VirtualDevice::execute(const Packet& p, std::size_t block) {
+Packet VirtualDevice::execute(const Packet& p, std::size_t block,
+                              const std::atomic<bool>* cancel) {
   DABS_CHECK(bulk_blocks_.empty(),
              "execute() requires scalar blocks (replicas == 1)");
   DABS_CHECK(block < blocks_.size(), "block index out of range");
-  const BatchResult r = blocks_[block]->run(p.solution, p.algo);
+  const BatchResult r = blocks_[block]->run(p.solution, p.algo, cancel);
   batches_.fetch_add(1, std::memory_order_relaxed);
   Packet out = p;
   out.solution = r.best;

@@ -77,8 +77,10 @@ class VirtualDevice {
   bool process_next();
 
   /// Executes `p` inline on block `block` and returns the result packet.
-  /// Scalar blocks only (replicas == 1).
-  Packet execute(const Packet& p, std::size_t block);
+  /// Scalar blocks only (replicas == 1).  `cancel` ends the batch early
+  /// (BatchSearch::run); the result is then for dropping only.
+  Packet execute(const Packet& p, std::size_t block,
+                 const std::atomic<bool>* cancel = nullptr);
 
   std::uint32_t block_count() const noexcept {
     return static_cast<std::uint32_t>(blocks_.empty() ? bulk_blocks_.size()

@@ -93,24 +93,47 @@ DiversityEngine::DiversityEngine(EngineConfig cfg, std::size_t bits,
 }
 
 Packet DiversityEngine::next_packet(std::size_t island, Rng& rng) {
+  Packet p = build_packet(island, select(island, rng), rng);
+  count_packet(p);
+  return p;
+}
+
+PacketChoice DiversityEngine::select(std::size_t island, Rng& rng) const {
   DABS_CHECK(island < ring_.pool_count(), "island index out of range");
   const SolutionPool& pool = ring_.pool(island);
+  PacketChoice c;
+  c.algo = selector_.select_algorithm(pool, rng);
+  c.op = selector_.select_operation(pool, rng);
+  return c;
+}
+
+Packet DiversityEngine::build_packet(std::size_t island, PacketChoice choice,
+                                     Rng& rng) {
+  DABS_CHECK(island < ring_.pool_count(), "island index out of range");
   const SolutionPool* neighbor =
       ring_.pool_count() > 1 ? &ring_.neighbor(island) : nullptr;
-
   Packet p;
-  p.algo = selector_.select_algorithm(pool, rng);
-  p.op = selector_.select_operation(pool, rng);
-  p.solution =
-      apply_genetic_op(p.op, bits_, pool, neighbor, rng, cfg_.op_params);
+  p.algo = choice.algo;
+  p.op = choice.op;
+  p.solution = apply_genetic_op(p.op, bits_, ring_.pool(island), neighbor,
+                                rng, cfg_.op_params);
   p.energy = kInfiniteEnergy;
   p.pool_index = static_cast<std::uint32_t>(island);
-
-  stats_.record_batch(p.algo, p.op);
   ++generated_[island];
+  return p;
+}
+
+void DiversityEngine::count_packet(const Packet& p) {
+  stats_.record_batch(p.algo, p.op);
   generated_total_.fetch_add(1, std::memory_order_relaxed);
   EvolveCounters::get().generated.inc();
-  return p;
+}
+
+bool DiversityEngine::migration_due(std::size_t island) const {
+  DABS_CHECK(island < ring_.pool_count(), "island index out of range");
+  return cfg_.migration_interval != 0 && ring_.pool_count() >= 2 &&
+         generated_[island] - last_migration_[island] >=
+             cfg_.migration_interval;
 }
 
 bool DiversityEngine::accept_result(const Packet& p) {
@@ -145,11 +168,8 @@ bool DiversityEngine::inject(const BitVector& solution, Energy energy,
 
 std::size_t DiversityEngine::maybe_migrate(
     std::size_t island, const std::function<bool()>& cancelled) {
-  DABS_CHECK(island < ring_.pool_count(), "island index out of range");
-  if (cfg_.migration_interval == 0 || ring_.pool_count() < 2) return 0;
-  const std::uint64_t gen = generated_[island];
-  if (gen - last_migration_[island] < cfg_.migration_interval) return 0;
-  last_migration_[island] = gen;
+  if (!migration_due(island)) return 0;
+  last_migration_[island] = generated_[island];
 
   // Entry-by-entry transfer (rather than IslandRing::migrate's one-shot
   // copy) so a stop request lands between entries, not after the batch.

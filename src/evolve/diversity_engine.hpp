@@ -9,7 +9,10 @@
 // round-robin loop, the threaded host pool, and tests that exercise the GA
 // in isolation.  Thread model: next_packet(i, ...) and maybe_migrate(i, ...)
 // are called only by island i's host thread; accept_result / inject /
-// check_restart / all observers may be called from any thread.
+// check_restart / all observers may be called from any thread.  The
+// synchronous driver calls everything from one thread and splits
+// next_packet into select / build_packet / count_packet, so it can tell
+// which pools a packet reads before reading them.
 #pragma once
 
 #include <array>
@@ -57,6 +60,12 @@ struct EngineConfig {
   void validate() const;
 };
 
+/// The adaptive selector's draw for one packet.
+struct PacketChoice {
+  MainSearch algo;
+  GeneticOp op;
+};
+
 class DiversityEngine {
  public:
   /// `seeder` supplies one RNG per pool for initialization plus the
@@ -73,8 +82,27 @@ class DiversityEngine {
 
   /// Generates the next target packet for island `island`: adaptive
   /// algorithm/operation selection, genetic operation application (with the
-  /// ring neighbor as Xrossover partner), batch accounting.
+  /// ring neighbor as Xrossover partner), batch accounting.  The same as
+  /// build_packet(island, select(island, rng), rng) then count_packet().
   Packet next_packet(std::size_t island, Rng& rng);
+
+  /// The adaptive (algorithm, operation) draw for island `island`'s next
+  /// packet.  Reads only that island's pool.
+  PacketChoice select(std::size_t island, Rng& rng) const;
+
+  /// Applies `choice.op` to island `island`'s pool (Xrossover also reads
+  /// the ring neighbor's pool) and advances the island's generation count,
+  /// which paces its migration.  Draws from `rng` after select() did.
+  Packet build_packet(std::size_t island, PacketChoice choice, Rng& rng);
+
+  /// Counts a built packet in the batch statistics (freq_algo_*,
+  /// freq_op_*, packets_generated).  A driver that drops built packets
+  /// unsearched counts only the ones it keeps.
+  void count_packet(const Packet& p);
+
+  /// True when maybe_migrate(island) would migrate now: migration is on
+  /// and the island's generation count has crossed the interval.
+  bool migration_due(std::size_t island) const;
 
   /// Inserts a device result into its island's pool.  Returns true when the
   /// pool accepted it (a "win" for the producing algorithm/operation).
@@ -136,7 +164,7 @@ class DiversityEngine {
   std::mutex restart_mu_;  // guards restart_seeder_
   MersenneSeeder restart_seeder_;
 
-  // Written only by island i's host thread; summed for reporting.
+  // Written only by island i's host thread; paces its migration.
   std::vector<std::uint64_t> generated_;
   std::vector<std::uint64_t> last_migration_;
 

@@ -31,6 +31,21 @@ namespace dabs {
 
 enum class Compare { kLessEqual, kEqual };
 
+// The bodies below depend on the target ISA of the translation unit, so
+// they live in an inline namespace named after it: a test built for
+// another ISA than the library links its own instantiations, not the
+// library's.
+#if defined(__AVX512BW__)
+inline namespace mask_avx512bw {
+inline constexpr const char* kCompareMaskBody = "AVX-512BW";
+#elif defined(__SSE2__)
+inline namespace mask_sse2 {
+inline constexpr const char* kCompareMaskBody = "SSE2";
+#else
+inline namespace mask_scalar {
+inline constexpr const char* kCompareMaskBody = "scalar";
+#endif
+
 /// Bit b of the result is d[b] <= t (kLessEqual) or d[b] == t (kEqual) for
 /// b < len <= 64; the bits from len up are zero.  D is std::int16_t or
 /// std::int64_t, the Delta widths; d needs no alignment.  A full word of
@@ -104,4 +119,5 @@ inline void for_each_candidate(std::size_t n, MaskOf mask_of, Visit visit) {
   }
 }
 
+}  // inline namespace
 }  // namespace dabs

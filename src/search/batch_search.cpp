@@ -21,7 +21,8 @@ BatchSearch::BatchSearch(const QuboModel& model, const BatchParams& params,
   }
 }
 
-BatchResult BatchSearch::run(const BitVector& target, MainSearch algo) {
+BatchResult BatchSearch::run(const BitVector& target, MainSearch algo,
+                             const std::atomic<bool>* cancel) {
   const auto n = state_.size();
   const std::uint64_t start_flips = state_.flip_count();
   const auto budget = std::max<std::uint64_t>(
@@ -30,6 +31,9 @@ BatchResult BatchSearch::run(const BitVector& target, MainSearch algo) {
       1, static_cast<std::uint64_t>(params_.search_flip_factor * double(n)));
 
   auto spent = [&] { return state_.flip_count() - start_flips; };
+  const auto cancelled = [cancel] {
+    return cancel != nullptr && cancel->load(std::memory_order_relaxed);
+  };
 
   state_.reset_best();  // the batch reports the best found *in this batch*
   straight_walk(state_, target);
@@ -51,14 +55,15 @@ BatchResult BatchSearch::run(const BitVector& target, MainSearch algo) {
     // Repeating the deterministic ripple is pointless (paper §III-B), so the
     // batch is straight -> greedy -> TwoNeighbor -> greedy.
     greedy_descent(state_);
-    if (const std::uint64_t left = remaining(); left > 0) {
+    if (const std::uint64_t left = remaining(); left > 0 && !cancelled()) {
       main.run(state_, rng_, &tabu_, left);
     }
     greedy_descent(state_);
   } else {
     for (;;) {
+      if (cancelled()) break;
       greedy_descent(state_);
-      if (spent() >= budget) break;
+      if (spent() >= budget || cancelled()) break;
       main.run(state_, rng_, &tabu_, std::min(main_iters, remaining()));
     }
   }

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 
@@ -48,8 +49,12 @@ class BatchSearch {
   BatchSearch(const QuboModel& model, const BatchParams& params,
               std::uint64_t seed);
 
-  /// Executes one batch toward `target` with the given main search.
-  BatchResult run(const BitVector& target, MainSearch algo);
+  /// Executes one batch toward `target` with the given main search.  When
+  /// `cancel` is set the batch returns early, between phases, once it
+  /// reads true; such a result is not a finished batch and the block's
+  /// persistent state is then mid-batch, so it is for dropping only.
+  BatchResult run(const BitVector& target, MainSearch algo,
+                  const std::atomic<bool>* cancel = nullptr);
 
   /// Current (persistent) walking solution — exposed for tests.
   const SearchState& state() const noexcept { return state_; }

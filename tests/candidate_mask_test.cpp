@@ -1,10 +1,12 @@
 // Tests for compare_mask, the word-wide compare that builds every Step-1
 // argmin lookup and Step-2 candidate mask: its int16 vector body (AVX-512BW
 // or SSE2, whichever the build targets) and its scalar loop must give the
-// per-element reference bit for bit.
+// per-element reference bit for bit.  tests/CMakeLists.txt also builds this
+// file for AVX-512BW on every x86-64 build (candidate_mask_avx512_test).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <vector>
 
@@ -65,6 +67,11 @@ void expect_matches_reference() {
       }
     }
   }
+}
+
+TEST(CompareMask, ReportsItsInt16Body) {
+  std::printf("compare_mask int16 body: %s\n", kCompareMaskBody);
+  RecordProperty("compare_mask_body", kCompareMaskBody);
 }
 
 TEST(CompareMask, Int16MatchesReference) {

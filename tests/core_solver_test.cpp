@@ -186,6 +186,28 @@ TEST(DabsSolver, SynchronousModeIsDeterministic) {
   EXPECT_EQ(a.extras, b.extras);
 }
 
+TEST(DabsSolver, DefaultConfigIsSynchronousAndDeterministic) {
+  // A caller who builds a DabsSolver directly gets the synchronous round
+  // loop, the registry's default; its batches run in parallel once they
+  // add up to about a millisecond, which 1000 dense bits reach.
+  EXPECT_EQ(SolverConfig{}.mode, ExecutionMode::kSynchronous);
+  const QuboModel m = random_model(1000, 0.5, 9, 4013, QuboBackend::kDense);
+  const auto solve = [&m] {
+    SolveRequest req;
+    req.model = &m;
+    req.stop.max_batches = 24;
+    return DabsSolver().solve(req);
+  };
+  const SolveReport a = solve();
+  const SolveReport b = solve();
+  EXPECT_EQ(a.batches, 24u);
+  EXPECT_EQ(a.best_energy, b.best_energy);
+  EXPECT_EQ(a.best_solution, b.best_solution);
+  EXPECT_EQ(a.flips, b.flips);
+  EXPECT_EQ(a.restarts, b.restarts);
+  EXPECT_EQ(a.extras, b.extras);
+}
+
 TEST(DabsSolver, DifferentSeedsExploreDifferently) {
   const QuboModel m = random_model(28, 0.5, 9, 4009);
   SolverConfig c = quick_config();
@@ -294,6 +316,7 @@ TEST(ReportContract, DabsExtrasKeySetAndAttribution) {
   const QuboModel m = random_model(32, 0.5, 9, 4100);
   const SolveReport r = solve_on(DabsSolver(contract_config()), m);
   const std::vector<std::string> expected = {
+      "batch_threads",
       "first_finder_algo",     "first_finder_op",
       "freq_algo_CyclicMin",   "freq_algo_MaxMin",
       "freq_algo_PositiveMin", "freq_algo_RandomMin",
@@ -306,7 +329,9 @@ TEST(ReportContract, DabsExtrasKeySetAndAttribution) {
       "packets_accepted",      "packets_generated",
       "pool_entries",          "pool_entropy",
       "pool_mean_hamming",     "pool_min_hamming",
-      "pool_restarts",         "win_algo_CyclicMin",
+      "pool_restarts",         "serialized_rounds_migration",
+      "serialized_rounds_restart", "serialized_rounds_xrossover",
+      "win_algo_CyclicMin",
       "win_algo_MaxMin",       "win_algo_PositiveMin",
       "win_algo_RandomMin",    "win_algo_TwoNeighbor",
       "win_op_Best",           "win_op_Crossover",
@@ -326,6 +351,7 @@ TEST(ReportContract, AbsExtrasKeySetAndAttribution) {
   const QuboModel m = random_model(32, 0.5, 9, 4100);
   const SolveReport r = solve_on(AbsSolver(contract_config()), m);
   const std::vector<std::string> expected = {
+      "batch_threads",
       "first_finder_algo",       "first_finder_op",
       "freq_algo_CyclicMin",     "freq_op_MutateCrossover",
       "improvements",            "islands",
@@ -333,6 +359,8 @@ TEST(ReportContract, AbsExtrasKeySetAndAttribution) {
       "packets_generated",       "pool_entries",
       "pool_entropy",            "pool_mean_hamming",
       "pool_min_hamming",        "pool_restarts",
+      "serialized_rounds_migration", "serialized_rounds_restart",
+      "serialized_rounds_xrossover",
       "win_algo_CyclicMin",      "win_op_MutateCrossover"};
   EXPECT_EQ(keys_of(r), expected);
   EXPECT_EQ(r.solver, "abs");

@@ -4,6 +4,8 @@
 // paper's GPU implementation (per-thread Xorshift streams) aims for.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/dabs_solver.hpp"
 #include "qubo/search_state.hpp"
 #include "search/registry.hpp"
@@ -87,6 +89,11 @@ TEST(SolverDeterminismMisc, SynchronousReportBitIdentical64Var) {
   EXPECT_EQ(a.restarts, b.restarts);
   EXPECT_EQ(a.reached_target, b.reached_target);
   EXPECT_EQ(a.extras, b.extras);
+  for (const char* key :
+       {"batch_threads", "serialized_rounds_xrossover",
+        "serialized_rounds_migration", "serialized_rounds_restart"}) {
+    EXPECT_EQ(a.extras.count(key), 1u) << key;
+  }
   EXPECT_EQ(m.energy(a.best_solution), a.best_energy);
 }
 
@@ -179,8 +186,8 @@ constexpr IslandGolden kIslandGoldens[] = {
      0xb84abae60e31c548ull, 3},
     {"xrossover_only", 2000, 4, 0, 64, true, {}, 48, 48, -101918,
      0x476dc14e63145f0cull, 0},
-    {"target_mid_run", 2000, 4, 2, 1, false, -101870, 200, 129, -101895,
-     0x63f81d2b43db7abdull, 8},
+    {"target_mid_run", 2000, 4, 2, 1, false, -101749, 200, 17, -101749,
+     0x57a62856219bbe3full, 0},
     {"three_islands", 2000, 3, 3, 2, false, {}, 40, 40, -101695,
      0x32f362d790e3fffaull, 1},
     {"restarts_small_pools", 48, 4, 2, 1, false, {}, 3000, 3000, -374,
@@ -192,7 +199,14 @@ class IslandGoldenFixedSeed : public ::testing::TestWithParam<IslandGolden> {
 
 TEST_P(IslandGoldenFixedSeed, MatchesPinnedFingerprint) {
   const IslandGolden& g = GetParam();
-  const QuboModel m = random_model(g.bits, 0.5, 9, 27001, QuboBackend::kDense);
+  // One model per size for every case: building 2000 dense bits takes
+  // seconds under the sanitizers.
+  static std::map<std::size_t, QuboModel> models;
+  if (!models.contains(g.bits)) {
+    models.emplace(g.bits,
+                   random_model(g.bits, 0.5, 9, 27001, QuboBackend::kDense));
+  }
+  const QuboModel& m = models.at(g.bits);
   SolverConfig c;
   c.devices = g.islands;
   c.device.blocks = 2;
@@ -220,6 +234,42 @@ INSTANTIATE_TEST_SUITE_P(Islands, IslandGoldenFixedSeed,
                          [](const auto& info) {
                            return std::string(info.param.name);
                          });
+
+// The serialized-round counts follow from the trajectory alone: a round
+// counts when its packet had to wait for an earlier fold than its own
+// island's previous round.  With I islands that is every Xrossover round
+// from round I-1 on, the round after one due to migrate, and the I-1
+// rounds after each restart check.
+TEST(SolverDeterminismMisc, SerializedRoundCountsFollowTheTrajectory) {
+  const QuboModel m = random_model(300, 0.5, 9, 27002);
+  SolverConfig c;
+  c.devices = 4;
+  c.device.blocks = 1;
+  c.mode = ExecutionMode::kSynchronous;
+  c.stop.max_batches = 48;
+  c.operations = {GeneticOp::kXrossover};
+  SolveReport r = solve_on(DabsSolver(c), m);
+  EXPECT_EQ(r.extras.at("serialized_rounds_xrossover"), "45");
+  EXPECT_EQ(r.extras.at("serialized_rounds_migration"), "0");
+  EXPECT_EQ(r.extras.at("serialized_rounds_restart"), "0");
+
+  // Each island is due to migrate at its 2nd, 4th, ... round (rounds 4-7,
+  // 12-15, ...); a check after every round of the ring (3, 7, ..., 43)
+  // holds back the three rounds after it.
+  c.operations = {GeneticOp::kMutation};
+  c.migration_interval = 2;
+  c.merge_check_interval = 1;
+  r = solve_on(DabsSolver(c), m);
+  EXPECT_EQ(r.extras.at("serialized_rounds_xrossover"), "0");
+  EXPECT_EQ(r.extras.at("serialized_rounds_migration"), "23");
+  EXPECT_EQ(r.extras.at("serialized_rounds_restart"), "33");
+
+  c.devices = 1;
+  r = solve_on(DabsSolver(c), m);
+  EXPECT_EQ(r.extras.at("batch_threads"), "1");
+  EXPECT_EQ(r.extras.at("serialized_rounds_migration"), "0");
+  EXPECT_EQ(r.extras.at("serialized_rounds_restart"), "0");
+}
 
 TEST(SolverDeterminismMisc, WarmStartDoesNotBreakReproducibility) {
   const QuboModel m = random_model(20, 0.5, 9, 11002);
