@@ -2,7 +2,9 @@
 // diversity, determinism, and correctness against exhaustive optima.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baseline/abs_solver.hpp"
@@ -206,6 +208,31 @@ TEST(DabsSolver, DefaultConfigIsSynchronousAndDeterministic) {
   EXPECT_EQ(a.flips, b.flips);
   EXPECT_EQ(a.restarts, b.restarts);
   EXPECT_EQ(a.extras, b.extras);
+}
+
+TEST(DabsSolver, CancelledParallelSolveCountsOnlyFoldedBatches) {
+  // 1500 dense bits make batches slow enough that four islands run them
+  // on helper threads; a token fired mid-run drops the batches in flight,
+  // and neither `batches` nor `packets_generated` counts them.
+  const QuboModel m = random_model(1500, 0.5, 9, 4014, QuboBackend::kDense);
+  SolverConfig c = quick_config();
+  c.devices = 4;
+  c.device.blocks = 1;
+  c.stop = {};
+  SolveRequest req;
+  req.model = &m;
+  req.stop.time_limit_seconds = 60.0;
+  std::thread canceller([&req] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    req.stop_token.request_stop();
+  });
+  const SolveReport r = DabsSolver(c).solve(req);
+  canceller.join();
+  EXPECT_TRUE(r.cancelled);
+  EXPECT_LT(r.elapsed_seconds, 30.0);
+  EXPECT_GT(r.batches, 0u);
+  EXPECT_EQ(r.extras.at("packets_generated"), std::to_string(r.batches));
+  EXPECT_EQ(m.energy(r.best_solution), r.best_energy);
 }
 
 TEST(DabsSolver, DifferentSeedsExploreDifferently) {
