@@ -63,6 +63,7 @@ BENCHMARK_CAPTURE(BM_EncodeDecode, qap_grid_3x4, "qap",
 BENCHMARK_CAPTURE(BM_EncodeDecode, tsp_12_cities, "tsp", {{"n", "12"}});
 BENCHMARK_CAPTURE(BM_EncodeDecode, qasp_p3_r16, "qasp",
                   {{"r", "16"}, {"m", "3"}});
+BENCHMARK_CAPTURE(BM_EncodeDecode, k2000, "k2000", {});
 BENCHMARK_CAPTURE(BM_DecodeVerify, maxcut_g_style, "maxcut",
                   {{"n", "200"}, {"m", "2000"}});
 BENCHMARK_CAPTURE(BM_DecodeVerify, qap_grid_3x4, "qap",

@@ -24,6 +24,7 @@ QuboModel maxcut_to_qubo(const MaxCutInstance& inst, QuboBackend backend) {
   DABS_CHECK(inst.n > 0, "instance has no nodes");
   QuboBuilder b(inst.n);
   b.set_backend(backend);
+  b.reserve(inst.edges.size());
   for (const WeightedEdge& e : inst.edges) {
     DABS_CHECK(e.u < inst.n && e.v < inst.n, "edge endpoint out of range");
     DABS_CHECK(e.u != e.v, "self-loops are not allowed in MaxCut");

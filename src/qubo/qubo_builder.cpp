@@ -50,13 +50,25 @@ QuboBuilder& QuboBuilder::add_quadratic(VarIndex i, VarIndex j, Weight w) {
   return *this;
 }
 
+QuboBuilder& QuboBuilder::reserve(std::size_t terms) {
+  entries_.reserve(terms);
+  return *this;
+}
+
 QuboModel QuboBuilder::build() {
   const std::size_t n = diag_.size();
-  // Order the terms by (i, j) in linear time: a stable counting sort by
-  // row, then a sort by column only for rows that arrive out of order
-  // (generators mostly emit each row's columns ascending).
-  std::vector<Entry> edges(entries_.size());
-  {
+  // Order the terms by (i, j).  Terms that already arrive in that order
+  // (MaxCut's generators emit each edge once, row by row) are used where
+  // they are.  Otherwise a stable counting sort by row in linear time, then
+  // a sort by column only for rows that arrive out of order.
+  const auto by_row_then_column = [](const Entry& a, const Entry& b) {
+    return a.i != b.i ? a.i < b.i : a.j < b.j;
+  };
+  std::vector<Entry> edges;
+  if (std::is_sorted(entries_.begin(), entries_.end(), by_row_then_column)) {
+    edges = std::move(entries_);
+  } else {
+    edges.resize(entries_.size());
     std::vector<std::size_t> start(n + 1, 0);
     for (const Entry& e : entries_) ++start[e.i + 1];
     for (std::size_t i = 0; i < n; ++i) start[i + 1] += start[i];
@@ -74,18 +86,6 @@ QuboModel QuboBuilder::build() {
       }
     }
   }
-  // Coalesce duplicate (i, j) terms in place (64-bit accumulation).
-  std::size_t kept = 0;
-  for (const Entry& e : edges) {
-    if (kept > 0 && edges[kept - 1].i == e.i && edges[kept - 1].j == e.j) {
-      edges[kept - 1].w += e.w;
-    } else {
-      edges[kept++] = e;
-    }
-  }
-  edges.resize(kept);
-  std::erase_if(edges, [](const Entry& e) { return e.w == 0; });
-
   QuboModel m;
   m.diag_.resize(n);
   // row_abs[k] accumulates |W_kk| + sum_j |W_kj|; its maximum is the
@@ -95,34 +95,23 @@ QuboModel QuboBuilder::build() {
     m.diag_[i] = checked_narrow(diag_[i], "linear", kLinearLo);
     row_abs[i] = magnitude(m.diag_[i]);
   }
-
-  // Build symmetric CSR: each edge contributes to both endpoint rows.
-  std::vector<std::size_t> deg(n, 0);
-  for (const Entry& e : edges) {
-    ++deg[e.i];
-    ++deg[e.j];
-  }
-  m.row_ptr_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    m.row_ptr_[i + 1] = m.row_ptr_[i] + deg[i];
-  }
-  m.col_.resize(2 * edges.size());
-  m.val_.resize(2 * edges.size());
-
-  std::vector<std::size_t> cursor(m.row_ptr_.begin(), m.row_ptr_.end() - 1);
+  // Coalesce each run of equal (i, j) terms in place (64-bit accumulation).
+  // A sum that cancels to zero is dropped; any other must fit the coupling
+  // range.
   std::uint64_t max_coupling = 0;  // max |W_ij|, i != j
-  for (const Entry& e : edges) {
-    const Weight w = checked_narrow(e.w, "quadratic", kQuadraticLo);
-    m.col_[cursor[e.i]] = e.j;
-    m.val_[cursor[e.i]++] = w;
-    m.col_[cursor[e.j]] = e.i;
-    m.val_[cursor[e.j]++] = w;
-    row_abs[e.i] += magnitude(w);
-    row_abs[e.j] += magnitude(w);
+  std::size_t kept = 0;
+  for (std::size_t t = 0; t < edges.size();) {
+    Entry sum = edges[t];
+    for (++t; t < edges.size() && edges[t].i == sum.i && edges[t].j == sum.j;
+         ++t) {
+      sum.w += edges[t].w;
+    }
+    if (sum.w == 0) continue;
+    const Weight w = checked_narrow(sum.w, "quadratic", kQuadraticLo);
     max_coupling = std::max(max_coupling, magnitude(w));
+    edges[kept++] = sum;
   }
-  m.max_degree_ = deg.empty() ? 0 : *std::max_element(deg.begin(), deg.end());
-  m.delta_bound_ = *std::max_element(row_abs.begin(), row_abs.end());
+  edges.resize(kept);
   // The row width: |W_ij| <= the type's max excludes its lowest value.
   if (max_coupling <= std::numeric_limits<std::int8_t>::max()) {
     m.dense_.emplace<std::vector<std::int8_t>>();
@@ -131,12 +120,13 @@ QuboModel QuboBuilder::build() {
   } else {
     m.dense_.emplace<std::vector<Weight>>();
   }
+  m.row_ptr_.assign(n + 1, 0);
+  m.col_.resize(2 * edges.size());
+  m.val_.resize(2 * edges.size());
 
-  // Resolve the kernel backend and, when dense, materialize the row-major
-  // matrix the flip kernel streams (diagonal slots stay zero; the diagonal
-  // lives in diag_ and enters Delta via Eq. 5, not the row walk).  The
-  // budget is checked at int32 whatever width the matrix is stored at, so
-  // the kAuto choice does not depend on the weights' magnitude.
+  // Resolve the kernel backend.  The budget is checked at int32 whatever
+  // width the matrix is stored at, so the kAuto choice does not depend on
+  // the weights' magnitude.
   // Overflow-safe test for n * n * sizeof(Weight) <= kDenseMaxBytes.
   const bool fits = n <= QuboModel::kDenseMaxBytes / sizeof(Weight) / n;
   QuboBackend resolved = backend_;
@@ -149,8 +139,13 @@ QuboModel QuboBuilder::build() {
              "dense backend requested but the n x n matrix exceeds "
              "QuboModel::kDenseMaxBytes");
   m.backend_ = resolved;
+
   if (resolved == QuboBackend::kDense) {
-    // Every |W_ij| <= max_coupling fits the row width chosen above.
+    // Materialize the row-major matrix the flip kernel streams (diagonal
+    // slots stay zero; the diagonal lives in diag_ and enters Delta via
+    // Eq. 5, not the row walk), then read each CSR row off it in column
+    // order: the same rows the scatter below builds, ascending, written
+    // sequentially.  Every |W_ij| <= max_coupling fits the row width.
     std::visit(
         [&](auto& dense) {
           using T = typename std::decay_t<decltype(dense)>::value_type;
@@ -160,9 +155,43 @@ QuboModel QuboBuilder::build() {
             dense[std::size_t{e.i} * n + e.j] = w;
             dense[std::size_t{e.j} * n + e.i] = w;
           }
+          std::size_t k = 0;
+          for (std::size_t i = 0; i < n; ++i) {
+            const T* row = dense.data() + i * n;
+            std::uint64_t abs = 0;
+            for (std::size_t j = 0; j < n; ++j) {
+              if (row[j] == 0) continue;
+              m.col_[k] = static_cast<VarIndex>(j);
+              m.val_[k++] = row[j];
+              abs += magnitude(row[j]);
+            }
+            row_abs[i] += abs;
+            m.row_ptr_[i + 1] = k;
+          }
         },
         m.dense_);
+  } else {
+    // Symmetric CSR: each edge contributes to both endpoint rows.
+    for (const Entry& e : edges) {
+      ++m.row_ptr_[e.i + 1];
+      ++m.row_ptr_[e.j + 1];
+    }
+    for (std::size_t i = 0; i < n; ++i) m.row_ptr_[i + 1] += m.row_ptr_[i];
+    std::vector<std::size_t> cursor(m.row_ptr_.begin(), m.row_ptr_.end() - 1);
+    for (const Entry& e : edges) {
+      const auto w = static_cast<Weight>(e.w);
+      m.col_[cursor[e.i]] = e.j;
+      m.val_[cursor[e.i]++] = w;
+      m.col_[cursor[e.j]] = e.i;
+      m.val_[cursor[e.j]++] = w;
+      row_abs[e.i] += magnitude(w);
+      row_abs[e.j] += magnitude(w);
+    }
   }
+  for (std::size_t i = 0; i < n; ++i) {
+    m.max_degree_ = std::max(m.max_degree_, m.degree(static_cast<VarIndex>(i)));
+  }
+  m.delta_bound_ = *std::max_element(row_abs.begin(), row_abs.end());
 
   entries_.clear();
   diag_.clear();

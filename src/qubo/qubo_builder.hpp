@@ -31,6 +31,10 @@ class QuboBuilder {
   /// Number of raw (non-coalesced) quadratic terms added so far.
   std::size_t term_count() const noexcept { return entries_.size(); }
 
+  /// Reserves room for `terms` quadratic terms, for callers that know how
+  /// many they will add.
+  QuboBuilder& reserve(std::size_t terms);
+
   /// Overrides the kernel backend of the built model.  kAuto (default)
   /// selects kDense when the coalesced edge density reaches
   /// QuboModel::kDenseDensityThreshold and the row-major matrix fits
@@ -45,6 +49,10 @@ class QuboBuilder {
   QuboBackend backend() const noexcept { return backend_; }
 
   /// Coalesces duplicates, drops zero couplings, and produces the model.
+  /// Terms added in (i, j) order skip the sort.  A model that resolves to
+  /// the dense backend fills its matrix first and reads each CSR row off
+  /// it in column order; a sparse one scatters every coupling into both
+  /// endpoint rows.  Both give the same rows, ascending by column.
   /// Throws std::invalid_argument when any accumulated coefficient
   /// overflows the int32 weight range.  The builder is left empty
   /// afterwards.

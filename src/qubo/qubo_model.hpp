@@ -13,7 +13,9 @@
 // instead of chasing CSR columns; see QuboBackend in types.hpp.  The CSR
 // arrays are always present — IO, model analysis, and sparse queries keep
 // using them — so the dense matrix is a kernel-side acceleration structure,
-// not a replacement representation.  It is stored once, at the model's
+// not a replacement representation.  A dense model's CSR rows are read off
+// its matrix in column order when it is built (QuboBuilder::build), so
+// both hold the same couplings.  The matrix is stored once, at the model's
 // RowWidth: the narrowest of int8, int16 and int32 that holds every
 // off-diagonal weight (K2000's ±2 couplings fit int8).
 #pragma once

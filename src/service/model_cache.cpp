@@ -49,11 +49,9 @@ constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
 inline void mix(std::uint64_t& h, std::uint64_t v) {
-  // Hash the full 64-bit value byte by byte (FNV-1a).
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFF;
-    h *= kFnvPrime;
-  }
+  // FNV-1a one 64-bit word at a time.
+  h ^= v;
+  h *= kFnvPrime;
 }
 
 }  // namespace
@@ -72,9 +70,10 @@ std::uint64_t ModelCache::content_hash(const QuboModel& model) {
     const auto cols = model.neighbors(i);
     const auto vals = model.weights(i);
     mix(h, cols.size());
+    // One word per coupling: its column above its weight's 32 bits.
     for (std::size_t k = 0; k < cols.size(); ++k) {
-      mix(h, cols[k]);
-      mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(vals[k])));
+      mix(h, std::uint64_t{cols[k]} << 32 |
+                 static_cast<std::uint32_t>(vals[k]));
     }
   }
   return h;
@@ -105,8 +104,10 @@ std::size_t ModelCache::approximate_bytes(const QuboModel& model) {
 
 std::shared_ptr<const QuboModel> ModelCache::intern(QuboModel&& model,
                                                     bool* was_hit) {
+  // Hash before locking: a K2000 hash must not stall every other lookup.
+  const std::uint64_t hash = content_hash(model);
   std::lock_guard lock(mu_);
-  return intern_locked(std::move(model), was_hit, nullptr);
+  return intern_locked(std::move(model), hash, was_hit, nullptr);
 }
 
 std::shared_ptr<const QuboModel> ModelCache::get_or_load(
@@ -123,16 +124,17 @@ std::shared_ptr<const QuboModel> ModelCache::get_or_load(
       return it->second->model;
     }
   }
-  // Parse outside the lock; a racing loader of the same key collapses to
-  // one stored copy at intern time (content hit for the loser).
+  // Parse and hash outside the lock; a racing loader of the same key
+  // collapses to one stored copy at intern time (content hit for the loser).
   QuboModel model = load();
+  const std::uint64_t hash = content_hash(model);
   std::lock_guard lock(mu_);
-  return intern_locked(std::move(model), was_hit, &key);
+  return intern_locked(std::move(model), hash, was_hit, &key);
 }
 
 std::shared_ptr<const QuboModel> ModelCache::intern_locked(
-    QuboModel&& model, bool* was_hit, const std::string* key) {
-  const std::uint64_t hash = content_hash(model);
+    QuboModel&& model, std::uint64_t hash, bool* was_hit,
+    const std::string* key) {
   if (const auto it = by_hash_.find(hash); it != by_hash_.end()) {
     for (Lru::iterator entry : it->second) {
       if (same_content(*entry->model, model)) {

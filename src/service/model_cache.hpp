@@ -69,10 +69,11 @@ class ModelCache {
   /// Drops every cached entry and key alias (counters keep accumulating).
   void clear();
 
-  /// FNV-1a over the model's content: size, backend, diagonal, and every
-  /// CSR row.  Two models with equal content always hash equal; the
-  /// kernel backend participates because it changes runtime behavior even
-  /// though results are bit-exact across backends.
+  /// FNV-1a, one 64-bit word at a time, over the model's content: size,
+  /// backend, diagonal, and every CSR row.  Computed outside the cache
+  /// lock.  Two models with equal content always hash equal; the kernel
+  /// backend participates because it changes runtime behavior even though
+  /// results are bit-exact across backends.
   static std::uint64_t content_hash(const QuboModel& model);
 
   /// Structural equality on the same fields content_hash covers.
@@ -92,7 +93,9 @@ class ModelCache {
   };
   using Lru = std::list<Entry>;  // front = most recently used
 
+  /// `hash` is content_hash(model), computed before taking mu_.
   std::shared_ptr<const QuboModel> intern_locked(QuboModel&& model,
+                                                 std::uint64_t hash,
                                                  bool* was_hit,
                                                  const std::string* key);
   void touch_locked(Lru::iterator it);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <utility>
 
@@ -153,6 +154,59 @@ TEST(MaxCut, PublishedInstanceShapes) {
   const auto g39 = pr::make_g39_like();
   EXPECT_EQ(g39.n, 2000u);
   EXPECT_EQ(g39.edges.size(), 11778u);
+}
+
+// FNV-1a, one 64-bit value at a time, over every part of a built model:
+// diagonal, CSR rows, dense rows (when present), delta_bound, max_degree,
+// row width and backend.
+std::uint64_t model_digest(const QuboModel& m) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::int64_t v) {
+    h ^= static_cast<std::uint64_t>(v);
+    h *= 0x100000001b3ULL;
+  };
+  const auto n = static_cast<VarIndex>(m.size());
+  mix(n);
+  for (VarIndex i = 0; i < n; ++i) {
+    mix(m.diag(i));
+    mix(static_cast<std::int64_t>(m.degree(i)));
+    for (const VarIndex j : m.neighbors(i)) mix(j);
+    for (const Weight w : m.weights(i)) mix(w);
+  }
+  if (m.has_dense_rows()) {
+    m.with_dense_rows([&](const auto* w) {
+      for (std::size_t k = 0; k < std::size_t{n} * n; ++k) mix(w[k]);
+    });
+  }
+  mix(static_cast<std::int64_t>(m.delta_bound()));
+  mix(static_cast<std::int64_t>(m.max_degree()));
+  mix(static_cast<std::int64_t>(m.row_width()));
+  mix(static_cast<std::int64_t>(m.backend()));
+  return h;
+}
+
+// A digest of the paper's K2000 model: any change to how it is encoded (a
+// weight, a row order, a bound, the width or the backend) shows here.
+TEST(MaxCut, K2000EncodeGolden) {
+  const QuboModel m = pr::maxcut_to_qubo(pr::make_k2000());
+  ASSERT_EQ(m.backend(), QuboBackend::kDense);
+  EXPECT_EQ(m.row_width(), RowWidth::kInt8);
+  EXPECT_EQ(m.max_degree(), 1999u);
+  EXPECT_EQ(model_digest(m), 0xce4a177a7b0109f7ULL)
+      << std::hex << model_digest(m);
+
+  // Forced CSR: the same diagonal, rows and bounds, without dense rows.
+  const QuboModel csr =
+      pr::maxcut_to_qubo(pr::make_k2000(), QuboBackend::kCsr);
+  ASSERT_EQ(csr.backend(), QuboBackend::kCsr);
+  EXPECT_EQ(csr.delta_bound(), m.delta_bound());
+  EXPECT_EQ(csr.max_degree(), m.max_degree());
+  EXPECT_EQ(csr.row_width(), m.row_width());
+  for (VarIndex i = 0; i < m.size(); ++i) {
+    ASSERT_EQ(csr.diag(i), m.diag(i)) << i;
+    ASSERT_TRUE(std::ranges::equal(csr.neighbors(i), m.neighbors(i))) << i;
+    ASSERT_TRUE(std::ranges::equal(csr.weights(i), m.weights(i))) << i;
+  }
 }
 
 TEST(MaxCut, ReductionRejectsBadInstances) {

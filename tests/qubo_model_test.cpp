@@ -49,59 +49,85 @@ TEST(QuboBuilder, RejectsInvalidIndices) {
   EXPECT_THROW(QuboBuilder(0), std::invalid_argument);
 }
 
-// build() orders terms with a counting sort by row and sorts a row by
-// column only when it arrives out of order.  The reference coalescer is a
-// std::map keyed by the normalized pair: the built model must hold exactly
-// its nonzero sums, rows ascending by column, in the CSR, the dense rows
-// and delta_bound().  Terms come in random order, with duplicates, both
-// index orders and sums that cancel to zero.
+// build() keeps terms that arrive in (i, j) order where they are, and
+// otherwise orders them with a counting sort by row, sorting a row by
+// column only when it arrives out of order.  A dense model reads its CSR
+// rows off the matrix; a sparse one scatters each coupling into both rows.
+// The reference coalescer is a std::map keyed by the normalized pair: the
+// built model must hold exactly its nonzero sums, rows ascending by column,
+// in the CSR, the dense rows, delta_bound(), max_degree() and row_width().
+// Terms come shuffled or in (i, j) order, with duplicates, both index
+// orders and sums that cancel to zero, at weights that need each row width.
 TEST(QuboBuilder, MatchesReferenceCoalescer) {
   Rng rng(2500);
-  for (int trial = 0; trial < 200; ++trial) {
+  std::map<RowWidth, int> widths_seen;
+  for (int trial = 0; trial < 300; ++trial) {
     SCOPED_TRACE(trial);
     const std::size_t n = 1 + rng.next_index(trial < 100 ? 12 : 90);
     const QuboBackend backend = trial % 3 == 0   ? QuboBackend::kDense
                                 : trial % 3 == 1 ? QuboBackend::kCsr
                                                  : QuboBackend::kAuto;
+    const bool ordered = trial / 4 % 2 == 1;
+    const Weight big = trial % 4 == 2   ? 150
+                       : trial % 4 == 3 ? Weight{1} << 24
+                                        : 5;
     QuboBuilder b(n);
     b.set_backend(backend);
     std::map<std::pair<VarIndex, VarIndex>, Energy> want;
     std::vector<Energy> diag(n, 0);
+    std::vector<std::tuple<VarIndex, VarIndex, Weight>> quadratic;
     const std::size_t terms = rng.next_index(4 * n * n + 1);
     for (std::size_t t = 0; t < terms; ++t) {
       const auto i = static_cast<VarIndex>(rng.next_index(n));
       const auto j = static_cast<VarIndex>(rng.next_index(n));
-      const auto w = static_cast<Weight>(rng.next_index(11)) - 5;
+      const auto w = static_cast<Weight>(
+          static_cast<Weight>(rng.next_index(2 * std::size_t(big) + 1)) - big);
       if (i == j) {
         b.add_linear(i, w);
         diag[i] += w;
         continue;
       }
-      b.add_quadratic(i, j, w);
+      quadratic.emplace_back(i, j, w);
       want[{std::min(i, j), std::max(i, j)}] += w;
       if (rng.next_index(4) == 0) {  // a term that cancels the sum so far
         const auto back = static_cast<Weight>(-want[{std::min(i, j),
                                                       std::max(i, j)}]);
-        b.add_quadratic(j, i, back);
+        quadratic.emplace_back(j, i, back);
         want[{std::min(i, j), std::max(i, j)}] += back;
       }
     }
+    if (ordered) {
+      for (auto& [i, j, w] : quadratic) {
+        if (i > j) std::swap(i, j);
+      }
+      std::stable_sort(quadratic.begin(), quadratic.end(),
+                       [](const auto& x, const auto& y) {
+                         return std::tie(std::get<0>(x), std::get<1>(x)) <
+                                std::tie(std::get<0>(y), std::get<1>(y));
+                       });
+    }
+    for (const auto& [i, j, w] : quadratic) b.add_quadratic(i, j, w);
     const QuboModel m = b.build();
 
     std::vector<std::vector<std::pair<VarIndex, Weight>>> rows(n);
     std::size_t edges = 0;
+    std::uint64_t max_coupling = 0;
     for (const auto& [ij, w] : want) {
       if (w == 0) continue;
       ++edges;
       rows[ij.first].push_back({ij.second, static_cast<Weight>(w)});
       rows[ij.second].push_back({ij.first, static_cast<Weight>(w)});
+      max_coupling = std::max(max_coupling,
+                              static_cast<std::uint64_t>(std::abs(w)));
     }
     std::uint64_t bound = 0;
+    std::size_t max_degree = 0;
     ASSERT_EQ(m.edge_count(), edges);
     for (VarIndex i = 0; i < n; ++i) {
       std::sort(rows[i].begin(), rows[i].end());
       ASSERT_EQ(m.diag(i), diag[i]);
       ASSERT_EQ(m.degree(i), rows[i].size());
+      max_degree = std::max(max_degree, rows[i].size());
       std::uint64_t row_abs = static_cast<std::uint64_t>(std::abs(diag[i]));
       for (std::size_t t = 0; t < rows[i].size(); ++t) {
         EXPECT_EQ(m.neighbors(i)[t], rows[i][t].first);
@@ -118,12 +144,21 @@ TEST(QuboBuilder, MatchesReferenceCoalescer) {
       }
     }
     EXPECT_EQ(m.delta_bound(), bound);
+    EXPECT_EQ(m.max_degree(), max_degree);
+    const RowWidth width = max_coupling <= 127     ? RowWidth::kInt8
+                           : max_coupling <= 32767 ? RowWidth::kInt16
+                                                   : RowWidth::kInt32;
+    EXPECT_EQ(m.row_width(), width);
+    ++widths_seen[width];
     EXPECT_EQ(m.has_dense_rows(), backend == QuboBackend::kDense ||
                                       (backend == QuboBackend::kAuto &&
                                        n >= 2 &&
                                        m.density() >=
                                            QuboModel::kDenseDensityThreshold));
   }
+  EXPECT_GT(widths_seen[RowWidth::kInt8], 0);
+  EXPECT_GT(widths_seen[RowWidth::kInt16], 0);
+  EXPECT_GT(widths_seen[RowWidth::kInt32], 0);
 }
 
 TEST(QuboModel, CsrIsSymmetric) {
