@@ -52,11 +52,9 @@ const QuboModel& k2000_wide() {
     b.set_backend(QuboBackend::kDense);
     for (VarIndex i = 0; i < k.size(); ++i) {
       b.add_linear(i, k.diag(i) * kScale);
-      const auto nbrs = k.neighbors(i);
-      const auto w = k.weights(i);
-      for (std::size_t t = 0; t < nbrs.size(); ++t) {
-        if (nbrs[t] > i) b.add_quadratic(i, nbrs[t], w[t] * kScale);
-      }
+      k.for_each_coupling(i, [&](VarIndex j, Weight w) {
+        if (j > i) b.add_quadratic(i, j, w * kScale);
+      });
     }
     return b.build();
   }();

@@ -65,11 +65,9 @@ void write_qubo(std::ostream& out, const QuboModel& model) {
     if (model.diag(i) != 0) out << "d " << i << ' ' << model.diag(i) << '\n';
   }
   for (VarIndex i = 0; i < model.size(); ++i) {
-    const auto nbrs = model.neighbors(i);
-    const auto w = model.weights(i);
-    for (std::size_t t = 0; t < nbrs.size(); ++t) {
-      if (nbrs[t] > i) out << "q " << i << ' ' << nbrs[t] << ' ' << w[t] << '\n';
-    }
+    model.for_each_coupling(i, [&](VarIndex j, Weight w) {
+      if (j > i) out << "q " << i << ' ' << j << ' ' << w << '\n';
+    });
   }
 }
 

@@ -137,16 +137,13 @@ QuboModel embed_qubo(const QuboModel& logical, const ChimeraGraph& g,
   // Quadratic terms: full weight on the first physical coupler found
   // between the two chains.
   for (VarIndex i = 0; i < n; ++i) {
-    const auto nbrs = logical.neighbors(i);
-    const auto w = logical.weights(i);
-    for (std::size_t t = 0; t < nbrs.size(); ++t) {
-      const VarIndex j = nbrs[t];
-      if (j < i) continue;  // each logical edge once
+    logical.for_each_coupling(i, [&](VarIndex j, Weight w) {
+      if (j < i) return;  // each logical edge once
       bool placed = false;
       for (const VarIndex a : emb.chains[i]) {
         for (const VarIndex bq : emb.chains[j]) {
           if (g.adjacent(a, bq)) {
-            b.add_quadratic(a, bq, w[t]);
+            b.add_quadratic(a, bq, w);
             placed = true;
             break;
           }
@@ -154,7 +151,7 @@ QuboModel embed_qubo(const QuboModel& logical, const ChimeraGraph& g,
         if (placed) break;
       }
       DABS_CHECK(placed, "no physical coupler for a logical edge");
-    }
+    });
   }
 
   // Chain penalties on every physical edge inside a chain:

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -35,8 +36,16 @@ struct MaxCutInstance {
   Energy cut_value(const BitVector& partition) const;
 };
 
+/// Largest |w| an edge may carry: its coupling 2w stays an int32.
+inline constexpr Weight kMaxEdgeWeight =
+    std::numeric_limits<Weight>::max() / 2;
+
 /// Builds the QUBO model with E(X) = -cut(X).  `backend` forces the kernel
-/// backend (kAuto picks dense for complete graphs like K2000).
+/// backend (kAuto picks dense for complete graphs like K2000).  A model
+/// that resolves to dense is written straight into its matrix; the result
+/// is the model a QuboBuilder fed every edge's terms builds, and so are the
+/// exceptions (an endpoint out of range, a self-loop, |w| above
+/// kMaxEdgeWeight, a diagonal or coupling past the int32 range).
 QuboModel maxcut_to_qubo(const MaxCutInstance& inst,
                          QuboBackend backend = QuboBackend::kAuto);
 

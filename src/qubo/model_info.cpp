@@ -19,8 +19,7 @@ ModelInfo analyze_model(const QuboModel& model) {
       n >= 2 ? double(info.couplings) / (double(n) * double(n - 1) / 2.0)
              : 0.0;
 
-  info.min_degree = model.degree(0);
-  info.max_degree = model.degree(0);
+  info.min_degree = model.size();
   std::size_t degree_sum = 0;
   bool first_weight = true;
   auto consider = [&](Weight w) {
@@ -34,21 +33,19 @@ ModelInfo analyze_model(const QuboModel& model) {
   };
 
   for (VarIndex i = 0; i < n; ++i) {
-    const std::size_t d = model.degree(i);
+    if (model.diag(i) != 0) consider(model.diag(i));
+    info.energy_scale += std::abs(Energy{model.diag(i)});
+
+    std::size_t d = 0;
+    model.for_each_coupling(i, [&](VarIndex j, Weight w) {
+      ++d;
+      consider(w);
+      if (j > i) info.energy_scale += std::abs(Energy{w});
+    });
     degree_sum += d;
     info.min_degree = std::min(info.min_degree, d);
     info.max_degree = std::max(info.max_degree, d);
     if (d == 0 && model.diag(i) == 0) ++info.isolated_variables;
-
-    if (model.diag(i) != 0) consider(model.diag(i));
-    info.energy_scale += std::abs(Energy{model.diag(i)});
-
-    const auto nbrs = model.neighbors(i);
-    const auto w = model.weights(i);
-    for (std::size_t t = 0; t < nbrs.size(); ++t) {
-      consider(w[t]);
-      if (nbrs[t] > i) info.energy_scale += std::abs(Energy{w[t]});
-    }
   }
   info.mean_degree = double(degree_sum) / double(n);
 
@@ -63,12 +60,12 @@ ModelInfo analyze_model(const QuboModel& model) {
     while (!q.empty()) {
       const VarIndex v = q.front();
       q.pop();
-      for (const VarIndex u : model.neighbors(v)) {
+      model.for_each_coupling(v, [&](VarIndex u, Weight) {
         if (!visited[u]) {
           visited[u] = true;
           q.push(u);
         }
-      }
+      });
     }
   }
   return info;

@@ -1,6 +1,7 @@
 // Mutable accumulator for QUBO models.  Problem reductions add linear and
 // quadratic terms in any order (duplicates accumulate); build() validates,
-// coalesces, and freezes into the CSR QuboModel.
+// coalesces, and freezes them into a QuboModel.  A reduction that writes a
+// dense matrix itself hands it to build_dense() instead.
 #pragma once
 
 #include <cstddef>
@@ -50,13 +51,24 @@ class QuboBuilder {
 
   /// Coalesces duplicates, drops zero couplings, and produces the model.
   /// Terms added in (i, j) order skip the sort.  A model that resolves to
-  /// the dense backend fills its matrix first and reads each CSR row off
-  /// it in column order; a sparse one scatters every coupling into both
-  /// endpoint rows.  Both give the same rows, ascending by column.
-  /// Throws std::invalid_argument when any accumulated coefficient
-  /// overflows the int32 weight range.  The builder is left empty
-  /// afterwards.
+  /// the dense backend fills the upper triangle of its matrix and finishes
+  /// like build_dense(); a sparse one scatters every coupling into both
+  /// endpoint rows, ascending by column.  Throws std::invalid_argument
+  /// when any accumulated coefficient overflows the int32 weight range.
+  /// The builder is left empty afterwards.
   QuboModel build();
+
+  /// A dense model from its 64-bit accumulated linear terms and a row-major
+  /// n x n matrix (n = linear.size()) holding W_{i,j}, i < j, at slot
+  /// i * n + j.  The other slots are overwritten: the lower triangle
+  /// mirrors the upper one and the diagonal slots are zeroed.  The linear
+  /// terms get build()'s int32 range check and every coupling its
+  /// symmetric range check; the matrix is stored at the narrowest
+  /// RowWidth that holds it.  T is std::int8_t, std::int16_t or Weight.
+  /// The caller decides the backend (QuboModel::auto_backend).
+  template <class T>
+  static QuboModel build_dense(const std::vector<Energy>& linear,
+                               std::vector<T> upper);
 
  private:
   struct Entry {

@@ -1,5 +1,6 @@
 #include "qubo/qubo_model.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <type_traits>
 #include <variant>
@@ -11,12 +12,24 @@ namespace dabs {
 Weight QuboModel::weight(VarIndex i, VarIndex j) const {
   DABS_CHECK(i < size() && j < size(), "variable index out of range");
   if (i == j) return diag_[i];
-  const auto nbrs = neighbors(i);
-  const auto w = weights(i);
-  for (std::size_t t = 0; t < nbrs.size(); ++t) {
-    if (nbrs[t] == j) return w[t];
+  if (has_dense_rows()) {
+    return with_dense_rows(
+        [&](const auto* w) { return Weight{w[std::size_t{i} * size() + j]}; });
   }
-  return 0;
+  const CsrRow row = csr_row(i);
+  const auto it = std::lower_bound(row.cols.begin(), row.cols.end(), j);
+  return it != row.cols.end() && *it == j ? row.vals[it - row.cols.begin()]
+                                          : 0;
+}
+
+std::size_t QuboModel::degree(VarIndex i) const {
+  DABS_CHECK(i < size(), "variable index out of range");
+  if (!has_dense_rows()) return row_ptr_[i + 1] - row_ptr_[i];
+  return with_dense_rows([&](const auto* w) {
+    const auto* row = w + std::size_t{i} * size();
+    return static_cast<std::size_t>(
+        std::count_if(row, row + size(), [](auto v) { return v != 0; }));
+  });
 }
 
 namespace {
@@ -92,8 +105,7 @@ Energy QuboModel::energy(const BitVector& x) const {
   for (VarIndex i = 0; i < n; ++i) {
     if (!x.get(i)) continue;
     Energy row = diag_[i];
-    const auto nbrs = neighbors(i);
-    const auto w = weights(i);
+    const auto [nbrs, w] = csr_row(i);
     for (std::size_t t = 0; t < nbrs.size(); ++t) {
       // Count each edge once: only accumulate (i, j>i) pairs.
       const bool on = (nbrs[t] > i) & x.get(nbrs[t]);
@@ -109,11 +121,8 @@ Energy QuboModel::delta(const BitVector& x, VarIndex k) const {
   DABS_CHECK(k < size(), "variable index out of range");
   // Eq. 3 folded: Delta_k(X) = -sigma(x_k) * (sum_{j != k} W_{j,k} x_j + W_{k,k}).
   Energy s = 0;
-  const auto nbrs = neighbors(k);
-  const auto w = weights(k);
-  for (std::size_t t = 0; t < nbrs.size(); ++t) {
-    s += w[t] & -Weight{x.get(nbrs[t])};
-  }
+  for_each_coupling(k,
+                    [&](VarIndex j, Weight w) { s += w & -Weight{x.get(j)}; });
   return -sigma(x.get(k)) * (s + Energy{diag_[k]});
 }
 
@@ -140,8 +149,9 @@ void QuboModel::delta_all(const BitVector& x, std::vector<Energy>& out) const {
 }
 
 Energy QuboModel::flip_bound(VarIndex i) const {
+  DABS_CHECK(i < size(), "variable index out of range");
   Energy b = std::abs(Energy{diag_[i]});
-  for (const Weight w : weights(i)) b += std::abs(Energy{w});
+  for_each_coupling(i, [&](VarIndex, Weight w) { b += std::abs(Energy{w}); });
   return b;
 }
 

@@ -2,22 +2,20 @@
 //
 //   E(X) = sum_{(i,j) in E, i<j} W_{i,j} x_i x_j + sum_i W_{i,i} x_i   (Eq. 2)
 //
-// Storage is CSR over the full symmetric adjacency (each off-diagonal edge
-// appears in both endpoint rows) plus a separate diagonal array.  The CSR
-// rows are exactly what the incremental update (Eq. 4) walks after a flip,
-// so a flip costs O(deg(i)); dense models like K2000 simply have rows of
-// length n-1.
+// The diagonal is its own array.  The couplings are stored one of two ways,
+// chosen once per model (QuboBackend in types.hpp):
 //
-// Dense instances additionally carry a row-major n x n weight matrix
-// (diagonal slots zero) so the flip kernel can stream a contiguous row
-// instead of chasing CSR columns; see QuboBackend in types.hpp.  The CSR
-// arrays are always present — IO, model analysis, and sparse queries keep
-// using them — so the dense matrix is a kernel-side acceleration structure,
-// not a replacement representation.  A dense model's CSR rows are read off
-// its matrix in column order when it is built (QuboBuilder::build), so
-// both hold the same couplings.  The matrix is stored once, at the model's
-// RowWidth: the narrowest of int8, int16 and int32 that holds every
-// off-diagonal weight (K2000's ±2 couplings fit int8).
+//   - CSR (kCsr): the full symmetric adjacency, each edge in both endpoint
+//     rows, ascending by column.  A flip walks exactly those rows (Eq. 4),
+//     so it costs O(deg(i)).
+//   - Dense (kDense): a row-major n x n matrix, diagonal slots zero, stored
+//     once at the model's RowWidth: the narrowest of int8, int16 and int32
+//     that holds every off-diagonal weight (K2000's ±2 couplings fit int8).
+//     The flip kernel streams a contiguous row.  The matrix is the whole
+//     model: a dense model keeps no CSR copy.
+//
+// Readers that need not care which way a model is stored walk a row with
+// for_each_coupling(); kernels read csr_row() or with_dense_rows().
 #pragma once
 
 #include <cstddef>
@@ -29,6 +27,7 @@
 #include <vector>
 
 #include "qubo/types.hpp"
+#include "util/assert.hpp"
 #include "util/bit_vector.hpp"
 
 namespace dabs {
@@ -43,26 +42,50 @@ class QuboModel {
   std::size_t size() const noexcept { return diag_.size(); }
 
   /// Number of off-diagonal couplings (each undirected edge counted once).
-  std::size_t edge_count() const noexcept { return col_.size() / 2; }
+  std::size_t edge_count() const noexcept { return edge_count_; }
 
   /// Linear (diagonal) weight W_{i,i}.
   Weight diag(VarIndex i) const { return diag_[i]; }
 
-  /// Neighbor column indices of variable i.
-  std::span<const VarIndex> neighbors(VarIndex i) const {
-    return {col_.data() + row_ptr_[i], row_ptr_[i + 1] - row_ptr_[i]};
-  }
-  /// Coupling weights aligned with neighbors(i).
-  std::span<const Weight> weights(VarIndex i) const {
-    return {val_.data() + row_ptr_[i], row_ptr_[i + 1] - row_ptr_[i]};
+  /// Row i of a CSR model: its neighbours, ascending, and the weights
+  /// aligned with them.  A dense model has no CSR rows; asking for one
+  /// throws std::invalid_argument (for_each_coupling walks either).
+  struct CsrRow {
+    std::span<const VarIndex> cols;
+    std::span<const Weight> vals;
+  };
+  CsrRow csr_row(VarIndex i) const {
+    DABS_CHECK(!has_dense_rows(), "a dense model has no CSR rows");
+    const std::size_t b = row_ptr_[i], len = row_ptr_[i + 1] - b;
+    return {{col_.data() + b, len}, {val_.data() + b, len}};
   }
 
-  std::size_t degree(VarIndex i) const {
-    return row_ptr_[i + 1] - row_ptr_[i];
+  /// Calls f(j, W_{i,j}) for every coupling of row i (W_{i,j} != 0), in
+  /// ascending j, whichever way the model is stored.
+  template <class F>
+  void for_each_coupling(VarIndex i, F&& f) const {
+    if (!has_dense_rows()) {
+      const CsrRow row = csr_row(i);
+      for (std::size_t t = 0; t < row.cols.size(); ++t) {
+        f(row.cols[t], row.vals[t]);
+      }
+      return;
+    }
+    with_dense_rows([&](const auto* w) {
+      const std::size_t n = size();
+      const auto* row = w + std::size_t{i} * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (row[j] != 0) f(static_cast<VarIndex>(j), Weight{row[j]});
+      }
+    });
   }
+
+  /// Number of couplings of variable i (O(1) for CSR, O(n) for dense).
+  std::size_t degree(VarIndex i) const;
   std::size_t max_degree() const noexcept { return max_degree_; }
 
-  /// Coupling weight W_{i,j} (O(deg) lookup; 0 when not adjacent).
+  /// Coupling weight W_{i,j} (0 when not adjacent; O(1) for dense,
+  /// O(log deg) for CSR).
   Weight weight(VarIndex i, VarIndex j) const;
 
   /// Active kernel backend (kCsr or kDense, never kAuto).
@@ -107,16 +130,31 @@ class QuboModel {
   }
 
   /// Edge density relative to the complete graph (0 for n < 2).
-  double density() const noexcept {
-    const std::size_t n = size();
-    return n >= 2 ? double(edge_count()) / (double(n) * double(n - 1) / 2.0)
-                  : 0.0;
+  double density() const noexcept { return density(size(), edge_count()); }
+  static double density(std::size_t n, std::size_t edges) noexcept {
+    return n >= 2 ? double(edges) / (double(n) * double(n - 1) / 2.0) : 0.0;
   }
 
   /// kAuto resolution policy: dense when density() >= this ...
   static constexpr double kDenseDensityThreshold = 0.4;
   /// ... and the n x n matrix stays within this budget (256 MiB).
   static constexpr std::size_t kDenseMaxBytes = std::size_t{256} << 20;
+
+  /// Whether an n x n matrix fits kDenseMaxBytes.  The budget is checked
+  /// at int32 whatever width the matrix is stored at, so the kAuto choice
+  /// does not depend on the weights' magnitude.
+  static bool dense_fits(std::size_t n) noexcept {
+    // Overflow-safe test for n * n * sizeof(Weight) <= kDenseMaxBytes.
+    return n <= kDenseMaxBytes / sizeof(Weight) / n;
+  }
+  /// The backend kAuto resolves to for n variables and `edges` coalesced
+  /// couplings: kDense when the matrix fits and the density reaches the
+  /// threshold, kCsr otherwise.
+  static QuboBackend auto_backend(std::size_t n, std::size_t edges) noexcept {
+    return dense_fits(n) && density(n, edges) >= kDenseDensityThreshold
+               ? QuboBackend::kDense
+               : QuboBackend::kCsr;
+  }
 
   /// Full O(n + nnz) evaluation of Eq. 2.  Used for verification and for
   /// one-off energy queries; the search kernels never call this per flip.
@@ -135,8 +173,8 @@ class QuboModel {
   /// Largest possible |E| change of a single flip: bound used by tests.
   Energy flip_bound(VarIndex i) const;
 
-  /// Heap bytes the model owns (CSR arrays, diagonal, dense matrix at its
-  /// stored width) plus the object itself.
+  /// Heap bytes the model owns (diagonal, plus the CSR arrays or the dense
+  /// matrix at its stored width) plus the object itself.
   std::size_t memory_bytes() const noexcept;
 
   /// One-line description, e.g. "QUBO n=2000 edges=1999000 dense
@@ -147,6 +185,7 @@ class QuboModel {
   friend class QuboBuilder;
 
   std::vector<Weight> diag_;
+  // CSR rows, filled when backend_ == kCsr (empty for a dense model).
   std::vector<std::size_t> row_ptr_;  // size n+1
   std::vector<VarIndex> col_;         // size 2*edges
   std::vector<Weight> val_;           // size 2*edges
@@ -155,6 +194,7 @@ class QuboModel {
   std::variant<std::vector<std::int8_t>, std::vector<std::int16_t>,
                std::vector<Weight>>
       dense_;
+  std::size_t edge_count_ = 0;
   std::size_t max_degree_ = 0;
   std::uint64_t delta_bound_ = 0;
   QuboBackend backend_ = QuboBackend::kCsr;

@@ -221,8 +221,7 @@ void SearchState::flip_impl(D* d, VarIndex i) {
                                     sign_mask(si), nullptr, 0, n);
     });
   } else {
-    const auto nbrs = model_->neighbors(i);
-    const auto w = model_->weights(i);
+    const auto [nbrs, w] = model_->csr_row(i);
     const std::int8_t* sg = sigma_.data();
     for (std::size_t t = 0; t < nbrs.size(); ++t) {
       const VarIndex k = nbrs[t];

@@ -30,21 +30,15 @@ FixedModel fix_variable(const QuboModel& model, VarIndex i, bool value) {
   if (value) out.offset += model.diag(i);
 
   for (VarIndex v = 0; v < n; ++v) {
-    const auto nbrs = model.neighbors(v);
-    const auto w = model.weights(v);
-    for (std::size_t t = 0; t < nbrs.size(); ++t) {
-      const VarIndex u = nbrs[t];
-      if (u < v) continue;  // each edge once
+    model.for_each_coupling(v, [&](VarIndex u, Weight w) {
+      if (u < v) return;  // each edge once
       if (v == i || u == i) {
         // Coupling with the fixed bit: W * x_fixed * x_other.
-        if (value) {
-          const VarIndex other = (v == i) ? u : v;
-          b.add_linear(to_reduced[other], w[t]);
-        }
+        if (value) b.add_linear(to_reduced[v == i ? u : v], w);
       } else {
-        b.add_quadratic(to_reduced[v], to_reduced[u], w[t]);
+        b.add_quadratic(to_reduced[v], to_reduced[u], w);
       }
-    }
+    });
   }
   out.model = b.build();
   return out;
@@ -71,12 +65,9 @@ SubQubo extract_subqubo(const QuboModel& model, const BitVector& x,
   for (std::size_t s = 0; s < subset.size(); ++s) {
     const VarIndex v = subset[s];
     Energy linear = model.diag(v);
-    const auto nbrs = model.neighbors(v);
-    const auto w = model.weights(v);
-    for (std::size_t t = 0; t < nbrs.size(); ++t) {
-      const VarIndex u = nbrs[t];
-      if (to_sub[u] == n && x.get(u)) linear += w[t];
-    }
+    model.for_each_coupling(v, [&](VarIndex u, Weight w) {
+      if (to_sub[u] == n && x.get(u)) linear += w;
+    });
     DABS_CHECK(std::abs(linear) <= std::numeric_limits<Weight>::max(),
                "folded linear weight overflows int32");
     b.add_linear(static_cast<VarIndex>(s), static_cast<Weight>(linear));
@@ -84,13 +75,11 @@ SubQubo extract_subqubo(const QuboModel& model, const BitVector& x,
   // Quadratic terms among subset members.
   for (std::size_t s = 0; s < subset.size(); ++s) {
     const VarIndex v = subset[s];
-    const auto nbrs = model.neighbors(v);
-    const auto w = model.weights(v);
-    for (std::size_t t = 0; t < nbrs.size(); ++t) {
-      const VarIndex u = nbrs[t];
-      if (to_sub[u] == n || u <= v) continue;
-      b.add_quadratic(static_cast<VarIndex>(s), to_sub[u], w[t]);
-    }
+    model.for_each_coupling(v, [&](VarIndex u, Weight w) {
+      if (to_sub[u] != n && u > v) {
+        b.add_quadratic(static_cast<VarIndex>(s), to_sub[u], w);
+      }
+    });
   }
   out.model = b.build();
 

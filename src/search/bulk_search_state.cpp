@@ -185,7 +185,7 @@ class BulkEngineImpl final : public BulkEngine {
         }
         val16_.resize(offs_[n_]);
         for (VarIndex i = 0; i < static_cast<VarIndex>(n_); ++i) {
-          const auto w = model.weights(i);
+          const auto w = model.csr_row(i).vals;
           for (std::size_t t = 0; t < w.size(); ++t) {
             val16_[offs_[i] + t] = static_cast<std::int16_t>(w[t]);
           }
@@ -294,7 +294,7 @@ class BulkEngineImpl final : public BulkEngine {
     if constexpr (std::is_same_v<DeltaT, std::int16_t>) {
       return {val16_.data() + offs_[i], offs_[i + 1] - offs_[i]};
     } else {
-      return model_->weights(i);
+      return model_->csr_row(i).vals;
     }
   }
 
@@ -433,7 +433,7 @@ class BulkEngineImpl final : public BulkEngine {
     } else {
       for (std::size_t p = 0; p < B; ++p) {
         if (masks[p] == 0) continue;
-        const auto nbrs = model_->neighbors(ctx.idx[p]);
+        const auto nbrs = model_->csr_row(ctx.idx[p]).cols;
         const std::span<const WeightT> w = csr_row_weights(ctx.idx[p]);
         const DeltaT* __restrict h = hv[p];
         for (std::size_t t = 0; t < nbrs.size(); ++t) {

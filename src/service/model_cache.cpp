@@ -1,6 +1,8 @@
 #include "service/model_cache.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <span>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -54,6 +56,15 @@ inline void mix(std::uint64_t& h, std::uint64_t v) {
   h *= kFnvPrime;
 }
 
+/// A dense model's matrix as bytes, at its stored width.
+std::span<const unsigned char> matrix_bytes(const QuboModel& m) {
+  return m.with_dense_rows([&](const auto* w) {
+    return std::span<const unsigned char>(
+        reinterpret_cast<const unsigned char*>(w),
+        m.size() * m.size() * sizeof(*w));
+  });
+}
+
 }  // namespace
 
 ModelCache::ModelCache(std::size_t max_bytes) : max_bytes_(max_bytes) {}
@@ -67,8 +78,22 @@ std::uint64_t ModelCache::content_hash(const QuboModel& model) {
   for (VarIndex i = 0; i < n; ++i) {
     mix(h, static_cast<std::uint64_t>(
                static_cast<std::int64_t>(model.diag(i))));
-    const auto cols = model.neighbors(i);
-    const auto vals = model.weights(i);
+  }
+  if (model.has_dense_rows()) {
+    // The matrix's bytes, eight at a time; its width follows from its
+    // content, so equal models hash equal.
+    const std::span<const unsigned char> bytes = matrix_bytes(model);
+    std::size_t k = 0;
+    for (; k + 8 <= bytes.size(); k += 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, bytes.data() + k, 8);
+      mix(h, word);
+    }
+    for (; k < bytes.size(); ++k) mix(h, bytes[k]);
+    return h;
+  }
+  for (VarIndex i = 0; i < n; ++i) {
+    const auto [cols, vals] = model.csr_row(i);
     mix(h, cols.size());
     // One word per coupling: its column above its weight's 32 bits.
     for (std::size_t k = 0; k < cols.size(); ++k) {
@@ -81,19 +106,23 @@ std::uint64_t ModelCache::content_hash(const QuboModel& model) {
 
 bool ModelCache::same_content(const QuboModel& a, const QuboModel& b) {
   if (a.size() != b.size() || a.edge_count() != b.edge_count() ||
-      a.backend() != b.backend()) {
+      a.backend() != b.backend() || a.row_width() != b.row_width()) {
     return false;
   }
   const auto n = static_cast<VarIndex>(a.size());
   for (VarIndex i = 0; i < n; ++i) {
     if (a.diag(i) != b.diag(i)) return false;
-    const auto ca = a.neighbors(i);
-    const auto cb = b.neighbors(i);
-    const auto va = a.weights(i);
-    const auto vb = b.weights(i);
-    if (ca.size() != cb.size()) return false;
-    if (!std::equal(ca.begin(), ca.end(), cb.begin())) return false;
-    if (!std::equal(va.begin(), va.end(), vb.begin())) return false;
+  }
+  if (a.has_dense_rows()) {
+    // Equal widths, so equal matrices are equal bytes.
+    return std::ranges::equal(matrix_bytes(a), matrix_bytes(b));
+  }
+  for (VarIndex i = 0; i < n; ++i) {
+    const auto [ca, va] = a.csr_row(i);
+    const auto [cb, vb] = b.csr_row(i);
+    if (!std::ranges::equal(ca, cb) || !std::ranges::equal(va, vb)) {
+      return false;
+    }
   }
   return true;
 }
@@ -104,10 +133,7 @@ std::size_t ModelCache::approximate_bytes(const QuboModel& model) {
 
 std::shared_ptr<const QuboModel> ModelCache::intern(QuboModel&& model,
                                                     bool* was_hit) {
-  // Hash before locking: a K2000 hash must not stall every other lookup.
-  const std::uint64_t hash = content_hash(model);
-  std::lock_guard lock(mu_);
-  return intern_locked(std::move(model), hash, was_hit, nullptr);
+  return intern_hashed(std::move(model), was_hit, nullptr);
 }
 
 std::shared_ptr<const QuboModel> ModelCache::get_or_load(
@@ -118,38 +144,70 @@ std::shared_ptr<const QuboModel> ModelCache::get_or_load(
     const auto it = by_key_.find(key);
     if (it != by_key_.end()) {
       touch_locked(it->second);
-      ++stats_.hits;
-      cache_metrics().hits->inc();
-      if (was_hit) *was_hit = true;
+      count_hit_locked(was_hit);
       return it->second->model;
     }
   }
-  // Parse and hash outside the lock; a racing loader of the same key
-  // collapses to one stored copy at intern time (content hit for the loser).
-  QuboModel model = load();
-  const std::uint64_t hash = content_hash(model);
-  std::lock_guard lock(mu_);
-  return intern_locked(std::move(model), hash, was_hit, &key);
+  // Parse outside the lock; a racing loader of the same key collapses to
+  // one stored copy at intern time (content hit for the loser).
+  return intern_hashed(load(), was_hit, &key);
 }
 
-std::shared_ptr<const QuboModel> ModelCache::intern_locked(
-    QuboModel&& model, std::uint64_t hash, bool* was_hit,
-    const std::string* key) {
-  if (const auto it = by_hash_.find(hash); it != by_hash_.end()) {
-    for (Lru::iterator entry : it->second) {
-      if (same_content(*entry->model, model)) {
-        touch_locked(entry);
-        if (key != nullptr && by_key_.emplace(*key, entry).second) {
-          entry->keys.push_back(*key);
+std::shared_ptr<const QuboModel> ModelCache::intern_hashed(
+    QuboModel&& model, bool* was_hit, const std::string* key) {
+  // Hash and compare outside mu_: a K2000 hash or compare takes
+  // milliseconds and must not stall every other lookup.  Cached models are
+  // immutable, so a candidate copied out of its bucket can be compared
+  // unlocked; a match counts only if its entry is still resident when the
+  // lock is retaken.  `compared` keeps each candidate alive, so a freed
+  // model's address cannot come back as a new entry's.
+  const std::uint64_t hash = content_hash(model);
+  std::shared_ptr<const QuboModel> match;
+  std::vector<std::shared_ptr<const QuboModel>> compared;
+  for (;;) {
+    std::vector<std::shared_ptr<const QuboModel>> fresh;
+    {
+      std::lock_guard lock(mu_);
+      if (const auto it = by_hash_.find(hash); it != by_hash_.end()) {
+        for (const Lru::iterator entry : it->second) {
+          if (entry->model == match) {
+            touch_locked(entry);
+            if (key != nullptr && by_key_.emplace(*key, entry).second) {
+              entry->keys.push_back(*key);
+            }
+            count_hit_locked(was_hit);
+            return entry->model;
+          }
+          if (std::find(compared.begin(), compared.end(), entry->model) ==
+              compared.end()) {
+            fresh.push_back(entry->model);
+          }
         }
-        ++stats_.hits;
-        cache_metrics().hits->inc();
-        if (was_hit) *was_hit = true;
-        return entry->model;
+      }
+      if (fresh.empty()) {
+        return insert_locked(std::move(model), hash, was_hit, key);
+      }
+    }
+    match = nullptr;
+    for (std::shared_ptr<const QuboModel>& candidate : fresh) {
+      compared.push_back(candidate);
+      if (same_content(*candidate, model)) {
+        match = std::move(candidate);
+        break;
       }
     }
   }
+}
 
+void ModelCache::count_hit_locked(bool* was_hit) {
+  ++stats_.hits;
+  cache_metrics().hits->inc();
+  if (was_hit) *was_hit = true;
+}
+
+std::shared_ptr<const QuboModel> ModelCache::insert_locked(
+    QuboModel&& model, std::uint64_t hash, bool* was_hit,
+    const std::string* key) {
   ++stats_.misses;
   cache_metrics().misses->inc();
   if (was_hit) *was_hit = false;

@@ -40,7 +40,8 @@ class ModelCache {
     std::size_t bytes = 0;        // approximate resident bytes right now
   };
 
-  /// Default budget: enough for several dense K2000-class instances.
+  /// Default budget: 66 dense K2000-class instances (a 4 MB int8 matrix
+  /// each).
   static constexpr std::size_t kDefaultMaxBytes = std::size_t{256} << 20;
 
   explicit ModelCache(std::size_t max_bytes = kDefaultMaxBytes);
@@ -70,18 +71,20 @@ class ModelCache {
   void clear();
 
   /// FNV-1a, one 64-bit word at a time, over the model's content: size,
-  /// backend, diagonal, and every CSR row.  Computed outside the cache
-  /// lock.  Two models with equal content always hash equal; the kernel
-  /// backend participates because it changes runtime behavior even though
-  /// results are bit-exact across backends.
+  /// edge count, backend, diagonal, and the dense matrix's bytes or every
+  /// CSR row.  Computed outside the cache lock.  Two models with equal
+  /// content always hash equal; the kernel backend participates because it
+  /// changes runtime behavior even though results are bit-exact across
+  /// backends.
   static std::uint64_t content_hash(const QuboModel& model);
 
-  /// Structural equality on the same fields content_hash covers.
+  /// Structural equality on the same fields content_hash covers (a dense
+  /// model's matrix compared at its stored width).
   static bool same_content(const QuboModel& a, const QuboModel& b);
 
   /// Approximate resident bytes of a built model (QuboModel::memory_bytes:
-  /// CSR + diagonal + the dense matrix at its stored width) — the unit the
-  /// LRU budget is measured in.
+  /// diagonal + the CSR arrays or the dense matrix at its stored width) —
+  /// the unit the LRU budget is measured in.
   static std::size_t approximate_bytes(const QuboModel& model);
 
  private:
@@ -93,11 +96,17 @@ class ModelCache {
   };
   using Lru = std::list<Entry>;  // front = most recently used
 
-  /// `hash` is content_hash(model), computed before taking mu_.
-  std::shared_ptr<const QuboModel> intern_locked(QuboModel&& model,
+  /// intern() and get_or_load()'s miss path: hashes `model`, compares it
+  /// with its hash bucket's models outside mu_, and returns the resident
+  /// equal one (aliasing `key` to it) or inserts `model`.
+  std::shared_ptr<const QuboModel> intern_hashed(QuboModel&& model,
+                                                 bool* was_hit,
+                                                 const std::string* key);
+  std::shared_ptr<const QuboModel> insert_locked(QuboModel&& model,
                                                  std::uint64_t hash,
                                                  bool* was_hit,
                                                  const std::string* key);
+  void count_hit_locked(bool* was_hit);
   void touch_locked(Lru::iterator it);
   void evict_locked();
   void drop_entry_locked(Lru::iterator it);

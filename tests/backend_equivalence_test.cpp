@@ -268,6 +268,70 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+// Every row reader, dense against CSR, over the same terms: the visitor's
+// (j, w) sequence, degree(), weight(), flip_bound(), delta() and energy().
+// Variable n / 2 couples to nothing, so its dense row is all zero.
+TEST(BackendReaders, AgreeAtEveryRowWidth) {
+  const struct {
+    Weight hi;  // weights drawn from [-hi, hi]
+    RowWidth rows;
+  } widths[] = {{9, RowWidth::kInt8},
+                {1000, RowWidth::kInt16},
+                {1 << 20, RowWidth::kInt32}};
+  for (const auto& [hi, rows] : widths) {
+    for (const std::size_t n : {63, 64, 65, 130}) {
+      SCOPED_TRACE(::testing::Message() << "hi=" << hi << " n=" << n);
+      const auto empty = static_cast<VarIndex>(n / 2);
+      const auto build = [&](QuboBackend backend) {
+        Rng rng(static_cast<std::uint64_t>(hi) * 1000 + n);
+        const auto draw = [&] {
+          return static_cast<Weight>(
+              static_cast<Weight>(rng.next_index(
+                  2 * static_cast<std::size_t>(hi) + 1)) -
+              hi);
+        };
+        QuboBuilder b(n);
+        b.set_backend(backend);
+        for (VarIndex i = 0; i < n; ++i) b.add_linear(i, draw());
+        for (VarIndex i = 0; i < n; ++i) {
+          for (VarIndex j = i + 1; j < n; ++j) {
+            if (i != empty && j != empty && rng.next_unit() < 0.6) {
+              b.add_quadratic(i, j, draw());
+            }
+          }
+        }
+        return b.build();
+      };
+      const QuboModel csr = build(QuboBackend::kCsr);
+      const QuboModel dense = build(QuboBackend::kDense);
+      ASSERT_TRUE(dense.has_dense_rows());
+      ASSERT_EQ(dense.row_width(), rows);
+      ASSERT_EQ(csr.row_width(), rows);
+      EXPECT_EQ(dense.edge_count(), csr.edge_count());
+      EXPECT_EQ(dense.max_degree(), csr.max_degree());
+      EXPECT_EQ(dense.delta_bound(), csr.delta_bound());
+      EXPECT_TRUE(testing::couplings(dense, empty).empty());
+      EXPECT_EQ(dense.degree(empty), 0u);
+      for (VarIndex i = 0; i < n; ++i) {
+        ASSERT_EQ(testing::couplings(dense, i), testing::couplings(csr, i));
+        ASSERT_EQ(dense.degree(i), csr.degree(i));
+        ASSERT_EQ(dense.flip_bound(i), csr.flip_bound(i));
+        for (VarIndex j = 0; j < n; ++j) {
+          ASSERT_EQ(dense.weight(i, j), csr.weight(i, j)) << i << "," << j;
+        }
+      }
+      Rng rng(n);
+      for (int trial = 0; trial < 4; ++trial) {
+        const BitVector x = random_solution(n, rng);
+        ASSERT_EQ(dense.energy(x), csr.energy(x));
+        for (VarIndex k = 0; k < n; ++k) {
+          ASSERT_EQ(dense.delta(x, k), csr.delta(x, k)) << k;
+        }
+      }
+    }
+  }
+}
+
 TEST(BackendSelection, AutoPicksDenseAboveThresholdAndCsrBelow) {
   const QuboModel dense = random_model(40, 1.0, 5, 1);
   EXPECT_EQ(dense.backend(), QuboBackend::kDense);

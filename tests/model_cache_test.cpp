@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -64,18 +65,18 @@ TEST(ModelCache, ApproximateBytesChargesDenseRowsAtTheirWidth) {
 
 TEST(ModelCache, Int8RowsAreChargedHalfTheInt16Matrix) {
   // A +-1 model and its x128 copy: the same structure and Delta width,
-  // rows stored at int8 and at int16.  Over the CSR-only footprint, the
-  // int8 model is charged exactly half the int16 one.
+  // rows stored at int8 and at int16.  A dense model keeps no CSR copy, so
+  // over the object and its diagonal, the int8 model is charged exactly
+  // half the int16 one: its n x n matrix.
   const std::size_t n = 64;
   const QuboModel int8_rows =
       testing::random_model(n, 0.9, 1, 5, QuboBackend::kDense);
   const QuboModel int16_rows =
       testing::random_model(n, 0.9, 1, 5, QuboBackend::kDense, 128);
-  const QuboModel csr = testing::random_model(n, 0.9, 1, 5, QuboBackend::kCsr);
   ASSERT_EQ(int8_rows.row_width(), RowWidth::kInt8);
   ASSERT_EQ(int16_rows.row_width(), RowWidth::kInt16);
   ASSERT_EQ(int16_rows.delta_width(), int8_rows.delta_width());
-  const std::size_t base = ModelCache::approximate_bytes(csr);
+  const std::size_t base = sizeof(QuboModel) + n * sizeof(Weight);
   EXPECT_EQ(ModelCache::approximate_bytes(int8_rows) - base, n * n);
   EXPECT_EQ(ModelCache::approximate_bytes(int16_rows) - base,
             2 * (ModelCache::approximate_bytes(int8_rows) - base));
@@ -240,6 +241,85 @@ TEST(ModelCache, ConcurrentInternsCollapseToOneEntry) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, kThreads * kPerThread - 1u);
   EXPECT_EQ(hits.load(), kThreads * kPerThread - 1);
+}
+
+TEST(ModelCache, KeyHitsRunWhileDenseModelsContentHit) {
+  // Two threads load equal dense models under fresh keys: each load is a
+  // content hit, hashed and compared outside the cache lock, and the two
+  // may race each other to the comparison.  Meanwhile three threads
+  // key-hit the first key.  Every lookup returns the one resident model.
+  ModelCache cache;
+  const auto dense = [] {
+    return testing::random_model(300, 0.9, 5, 8, QuboBackend::kDense);
+  };
+  bool hit = true;
+  const auto first = cache.get_or_load("k", dense, &hit);
+  ASSERT_FALSE(hit);
+  ASSERT_TRUE(first->has_dense_rows());
+  std::atomic<bool> done{false};
+  std::atomic<int> key_hits{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&] {
+      while (!done.load()) {
+        bool key_hit = false;
+        const auto m = cache.get_or_load("k", dense, &key_hit);
+        EXPECT_TRUE(key_hit);
+        EXPECT_EQ(m.get(), first.get());
+        key_hits.fetch_add(1);
+      }
+    });
+  }
+  constexpr int kLoads = 6;
+  std::vector<std::thread> loaders;
+  for (int t = 0; t < 2; ++t) {
+    loaders.emplace_back([&, t] {
+      for (int r = 0; r < kLoads; ++r) {
+        bool content_hit = false;
+        const auto m = cache.get_or_load(std::to_string(t * kLoads + r),
+                                         dense, &content_hit);
+        EXPECT_TRUE(content_hit);
+        EXPECT_EQ(m.get(), first.get());
+      }
+    });
+  }
+  for (auto& t : loaders) t.join();
+  done.store(true);
+  for (auto& t : threads) t.join();
+  const ModelCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 2u * kLoads + static_cast<unsigned>(key_hits.load()));
+}
+
+TEST(ModelCache, DenseContentHashAndEqualityReadTheMatrix) {
+  // Equal dense models hash equal; one changed coupling (same edges, same
+  // width) changes both the hash and the equality, and so do the same
+  // terms at another width.
+  const auto build = [](Weight w01, Weight scale) {
+    QuboBuilder b(50);
+    b.set_backend(QuboBackend::kDense);
+    b.add_linear(3, 4 * scale);
+    for (VarIndex i = 0; i < 50; ++i) {
+      for (VarIndex j = i + 1; j < 50; ++j) {
+        b.add_quadratic(i, j, ((i + j) % 3 == 0 ? 1 : -1) * scale);
+      }
+    }
+    b.add_quadratic(0, 1, w01 * scale);
+    return b.build();
+  };
+  const QuboModel a = build(2, 1), b = build(2, 1), c = build(3, 1);
+  const QuboModel wide = build(2, 1000);
+  ASSERT_EQ(a.row_width(), RowWidth::kInt8);
+  ASSERT_EQ(c.edge_count(), a.edge_count());
+  ASSERT_EQ(c.row_width(), a.row_width());
+  ASSERT_EQ(wide.row_width(), RowWidth::kInt16);
+  EXPECT_TRUE(ModelCache::same_content(a, b));
+  EXPECT_EQ(ModelCache::content_hash(a), ModelCache::content_hash(b));
+  EXPECT_FALSE(ModelCache::same_content(a, c));
+  EXPECT_NE(ModelCache::content_hash(a), ModelCache::content_hash(c));
+  EXPECT_FALSE(ModelCache::same_content(a, wide));
+  EXPECT_NE(ModelCache::content_hash(a), ModelCache::content_hash(wide));
 }
 
 }  // namespace

@@ -2,12 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <set>
+#include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "baseline/exhaustive.hpp"
 #include "problems/maxcut.hpp"
+#include "qubo/qubo_builder.hpp"
 #include "test_helpers.hpp"
 
 namespace dabs {
@@ -157,8 +163,9 @@ TEST(MaxCut, PublishedInstanceShapes) {
 }
 
 // FNV-1a, one 64-bit value at a time, over every part of a built model:
-// diagonal, CSR rows, dense rows (when present), delta_bound, max_degree,
-// row width and backend.
+// diagonal, each row's couplings as for_each_coupling visits them (its
+// length, then its columns, then its weights), the dense matrix (when
+// present), delta_bound, max_degree, row width and backend.
 std::uint64_t model_digest(const QuboModel& m) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto mix = [&h](std::int64_t v) {
@@ -169,9 +176,10 @@ std::uint64_t model_digest(const QuboModel& m) {
   mix(n);
   for (VarIndex i = 0; i < n; ++i) {
     mix(m.diag(i));
-    mix(static_cast<std::int64_t>(m.degree(i)));
-    for (const VarIndex j : m.neighbors(i)) mix(j);
-    for (const Weight w : m.weights(i)) mix(w);
+    const auto row = testing::couplings(m, i);
+    mix(static_cast<std::int64_t>(row.size()));
+    for (const auto& [j, w] : row) mix(j);
+    for (const auto& [j, w] : row) mix(w);
   }
   if (m.has_dense_rows()) {
     m.with_dense_rows([&](const auto* w) {
@@ -195,6 +203,9 @@ TEST(MaxCut, K2000EncodeGolden) {
   EXPECT_EQ(model_digest(m), 0xce4a177a7b0109f7ULL)
       << std::hex << model_digest(m);
 
+  EXPECT_EQ(m.edge_count(), 1999000u);
+  EXPECT_LE(m.memory_bytes(), std::size_t{4100000});  // the int8 matrix
+
   // Forced CSR: the same diagonal, rows and bounds, without dense rows.
   const QuboModel csr =
       pr::maxcut_to_qubo(pr::make_k2000(), QuboBackend::kCsr);
@@ -204,18 +215,159 @@ TEST(MaxCut, K2000EncodeGolden) {
   EXPECT_EQ(csr.row_width(), m.row_width());
   for (VarIndex i = 0; i < m.size(); ++i) {
     ASSERT_EQ(csr.diag(i), m.diag(i)) << i;
-    ASSERT_TRUE(std::ranges::equal(csr.neighbors(i), m.neighbors(i))) << i;
-    ASSERT_TRUE(std::ranges::equal(csr.weights(i), m.weights(i))) << i;
+    ASSERT_EQ(testing::couplings(csr, i), testing::couplings(m, i)) << i;
   }
 }
 
 TEST(MaxCut, ReductionRejectsBadInstances) {
-  pr::MaxCutInstance inst;
-  inst.n = 2;
-  inst.edges = {{0, 0, 1}};
-  EXPECT_THROW((void)pr::maxcut_to_qubo(inst), std::invalid_argument);
-  inst.edges = {{0, 5, 1}};
-  EXPECT_THROW((void)pr::maxcut_to_qubo(inst), std::invalid_argument);
+  // n = 2 and one edge is density 1: these take the dense path.  The same
+  // edges after a sparse prefix (40 nodes, 10 edges) take the term path.
+  for (const std::size_t n : {std::size_t{2}, std::size_t{40}}) {
+    SCOPED_TRACE(n);
+    pr::MaxCutInstance inst;
+    inst.n = n;
+    for (VarIndex v = 2; v < std::min<std::size_t>(n, 12); ++v) {
+      inst.edges.push_back({1, v, 1});
+    }
+    for (const pr::WeightedEdge bad :
+         {pr::WeightedEdge{0, 0, 1}, pr::WeightedEdge{0, 45, 1},
+          pr::WeightedEdge{0, 1, pr::kMaxEdgeWeight + 1},
+          pr::WeightedEdge{0, 1, -pr::kMaxEdgeWeight - 1}}) {
+      pr::MaxCutInstance with_bad = inst;
+      with_bad.edges.push_back(bad);
+      EXPECT_THROW((void)pr::maxcut_to_qubo(with_bad), std::invalid_argument);
+    }
+  }
+}
+
+// What an encode gives: the model's digest and edge count, or the message
+// it throws.
+std::string outcome(const std::function<QuboModel()>& encode) {
+  try {
+    const QuboModel m = encode();
+    std::ostringstream os;
+    os << "model " << std::hex << model_digest(m) << std::dec << " edges "
+       << m.edge_count() << ' ' << m.describe();
+    return os.str();
+  } catch (const std::invalid_argument& e) {
+    return std::string("throws ") + e.what();
+  }
+}
+
+// The term path by hand: a QuboBuilder fed every edge's terms.
+QuboModel encode_by_terms(const pr::MaxCutInstance& inst,
+                          QuboBackend backend) {
+  QuboBuilder b(inst.n);
+  b.set_backend(backend);
+  for (const pr::WeightedEdge& e : inst.edges) {
+    b.add_quadratic(e.u, e.v, 2 * e.w);
+    b.add_linear(e.u, -e.w);
+    b.add_linear(e.v, -e.w);
+  }
+  return b.build();
+}
+
+void expect_same_encode(const pr::MaxCutInstance& inst,
+                        QuboBackend backend = QuboBackend::kAuto) {
+  EXPECT_EQ(outcome([&] { return pr::maxcut_to_qubo(inst, backend); }),
+            outcome([&] { return encode_by_terms(inst, backend); }));
+}
+
+// A dense-sized graph (K_n at +-1) is written straight into its matrix.
+// Each edit below must give the model, or the exception, that a
+// QuboBuilder fed the same terms gives.
+TEST(MaxCutDenseEncode, MatchesTheTermPath) {
+  const pr::MaxCutInstance base = pr::make_complete_maxcut(70, 5);
+  const auto with = [&](std::vector<pr::WeightedEdge> extra) {
+    pr::MaxCutInstance inst = base;
+    inst.edges.insert(inst.edges.end(), extra.begin(), extra.end());
+    return inst;
+  };
+  const auto weight_of = [&](VarIndex u, VarIndex v) {
+    for (const pr::WeightedEdge& e : base.edges) {
+      if (e.u == u && e.v == v) return e.w;
+    }
+    return Weight{0};
+  };
+  const Weight big = pr::kMaxEdgeWeight;
+  struct Case {
+    const char* name;
+    pr::MaxCutInstance inst;
+    const char* want;  // what the direct encode gives
+  };
+  const Case cases[] = {
+      {"as generated", base, "rows=int8"},
+      {"duplicate edge, endpoints swapped", with({{7, 3, 1}, {3, 7, 1}}),
+       "rows=int8"},
+      {"a pair that cancels to zero", with({{9, 5, -weight_of(5, 9)}}),
+       "edges 2414"},
+      {"int16 rows", with({{2, 60, 100}}), "rows=int16"},
+      {"int16 term summed back to int8", with({{1, 2, 100}, {2, 1, -100}}),
+       "rows=int8"},
+      {"int32 rows", with({{4, 8, 40000}}), "rows=int32"},
+      {"int32 term summed back to int16", with({{4, 8, 40000}, {4, 8, -39900}}),
+       "rows=int16"},
+      {"diagonal past INT32_MIN",
+       with({{0, 1, big - 2}, {0, 2, big - 2}, {3, 0, big - 2}}),
+       "linear coefficient overflows"},
+      {"diagonal past INT32_MAX",
+       with({{0, 1, 2 - big}, {0, 2, 2 - big}, {3, 0, 2 - big}}),
+       "linear coefficient overflows"},
+      {"coupling past INT32_MAX mid-sum",
+       with({{0, 1, big}, {1, 0, big}, {0, 1, -big}}), "rows=int32"},
+      {"coupling past INT32_MAX", with({{0, 1, big}, {1, 0, big}}),
+       "coefficient overflows"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string got =
+        outcome([&] { return pr::maxcut_to_qubo(c.inst); });
+    EXPECT_NE(got.find(c.want), std::string::npos) << got;
+    expect_same_encode(c.inst);
+    expect_same_encode(c.inst, QuboBackend::kDense);
+  }
+}
+
+TEST(MaxCutDenseEncode, CoalescedDensityDecidesTheBackend) {
+  // 400 raw edges over 40 nodes are density 0.51, but they are 200 pairs
+  // each listed twice: 0.26 once coalesced, so kAuto builds CSR, as the
+  // term path does.  A forced kDense still gets the matrix.
+  const pr::MaxCutInstance once =
+      pr::make_random_maxcut(40, 200, pr::EdgeWeights::kPlusMinusOne, 3);
+  pr::MaxCutInstance twice = once;
+  twice.edges.insert(twice.edges.end(), once.edges.begin(), once.edges.end());
+  EXPECT_EQ(pr::maxcut_to_qubo(twice).backend(), QuboBackend::kCsr);
+  EXPECT_EQ(pr::maxcut_to_qubo(twice, QuboBackend::kDense).backend(),
+            QuboBackend::kDense);
+  for (const QuboBackend b :
+       {QuboBackend::kAuto, QuboBackend::kCsr, QuboBackend::kDense}) {
+    expect_same_encode(twice, b);
+    expect_same_encode(once, b);
+  }
+}
+
+TEST(MaxCutDenseEncode, RandomInstancesMatchTheTermPath) {
+  // Dense-sized graphs with repeated pairs in both orders, zero weights
+  // and weights at every row width, edges in random order.
+  Rng rng(29);
+  for (int trial = 0; trial < 150; ++trial) {
+    SCOPED_TRACE(trial);
+    pr::MaxCutInstance inst;
+    inst.n = 2 + rng.next_index(45);
+    const std::size_t pairs = inst.n * (inst.n - 1) / 2;
+    const std::size_t m = pairs / 2 + rng.next_index(pairs + 1);
+    const Weight scale = std::array<Weight, 4>{
+        1, 60, 20000, pr::kMaxEdgeWeight / 4}[trial % 4];
+    for (std::size_t t = 0; t < m; ++t) {
+      const auto u = static_cast<VarIndex>(rng.next_index(inst.n));
+      auto v = static_cast<VarIndex>(rng.next_index(inst.n - 1));
+      if (v >= u) ++v;
+      const auto w = static_cast<Weight>(rng.next_index(5)) - 2;
+      inst.edges.push_back({u, v, w * scale});
+    }
+    expect_same_encode(inst);
+    expect_same_encode(inst, QuboBackend::kDense);
+  }
 }
 
 }  // namespace

@@ -51,11 +51,12 @@ TEST(QuboBuilder, RejectsInvalidIndices) {
 
 // build() keeps terms that arrive in (i, j) order where they are, and
 // otherwise orders them with a counting sort by row, sorting a row by
-// column only when it arrives out of order.  A dense model reads its CSR
-// rows off the matrix; a sparse one scatters each coupling into both rows.
+// column only when it arrives out of order.  A dense model fills and
+// mirrors its matrix; a sparse one scatters each coupling into both rows.
 // The reference coalescer is a std::map keyed by the normalized pair: the
 // built model must hold exactly its nonzero sums, rows ascending by column,
-// in the CSR, the dense rows, delta_bound(), max_degree() and row_width().
+// in for_each_coupling's rows, degree(), the dense rows, edge_count(),
+// delta_bound(), max_degree() and row_width().
 // Terms come shuffled or in (i, j) order, with duplicates, both index
 // orders and sums that cancel to zero, at weights that need each row width.
 TEST(QuboBuilder, MatchesReferenceCoalescer) {
@@ -129,10 +130,9 @@ TEST(QuboBuilder, MatchesReferenceCoalescer) {
       ASSERT_EQ(m.degree(i), rows[i].size());
       max_degree = std::max(max_degree, rows[i].size());
       std::uint64_t row_abs = static_cast<std::uint64_t>(std::abs(diag[i]));
-      for (std::size_t t = 0; t < rows[i].size(); ++t) {
-        EXPECT_EQ(m.neighbors(i)[t], rows[i][t].first);
-        EXPECT_EQ(m.weights(i)[t], rows[i][t].second);
-        row_abs += static_cast<std::uint64_t>(std::abs(rows[i][t].second));
+      EXPECT_EQ(testing::couplings(m, i), rows[i]);
+      for (const auto& [j, w] : rows[i]) {
+        row_abs += static_cast<std::uint64_t>(std::abs(w));
       }
       bound = std::max(bound, row_abs);
       if (m.has_dense_rows()) {
@@ -161,14 +161,26 @@ TEST(QuboBuilder, MatchesReferenceCoalescer) {
   EXPECT_GT(widths_seen[RowWidth::kInt32], 0);
 }
 
-TEST(QuboModel, CsrIsSymmetric) {
-  const QuboModel m = random_model(20, 0.4, 5, 11);
-  for (VarIndex i = 0; i < m.size(); ++i) {
-    const auto nbrs = m.neighbors(i);
-    for (std::size_t t = 0; t < nbrs.size(); ++t) {
-      EXPECT_EQ(m.weight(nbrs[t], i), m.weights(i)[t]);
+TEST(QuboModel, CouplingsAreSymmetric) {
+  for (const QuboBackend backend : {QuboBackend::kCsr, QuboBackend::kDense}) {
+    const QuboModel m = random_model(20, 0.4, 5, 11, backend);
+    for (VarIndex i = 0; i < m.size(); ++i) {
+      m.for_each_coupling(i, [&](VarIndex j, Weight w) {
+        EXPECT_EQ(m.weight(j, i), w);
+        EXPECT_EQ(m.weight(i, j), w);
+      });
     }
   }
+}
+
+TEST(QuboModel, DenseModelHasNoCsrRows) {
+  // The matrix is the whole of a dense model: no CSR arrays are kept, and
+  // asking for a CSR row throws rather than answering with an empty one.
+  const QuboModel m = random_model(20, 0.9, 5, 11, QuboBackend::kDense);
+  ASSERT_TRUE(m.has_dense_rows());
+  EXPECT_THROW((void)m.csr_row(0), std::invalid_argument);
+  EXPECT_EQ(m.memory_bytes(),
+            sizeof(QuboModel) + 20 * sizeof(Weight) + 20 * 20);
 }
 
 TEST(QuboModel, DegreeAndMaxDegree) {
@@ -302,7 +314,12 @@ TEST(QuboModel, WidthSwitchesAboveInt16Max) {
     csr.add_linear(0, -(kMax16 - 7 + extra));
     csr.add_quadratic(0, 1, 2).add_quadratic(0, 2, -5);
     csr.set_backend(QuboBackend::kCsr);
-    EXPECT_EQ(m.memory_bytes() - csr.build().memory_bytes(), 9u);
+    // A dense model owns its diagonal and its matrix, nothing else.
+    EXPECT_EQ(m.memory_bytes(), sizeof(QuboModel) + 3 * sizeof(Weight) + 9);
+    EXPECT_EQ(csr.build().memory_bytes(),
+              sizeof(QuboModel) + 3 * sizeof(Weight) +
+                  4 * sizeof(std::size_t) +
+                  4 * (sizeof(VarIndex) + sizeof(Weight)));
     m.with_dense_rows([](const auto* w) { EXPECT_EQ(Weight{w[1]}, 2); });
   }
 }
@@ -342,11 +359,8 @@ TEST(QuboModel, RowWidthIsTheNarrowestHoldingEveryCoupling) {
       }
       EXPECT_NE(m.describe().find(std::string("rows=") + to_string(c.want)),
                 std::string::npos);
-      QuboBuilder csr(3);
-      csr.add_linear(1, std::numeric_limits<Weight>::min());
-      csr.add_quadratic(0, 1, c.w).add_quadratic(1, 2, -1);
-      csr.set_backend(QuboBackend::kCsr);
-      EXPECT_EQ(m.memory_bytes() - csr.build().memory_bytes(), 9 * c.bytes);
+      EXPECT_EQ(m.memory_bytes(),
+                sizeof(QuboModel) + 3 * sizeof(Weight) + 9 * c.bytes);
       m.with_dense_rows([&](const auto* w) {
         EXPECT_EQ(sizeof(*w), c.bytes);
         EXPECT_EQ(Weight{w[1]}, c.w);  // W_01

@@ -3,6 +3,7 @@
 // and a one-call solve over the request protocol.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "core/solve_report.hpp"
@@ -39,6 +40,15 @@ inline QuboModel random_model(std::size_t n, double density, int max_w,
     }
   }
   return b.build();
+}
+
+/// Row i's couplings (j, W_ij) as QuboModel::for_each_coupling visits
+/// them.
+inline std::vector<std::pair<VarIndex, Weight>> couplings(const QuboModel& m,
+                                                          VarIndex i) {
+  std::vector<std::pair<VarIndex, Weight>> row;
+  m.for_each_coupling(i, [&](VarIndex j, Weight w) { row.emplace_back(j, w); });
+  return row;
 }
 
 /// Naive O(n^2) evaluation of Eq. 2 straight off the weight accessor;
