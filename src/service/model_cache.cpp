@@ -133,7 +133,10 @@ std::size_t ModelCache::approximate_bytes(const QuboModel& model) {
 
 std::shared_ptr<const QuboModel> ModelCache::intern(QuboModel&& model,
                                                     bool* was_hit) {
-  return intern_hashed(std::move(model), was_hit, nullptr);
+  // Hash before locking: a K2000 hash must not stall every other lookup.
+  const std::uint64_t hash = content_hash(model);
+  std::lock_guard lock(mu_);
+  return intern_locked(std::move(model), hash, was_hit, nullptr);
 }
 
 std::shared_ptr<const QuboModel> ModelCache::get_or_load(
@@ -144,70 +147,38 @@ std::shared_ptr<const QuboModel> ModelCache::get_or_load(
     const auto it = by_key_.find(key);
     if (it != by_key_.end()) {
       touch_locked(it->second);
-      count_hit_locked(was_hit);
+      ++stats_.hits;
+      cache_metrics().hits->inc();
+      if (was_hit) *was_hit = true;
       return it->second->model;
     }
   }
-  // Parse outside the lock; a racing loader of the same key collapses to
-  // one stored copy at intern time (content hit for the loser).
-  return intern_hashed(load(), was_hit, &key);
+  // Parse and hash outside the lock; a racing loader of the same key
+  // collapses to one stored copy at intern time (content hit for the loser).
+  QuboModel model = load();
+  const std::uint64_t hash = content_hash(model);
+  std::lock_guard lock(mu_);
+  return intern_locked(std::move(model), hash, was_hit, &key);
 }
 
-std::shared_ptr<const QuboModel> ModelCache::intern_hashed(
-    QuboModel&& model, bool* was_hit, const std::string* key) {
-  // Hash and compare outside mu_: a K2000 hash or compare takes
-  // milliseconds and must not stall every other lookup.  Cached models are
-  // immutable, so a candidate copied out of its bucket can be compared
-  // unlocked; a match counts only if its entry is still resident when the
-  // lock is retaken.  `compared` keeps each candidate alive, so a freed
-  // model's address cannot come back as a new entry's.
-  const std::uint64_t hash = content_hash(model);
-  std::shared_ptr<const QuboModel> match;
-  std::vector<std::shared_ptr<const QuboModel>> compared;
-  for (;;) {
-    std::vector<std::shared_ptr<const QuboModel>> fresh;
-    {
-      std::lock_guard lock(mu_);
-      if (const auto it = by_hash_.find(hash); it != by_hash_.end()) {
-        for (const Lru::iterator entry : it->second) {
-          if (entry->model == match) {
-            touch_locked(entry);
-            if (key != nullptr && by_key_.emplace(*key, entry).second) {
-              entry->keys.push_back(*key);
-            }
-            count_hit_locked(was_hit);
-            return entry->model;
-          }
-          if (std::find(compared.begin(), compared.end(), entry->model) ==
-              compared.end()) {
-            fresh.push_back(entry->model);
-          }
+std::shared_ptr<const QuboModel> ModelCache::intern_locked(
+    QuboModel&& model, std::uint64_t hash, bool* was_hit,
+    const std::string* key) {
+  if (const auto it = by_hash_.find(hash); it != by_hash_.end()) {
+    for (Lru::iterator entry : it->second) {
+      if (same_content(*entry->model, model)) {
+        touch_locked(entry);
+        if (key != nullptr && by_key_.emplace(*key, entry).second) {
+          entry->keys.push_back(*key);
         }
-      }
-      if (fresh.empty()) {
-        return insert_locked(std::move(model), hash, was_hit, key);
-      }
-    }
-    match = nullptr;
-    for (std::shared_ptr<const QuboModel>& candidate : fresh) {
-      compared.push_back(candidate);
-      if (same_content(*candidate, model)) {
-        match = std::move(candidate);
-        break;
+        ++stats_.hits;
+        cache_metrics().hits->inc();
+        if (was_hit) *was_hit = true;
+        return entry->model;
       }
     }
   }
-}
 
-void ModelCache::count_hit_locked(bool* was_hit) {
-  ++stats_.hits;
-  cache_metrics().hits->inc();
-  if (was_hit) *was_hit = true;
-}
-
-std::shared_ptr<const QuboModel> ModelCache::insert_locked(
-    QuboModel&& model, std::uint64_t hash, bool* was_hit,
-    const std::string* key) {
   ++stats_.misses;
   cache_metrics().misses->inc();
   if (was_hit) *was_hit = false;

@@ -96,17 +96,11 @@ class ModelCache {
   };
   using Lru = std::list<Entry>;  // front = most recently used
 
-  /// intern() and get_or_load()'s miss path: hashes `model`, compares it
-  /// with its hash bucket's models outside mu_, and returns the resident
-  /// equal one (aliasing `key` to it) or inserts `model`.
-  std::shared_ptr<const QuboModel> intern_hashed(QuboModel&& model,
-                                                 bool* was_hit,
-                                                 const std::string* key);
-  std::shared_ptr<const QuboModel> insert_locked(QuboModel&& model,
+  /// `hash` is content_hash(model), computed before taking mu_.
+  std::shared_ptr<const QuboModel> intern_locked(QuboModel&& model,
                                                  std::uint64_t hash,
                                                  bool* was_hit,
                                                  const std::string* key);
-  void count_hit_locked(bool* was_hit);
   void touch_locked(Lru::iterator it);
   void evict_locked();
   void drop_entry_locked(Lru::iterator it);

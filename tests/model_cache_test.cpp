@@ -245,9 +245,9 @@ TEST(ModelCache, ConcurrentInternsCollapseToOneEntry) {
 
 TEST(ModelCache, KeyHitsRunWhileDenseModelsContentHit) {
   // Two threads load equal dense models under fresh keys: each load is a
-  // content hit, hashed and compared outside the cache lock, and the two
-  // may race each other to the comparison.  Meanwhile three threads
-  // key-hit the first key.  Every lookup returns the one resident model.
+  // content hit, hashed outside the cache lock and compared under it.
+  // Meanwhile three threads key-hit the first key.  Every lookup returns
+  // the one resident model.
   ModelCache cache;
   const auto dense = [] {
     return testing::random_model(300, 0.9, 5, 8, QuboBackend::kDense);
