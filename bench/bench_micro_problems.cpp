@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "core/solver_registry.hpp"
+#include "problems/maxcut.hpp"
 #include "problems/problem_registry.hpp"
 #include "rng/xorshift.hpp"
 
@@ -55,6 +56,25 @@ void BM_DecodeVerify(benchmark::State& state, const char* spec,
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
+
+/// The random MaxCut generator alone: what a problem job's admit runs
+/// before any cache lookup (args: nodes, edges).  200/2000 is the service
+/// benchmark's spec; 2000/19990 is G22's size.
+void BM_MakeRandomMaxcut(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto m = static_cast<std::size_t>(state.range(1));
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    const problems::MaxCutInstance inst = problems::make_random_maxcut(
+        n, m, problems::EdgeWeights::kPlusMinusOne, ++seed % 8 + 1);
+    benchmark::DoNotOptimize(inst.edges.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MakeRandomMaxcut)
+    ->Args({200, 2000})
+    ->Args({2000, 19990})
+    ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_CAPTURE(BM_EncodeDecode, maxcut_g_style, "maxcut",
                   {{"n", "200"}, {"m", "2000"}});

@@ -6,10 +6,15 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/solve_report.hpp"
+#include "io/json_reader.hpp"
+#include "io/json_writer.hpp"
 #include "net/http_client.hpp"
 #include "net/job_api.hpp"
 #include "net/solve_server.hpp"
@@ -131,6 +136,62 @@ void BM_MetricsOverheadContended(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MetricsOverheadContended)->Threads(1)->Threads(4);
+
+/// The report a service-http poll renders: one maxcut dabs job (the
+/// perfbench service-http spec) run through a JobApi and read back from
+/// its status JSON.
+SolveReport service_report() {
+  net::JobApi api(net::JobApi::Config{});
+  const net::ApiReply submitted = api.submit(
+      R"({"problem":"maxcut","params":{"n":200,"m":2000,"seed":1},)"
+      R"("solver":"dabs","max_batches":2,"seed":1})");
+  const auto id = static_cast<service::JobId>(
+      io::parse_json(submitted.body).find("job_id")->as_int());
+  for (;;) {
+    const io::JsonValue status = io::parse_json(api.status(id).body);
+    const std::string& state = status.find("state")->as_string();
+    if (state == "queued" || state == "running") {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
+    }
+    const io::JsonValue* report = status.find("report");
+    if (state != "done" || report == nullptr) {
+      throw std::runtime_error("the report job ended " + state);
+    }
+    SolveReport r;
+    r.solver = report->find("solver")->as_string();
+    r.best_energy = report->find("best_energy")->as_int();
+    r.reached_target = report->find("reached_target")->as_bool();
+    r.tts_seconds = report->find("tts_seconds")->as_double();
+    r.elapsed_seconds = report->find("elapsed_seconds")->as_double();
+    r.flips = static_cast<std::uint64_t>(report->find("flips")->as_int());
+    r.batches = static_cast<std::uint64_t>(report->find("batches")->as_int());
+    r.restarts =
+        static_cast<std::uint32_t>(report->find("restarts")->as_int());
+    for (const auto& [k, v] : report->find("extras")->as_object()) {
+      r.extras[k] = v.as_string();
+    }
+    return r;
+  }
+}
+
+/// Serializing one finished job's report, which every status poll of a
+/// finished job renders (the serialize layer of a service-http job).
+void BM_ReportJson(benchmark::State& state) {
+  const SolveReport report = service_report();
+  std::ostringstream out;
+  for (auto _ : state) {
+    out.str("");
+    {
+      io::JsonWriter json(out);
+      report.write_json(json);
+    }
+    benchmark::DoNotOptimize(out.tellp());
+  }
+  state.SetLabel(std::to_string(report.extras.size()) + " extras");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReportJson)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // HTTP solve server: the same pipeline through SolveServer + the wire.

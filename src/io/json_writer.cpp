@@ -1,8 +1,8 @@
 #include "io/json_writer.hpp"
 
 #include <cmath>
+#include <cstddef>
 #include <ostream>
-#include <sstream>
 
 #include "util/assert.hpp"
 
@@ -14,50 +14,76 @@ JsonWriter::~JsonWriter() {
   // Close any scopes the caller forgot; keeps output parseable even on
   // error paths.
   while (!stack_.empty()) {
-    out_ << (stack_.back().first == Scope::kObject ? '}' : ']');
+    out_.put(stack_.back().first == Scope::kObject ? '}' : ']');
     stack_.pop_back();
   }
 }
 
-std::string JsonWriter::escape(const std::string& s) {
-  std::ostringstream os;
-  for (const char c : s) {
+namespace {
+
+/// Calls `emit(data, size)` with `s` JSON-escaped: each run of bytes that
+/// needs no escape in one call, and each escape sequence where it falls.
+/// Control bytes without a short form become \u00xx (lowercase hex).
+template <class Emit>
+void escape_into(std::string_view s, Emit&& emit) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  const char* run = s.data();
+  const char* const end = run + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const auto c = static_cast<unsigned char>(*p);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    if (p != run) emit(run, static_cast<std::size_t>(p - run));
+    run = p + 1;
     switch (c) {
       case '"':
-        os << "\\\"";
+        emit("\\\"", 2);
         break;
       case '\\':
-        os << "\\\\";
+        emit("\\\\", 2);
         break;
       case '\n':
-        os << "\\n";
+        emit("\\n", 2);
         break;
       case '\r':
-        os << "\\r";
+        emit("\\r", 2);
         break;
       case '\t':
-        os << "\\t";
+        emit("\\t", 2);
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+        emit(u, sizeof u);
+      }
     }
   }
-  return os.str();
+  if (run != end) emit(run, static_cast<std::size_t>(end - run));
+}
+
+}  // namespace
+
+std::string JsonWriter::escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  escape_into(s, [&out](const char* p, std::size_t n) { out.append(p, n); });
+  return out;
+}
+
+void JsonWriter::write_string(std::string_view s) {
+  out_.put('"');
+  escape_into(s, [this](const char* p, std::size_t n) {
+    out_.write(p, static_cast<std::streamsize>(n));
+  });
+  out_.put('"');
 }
 
 void JsonWriter::comma_and_key(const std::string& key) {
   if (!stack_.empty()) {
-    if (stack_.back().second) out_ << ',';
+    if (stack_.back().second) out_.put(',');
     stack_.back().second = true;
     if (stack_.back().first == Scope::kObject) {
       DABS_CHECK(!key.empty(), "object members require a key");
-      out_ << '"' << escape(key) << "\":";
+      write_string(key);
+      out_.put(':');
     } else {
       DABS_CHECK(key.empty(), "array elements must not carry a key");
     }
@@ -70,7 +96,7 @@ void JsonWriter::comma_and_key(const std::string& key) {
 
 JsonWriter& JsonWriter::begin_object(const std::string& key) {
   comma_and_key(key);
-  out_ << '{';
+  out_.put('{');
   stack_.emplace_back(Scope::kObject, false);
   return *this;
 }
@@ -78,14 +104,14 @@ JsonWriter& JsonWriter::begin_object(const std::string& key) {
 JsonWriter& JsonWriter::end_object() {
   DABS_CHECK(!stack_.empty() && stack_.back().first == Scope::kObject,
              "end_object without matching begin_object");
-  out_ << '}';
+  out_.put('}');
   stack_.pop_back();
   return *this;
 }
 
 JsonWriter& JsonWriter::begin_array(const std::string& key) {
   comma_and_key(key);
-  out_ << '[';
+  out_.put('[');
   stack_.emplace_back(Scope::kArray, false);
   return *this;
 }
@@ -93,19 +119,21 @@ JsonWriter& JsonWriter::begin_array(const std::string& key) {
 JsonWriter& JsonWriter::end_array() {
   DABS_CHECK(!stack_.empty() && stack_.back().first == Scope::kArray,
              "end_array without matching begin_array");
-  out_ << ']';
+  out_.put(']');
   stack_.pop_back();
   return *this;
 }
 
 JsonWriter& JsonWriter::value(const std::string& key, const std::string& v) {
   comma_and_key(key);
-  out_ << '"' << escape(v) << '"';
+  write_string(v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(const std::string& key, const char* v) {
-  return value(key, std::string(v));
+  comma_and_key(key);
+  write_string(v);
+  return *this;
 }
 
 JsonWriter& JsonWriter::value(const std::string& key, std::int64_t v) {
@@ -143,7 +171,7 @@ JsonWriter& JsonWriter::value(const std::string& key, bool v) {
 
 JsonWriter& JsonWriter::element(const std::string& v) {
   comma_and_key("");
-  out_ << '"' << escape(v) << '"';
+  write_string(v);
   return *this;
 }
 

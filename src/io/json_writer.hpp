@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dabs::io {
@@ -46,11 +47,15 @@ class JsonWriter {
   /// True once every scope is closed.
   bool complete() const noexcept { return stack_.empty() && started_; }
 
+  /// `s` with JSON string escaping applied: the bytes the writer emits
+  /// between the quotes of a key or string value.
   static std::string escape(const std::string& s);
 
  private:
   enum class Scope { kObject, kArray };
   void comma_and_key(const std::string& key);
+  /// `s` quoted and escaped, written straight into the stream.
+  void write_string(std::string_view s);
 
   std::ostream& out_;
   std::vector<std::pair<Scope, bool>> stack_;  // (scope, has_items)

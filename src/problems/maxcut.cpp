@@ -1,9 +1,9 @@
 #include "problems/maxcut.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <optional>
-#include <unordered_set>
 
 #include "qubo/qubo_builder.hpp"
 #include "rng/xorshift.hpp"
@@ -137,15 +137,24 @@ MaxCutInstance make_random_maxcut(std::size_t n, std::size_t m,
   inst.n = n;
   inst.name = std::move(name);
   inst.edges.reserve(m);
-  std::unordered_set<std::uint64_t> used;
-  used.reserve(m * 2);
+  // The pairs drawn so far, in one open-addressed table at most half full:
+  // a multiplicative hash picks the first slot, linear probing the rest.
+  // ~0 marks an empty slot; no key is ~0 because u < v.
+  constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  std::vector<std::uint64_t> used(
+      std::bit_ceil(std::max<std::size_t>(2 * m, 16)), kEmpty);
+  const std::size_t mask = used.size() - 1;
+  const int shift = 64 - std::countr_zero(used.size());
   while (inst.edges.size() < m) {
     auto u = static_cast<VarIndex>(rng.next_index(n));
     auto v = static_cast<VarIndex>(rng.next_index(n));
     if (u == v) continue;
     if (u > v) std::swap(u, v);
     const std::uint64_t key = (std::uint64_t{u} << 32) | v;
-    if (!used.insert(key).second) continue;
+    std::size_t slot = (key * 0x9e3779b97f4a7c15ULL) >> shift;
+    while (used[slot] != kEmpty && used[slot] != key) slot = (slot + 1) & mask;
+    if (used[slot] == key) continue;
+    used[slot] = key;
     inst.edges.push_back({u, v, draw_weight(weights, rng)});
   }
   return inst;

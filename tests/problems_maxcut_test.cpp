@@ -162,6 +162,53 @@ TEST(MaxCut, PublishedInstanceShapes) {
   EXPECT_EQ(g39.edges.size(), 11778u);
 }
 
+// FNV-1a, one 64-bit value at a time, over an edge list: its length, then
+// each edge's u, v and w in order.
+std::uint64_t edges_digest(const pr::MaxCutInstance& inst) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::int64_t v) {
+    h ^= static_cast<std::uint64_t>(v);
+    h *= 0x100000001b3ULL;
+  };
+  mix(static_cast<std::int64_t>(inst.edges.size()));
+  for (const pr::WeightedEdge& e : inst.edges) {
+    mix(e.u);
+    mix(e.v);
+    mix(e.w);
+  }
+  return h;
+}
+
+// Every random instance, and so every model, golden and model-cache key
+// built from one, is pinned by its edge list: the draw order and the
+// rejection of self-loops and repeated pairs must not change.  The n=200
+// m=2000 seeds are the service benchmark's specs; n=40 m=780 is the
+// complete graph drawn at random (the longest rejection runs).
+TEST(MaxCut, RandomGeneratorGolden) {
+  constexpr auto kPm1 = pr::EdgeWeights::kPlusMinusOne;
+  const std::array<std::uint64_t, 8> service = {
+      0xd6aca2310f549aa4ULL, 0x5b84f9e6ac7f9e3dULL, 0x9df7df73e792214cULL,
+      0xea87c80b8191a6a4ULL, 0xecb04c8fcae1df3aULL, 0x3ebbd7250cb209f0ULL,
+      0x4a7582e0189ba5a7ULL, 0x7efa4f34a54b415bULL};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const auto inst = pr::make_random_maxcut(200, 2000, kPm1, seed);
+    EXPECT_EQ(edges_digest(inst), service[seed - 1])
+        << "seed " << seed << ": 0x" << std::hex << edges_digest(inst);
+  }
+  const auto golden = [](const pr::MaxCutInstance& inst, std::uint64_t want) {
+    EXPECT_EQ(edges_digest(inst), want)
+        << inst.name << ": 0x" << std::hex << edges_digest(inst);
+  };
+  golden(pr::make_random_maxcut(100, 500, pr::EdgeWeights::kPlusOne, 1,
+                                "n100"),
+         0x326803ab585f7407ULL);
+  golden(pr::make_random_maxcut(40, 780, kPm1, 3, "n40-complete"),
+         0xc4e41224c581a01dULL);
+  golden(pr::make_random_maxcut(10, 0, kPm1, 5, "m0"), 0xaf63bd4c8601b7dfULL);
+  golden(pr::make_g22_like(), 0x2c22ebc44db1ddb4ULL);
+  golden(pr::make_g39_like(), 0x863e29a18bd5cba3ULL);
+}
+
 // FNV-1a, one 64-bit value at a time, over every part of a built model:
 // diagonal, each row's couplings as for_each_coupling visits them (its
 // length, then its columns, then its weights), the dense matrix (when
