@@ -76,6 +76,16 @@ BENCHMARK(BM_MakeRandomMaxcut)
     ->Args({2000, 19990})
     ->Unit(benchmark::kMicrosecond);
 
+/// The K2000 generator alone: 1,999,000 sign bits drawn in the draw lanes.
+void BM_MakeK2000(benchmark::State& state) {
+  for (auto _ : state) {
+    const problems::MaxCutInstance inst = problems::make_k2000();
+    benchmark::DoNotOptimize(inst.signs.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MakeK2000)->Unit(benchmark::kMicrosecond);
+
 BENCHMARK_CAPTURE(BM_EncodeDecode, maxcut_g_style, "maxcut",
                   {{"n", "200"}, {"m", "2000"}});
 BENCHMARK_CAPTURE(BM_EncodeDecode, qap_grid_3x4, "qap",
@@ -88,6 +98,7 @@ BENCHMARK_CAPTURE(BM_DecodeVerify, maxcut_g_style, "maxcut",
                   {{"n", "200"}, {"m", "2000"}});
 BENCHMARK_CAPTURE(BM_DecodeVerify, qap_grid_3x4, "qap",
                   {{"kind", "grid"}, {"rows", "3"}, {"cols", "4"}});
+BENCHMARK_CAPTURE(BM_DecodeVerify, k2000, "k2000", {});
 
 }  // namespace
 }  // namespace dabs

@@ -39,10 +39,10 @@ problems::MaxCutInstance read_gset_file(const std::string& path) {
 }
 
 void write_gset(std::ostream& out, const problems::MaxCutInstance& inst) {
-  out << inst.n << ' ' << inst.edges.size() << '\n';
-  for (const auto& e : inst.edges) {
+  out << inst.n << ' ' << inst.edge_count() << '\n';
+  inst.for_each_edge([&out](const problems::WeightedEdge& e) {
     out << (e.u + 1) << ' ' << (e.v + 1) << ' ' << e.w << '\n';
-  }
+  });
 }
 
 void write_gset_file(const std::string& path,

@@ -2,20 +2,69 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <limits>
 #include <optional>
 
 #include "qubo/qubo_builder.hpp"
+#include "rng/draw_lanes.hpp"
 #include "rng/xorshift.hpp"
 #include "util/assert.hpp"
 
 namespace dabs::problems {
 
+namespace {
+
+void check_signs(const MaxCutInstance& inst) {
+  DABS_CHECK(inst.signs.empty() ||
+                 inst.signs.size() == MaxCutInstance::sign_words(inst.n),
+             "sign bits do not match the node count");
+}
+
+/// The 64 bits of words[0, count) from bit b on, zero past the last word.
+std::uint64_t bits_at(const std::uint64_t* words, std::size_t count,
+                      std::size_t b) {
+  const std::size_t i = b / 64;
+  const std::size_t shift = b % 64;
+  const std::uint64_t lo = words[i] >> shift;
+  if (shift == 0 || i + 1 == count) return lo;
+  return lo | (words[i + 1] << (64 - shift));
+}
+
+/// The low len bits, for len in [1, 64].
+std::uint64_t low_bits(std::size_t len) {
+  return ~std::uint64_t{0} >> (64 - len);
+}
+
+/// The cut of the sign-bit pairs.  Row u's pairs (u, v > u) cross where
+/// x's bits past u differ from x_u; of those, the +1 pairs add and the -1
+/// pairs subtract, 64 pairs per step.
+Energy sign_cut(const MaxCutInstance& inst, const BitVector& x) {
+  const std::size_t n = inst.n;
+  Energy cut = 0;
+  std::size_t row_bit = 0;  // the bit of row u's first pair
+  for (std::size_t u = 0; u + 1 < n; ++u) {
+    const std::uint64_t side = -std::uint64_t{x.get(u)};
+    for (std::size_t v = u + 1; v < n; v += 64) {
+      const std::uint64_t cross =
+          (bits_at(x.words(), x.word_count(), v) ^ side) &
+          low_bits(std::min<std::size_t>(64, n - v));
+      const std::uint64_t plus = bits_at(
+          inst.signs.data(), inst.signs.size(), row_bit + (v - u - 1));
+      cut += std::popcount(cross & plus) - std::popcount(cross & ~plus);
+    }
+    row_bit += n - 1 - u;
+  }
+  return cut;
+}
+
+}  // namespace
+
 Energy MaxCutInstance::cut_value(const BitVector& partition) const {
   DABS_CHECK(partition.size() == n, "partition length mismatch");
-  // One masked add per edge, no branch on the partition: an answer check
-  // walks every edge (K2000: about 2M).
-  Energy cut = 0;
+  check_signs(*this);
+  Energy cut = signs.empty() ? 0 : sign_cut(*this, partition);
+  // One masked add per edge, no branch on the partition.
   for (const WeightedEdge& e : edges) {
     const bool crosses = partition.get(e.u) != partition.get(e.v);
     cut += e.w & -Weight{crosses};
@@ -39,13 +88,13 @@ void check_edge(const MaxCutInstance& inst, const WeightedEdge& e) {
 QuboModel encode_terms(const MaxCutInstance& inst, QuboBackend backend) {
   QuboBuilder b(inst.n);
   b.set_backend(backend);
-  b.reserve(inst.edges.size());
-  for (const WeightedEdge& e : inst.edges) {
+  b.reserve(inst.edge_count());
+  inst.for_each_edge([&](const WeightedEdge& e) {
     check_edge(inst, e);
     b.add_quadratic(e.u, e.v, 2 * e.w);
     b.add_linear(e.u, -e.w);
     b.add_linear(e.v, -e.w);
-  }
+  });
   return b.build();
 }
 
@@ -91,6 +140,53 @@ std::optional<QuboModel> encode_dense(const MaxCutInstance& inst,
   return QuboBuilder::build_dense(linear, std::move(upper));
 }
 
+/// Byte k is +2 when bit k of `bits` is set and -2 when it is clear.
+/// Multiplying copies the low byte into every byte; keeping bit k of byte
+/// k and adding 0x7f carries into byte k's top bit exactly when it is set.
+std::uint64_t spread_signs(std::uint64_t bits) {
+  constexpr std::uint64_t kEachByte = 0x0101010101010101ULL;
+  const std::uint64_t kept =
+      ((bits & 0xff) * kEachByte) & 0x8040201008040201ULL;
+  const std::uint64_t set = ((kept + 0x7f * kEachByte) >> 7) & kEachByte;
+  return (0xfe * kEachByte) ^ (set * 0xfc);  // -2 = 0xfe, +2 = 0x02
+}
+
+/// The dense path of a complete ±1 graph: each int8 row of the upper
+/// triangle from its sign bits, 64 at a time (W_uv = +2 on a set bit, -2 on
+/// a clear one).  Each edge adds -w to both endpoints' linear terms, so
+/// W_ii = (n - 1) - 2 plus_i, where plus_i counts node i's +1 edges: the
+/// set bits of its row and of its column.
+QuboModel encode_signs(const MaxCutInstance& inst) {
+  static_assert(std::endian::native == std::endian::little);
+  const std::size_t n = inst.n;
+  std::vector<std::int8_t> upper(n * n, 0);
+  std::vector<std::int32_t> plus(n, 0);
+  std::size_t row_bit = 0;  // the bit of row u's first pair
+  for (std::size_t u = 0; u + 1 < n; ++u) {
+    std::int8_t* row = upper.data() + u * n;
+    for (std::size_t v = u + 1; v < n; v += 64) {
+      const std::size_t len = std::min<std::size_t>(64, n - v);
+      const std::uint64_t bits =
+          bits_at(inst.signs.data(), inst.signs.size(),
+                  row_bit + (v - u - 1)) &
+          low_bits(len);
+      plus[u] += std::popcount(bits);
+      std::uint64_t bytes[8];
+      for (std::size_t k = 0; k < 8; ++k) {
+        bytes[k] = spread_signs(bits >> 8 * k);
+      }
+      std::memcpy(row + v, bytes, len);
+    }
+    for (std::size_t v = u + 1; v < n; ++v) plus[v] += row[v] > 0;
+    row_bit += n - 1 - u;
+  }
+  std::vector<Energy> linear(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    linear[i] = static_cast<Energy>(n - 1) - 2 * Energy{plus[i]};
+  }
+  return QuboBuilder::build_dense(linear, std::move(upper));
+}
+
 }  // namespace
 
 QuboModel maxcut_to_qubo(const MaxCutInstance& inst, QuboBackend backend) {
@@ -100,12 +196,19 @@ QuboModel maxcut_to_qubo(const MaxCutInstance& inst, QuboBackend backend) {
   // per-term buffer, sort or CSR: at int8 first, and at the next width
   // whenever a sum leaves the current one.  Anything else, including a
   // density the coalescing takes below the threshold, takes the term path.
+  check_signs(inst);
   const bool dense = backend == QuboBackend::kDense ||
                      (backend == QuboBackend::kAuto &&
-                      QuboModel::auto_backend(inst.n, inst.edges.size()) ==
+                      QuboModel::auto_backend(inst.n, inst.edge_count()) ==
                           QuboBackend::kDense);
   if (!dense || !QuboModel::dense_fits(inst.n)) {
     return encode_terms(inst, backend);
+  }
+  // Sign bits alone are written from the bits; sign bits with listed
+  // edges beside them take the term path, which sums the two.
+  if (!inst.signs.empty()) {
+    return inst.edges.empty() ? encode_signs(inst)
+                              : encode_terms(inst, backend);
   }
   std::optional<QuboModel> m = encode_dense<std::int8_t>(inst, backend);
   if (!m) m = encode_dense<std::int16_t>(inst, backend);
@@ -167,11 +270,25 @@ MaxCutInstance make_complete_maxcut(std::size_t n, std::uint64_t seed,
   MaxCutInstance inst;
   inst.n = n;
   inst.name = std::move(name);
-  inst.edges.reserve(n * (n - 1) / 2);
-  for (VarIndex u = 0; u + 1 < n; ++u) {
-    for (VarIndex v = u + 1; v < n; ++v) {
-      inst.edges.push_back({u, v, rng.next_bit() ? Weight{1} : Weight{-1}});
+  inst.signs.assign(MaxCutInstance::sign_words(n), 0);
+  // Chunks of 2048 draws run in the draw lanes, 16 lanes of 128 draws.  At
+  // threshold 2^52 a draw is a candidate exactly when its next_bit() is 0,
+  // so a sign word is the complement of its candidate word.  The tail
+  // draws serially; the bits and rng's state are the serial chain's.
+  constexpr std::size_t kChunk = 2048;
+  const std::size_t pairs = n * (n - 1) / 2;
+  const std::size_t chunks = pairs / kChunk;
+  std::uint64_t* signs = inst.signs.data();
+  if (chunks > 0) {
+    const XorshiftJump jump(lane_length(kChunk));
+    for (std::size_t c = 0; c < chunks; ++c) {
+      std::uint64_t* words = signs + c * (kChunk / 64);
+      draw_candidates(rng, jump, kChunk, std::uint64_t{1} << 52, words);
+      for (std::size_t k = 0; k < kChunk / 64; ++k) words[k] = ~words[k];
     }
+  }
+  for (std::size_t t = chunks * kChunk; t < pairs; ++t) {
+    signs[t / 64] |= std::uint64_t{rng.next_bit()} << (t % 64);
   }
   return inst;
 }

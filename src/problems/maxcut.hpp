@@ -27,10 +27,43 @@ struct WeightedEdge {
   Weight w;
 };
 
+/// A graph is an edge list, or, as make_complete_maxcut builds it, a
+/// complete ±1 graph stored as one sign bit per pair: bit t of `signs`
+/// stands for the t-th pair (u, v > u) in row-major order and is set when
+/// its weight is +1.  Readers that may meet either go through edge_count()
+/// and for_each_edge(); an instance holding both is their union.
 struct MaxCutInstance {
   std::size_t n = 0;
   std::vector<WeightedEdge> edges;
+  /// Empty, or sign_words(n) words with the bits past the last pair zero.
+  std::vector<std::uint64_t> signs;
   std::string name;
+
+  /// Words of `signs` for a complete graph on n nodes.
+  static std::size_t sign_words(std::size_t n) {
+    return (n * (n - 1) / 2 + 63) / 64;
+  }
+
+  /// The pairs the signs stand for, then the listed edges.
+  std::size_t edge_count() const {
+    return (signs.empty() ? 0 : n * (n - 1) / 2) + edges.size();
+  }
+
+  /// Calls f(WeightedEdge) for every sign-bit pair in ascending (u, v),
+  /// then for every listed edge in list order.
+  template <class F>
+  void for_each_edge(F&& f) const {
+    if (!signs.empty()) {
+      std::size_t t = 0;
+      for (VarIndex u = 0; u + 1 < n; ++u) {
+        for (VarIndex v = u + 1; v < n; ++v, ++t) {
+          const bool plus = (signs[t / 64] >> (t % 64)) & 1;
+          f(WeightedEdge{u, v, plus ? Weight{1} : Weight{-1}});
+        }
+      }
+    }
+    for (const WeightedEdge& e : edges) f(e);
+  }
 
   /// Total weight of edges crossing the partition (x_u != x_v).
   Energy cut_value(const BitVector& partition) const;
@@ -60,7 +93,8 @@ MaxCutInstance make_random_maxcut(std::size_t n, std::size_t m,
                                   EdgeWeights weights, std::uint64_t seed,
                                   std::string name = "random");
 
-/// Complete graph with i.i.d. ±1 weights.
+/// Complete graph with i.i.d. ±1 weights, stored as its sign bits: the
+/// weight of the t-th pair is +1 when the t-th next_bit() of Rng(seed) is.
 MaxCutInstance make_complete_maxcut(std::size_t n, std::uint64_t seed,
                                     std::string name = "complete");
 

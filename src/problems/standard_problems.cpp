@@ -57,7 +57,7 @@ VerifyResult MaxCutProblem::verify(
 std::string MaxCutProblem::describe() const {
   std::ostringstream os;
   os << "MaxCut " << name() << ": " << inst_.n << " nodes, "
-     << inst_.edges.size() << " edges";
+     << inst_.edge_count() << " edges";
   return os.str();
 }
 

@@ -10,6 +10,7 @@
 #include "io/results_writer.hpp"
 #include "problems/maxcut.hpp"
 #include "problems/qap.hpp"
+#include "problems/standard_problems.hpp"
 #include "test_helpers.hpp"
 
 namespace dabs {
@@ -39,6 +40,29 @@ TEST(GsetIo, RoundTripPreservesInstance) {
     EXPECT_EQ(back.edges[i].v, inst.edges[i].v);
     EXPECT_EQ(back.edges[i].w, inst.edges[i].w);
   }
+}
+
+TEST(GsetIo, SignBitCompleteGraphRoundTrips) {
+  // A complete graph stored as sign bits is written edge by edge and read
+  // back as an edge list of the same graph.
+  const auto inst = problems::make_complete_maxcut(20, 9, "K20");
+  ASSERT_TRUE(inst.edges.empty());
+  std::stringstream buf;
+  io::write_gset(buf, inst);
+  const auto back = io::read_gset(buf, "K20");
+  ASSERT_EQ(back.n, 20u);
+  EXPECT_TRUE(back.signs.empty());
+  EXPECT_EQ(back.edges.size(), 190u);
+  EXPECT_EQ(testing::model_digest(problems::maxcut_to_qubo(back)),
+            testing::model_digest(problems::maxcut_to_qubo(inst)));
+  Rng rng(3);
+  for (int p = 0; p < 10; ++p) {
+    const BitVector x = testing::random_solution(20, rng);
+    EXPECT_EQ(back.cut_value(x), inst.cut_value(x));
+  }
+  const problems::MaxCutProblem problem(inst, QuboBackend::kAuto, "k20");
+  EXPECT_NE(problem.describe().find("20 nodes, 190 edges"), std::string::npos)
+      << problem.describe();
 }
 
 TEST(GsetIo, RejectsMalformedInput) {

@@ -20,6 +20,7 @@ namespace dabs {
 namespace {
 
 namespace pr = problems;
+using testing::model_digest;
 using testing::solve_on;
 
 pr::MaxCutInstance tiny_instance() {
@@ -136,21 +137,34 @@ TEST(MaxCut, GeneratorIsDeterministicInSeed) {
 
 TEST(MaxCut, CompleteGraphHasAllPairs) {
   const auto inst = pr::make_complete_maxcut(20, 1, "K20");
-  EXPECT_EQ(inst.edges.size(), 20u * 19 / 2);
+  EXPECT_EQ(inst.edge_count(), 20u * 19 / 2);
   int plus = 0, minus = 0;
-  for (const auto& e : inst.edges) {
+  std::vector<std::pair<VarIndex, VarIndex>> pairs;
+  inst.for_each_edge([&](const pr::WeightedEdge& e) {
     EXPECT_TRUE(e.w == 1 || e.w == -1);
     (e.w == 1 ? plus : minus)++;
-  }
+    pairs.emplace_back(e.u, e.v);
+  });
   EXPECT_GT(plus, 0);
   EXPECT_GT(minus, 0);
+  // Every pair once, in ascending (u, v).
+  ASSERT_EQ(pairs.size(), 20u * 19 / 2);
+  std::size_t t = 0;
+  for (VarIndex u = 0; u < 20; ++u) {
+    for (VarIndex v = u + 1; v < 20; ++v, ++t) {
+      EXPECT_EQ(pairs[t], std::make_pair(u, v));
+    }
+  }
 }
 
 TEST(MaxCut, PublishedInstanceShapes) {
   const auto k2000 = pr::make_k2000();
   EXPECT_EQ(k2000.n, 2000u);
-  EXPECT_EQ(k2000.edges.size(), 2000u * 1999 / 2);
+  EXPECT_EQ(k2000.edge_count(), 2000u * 1999 / 2);
   EXPECT_EQ(k2000.name, "K2000");
+  // One sign bit per pair and no edge list.
+  EXPECT_TRUE(k2000.edges.empty());
+  EXPECT_LE(k2000.signs.size() * sizeof(std::uint64_t), 250000u);
 
   const auto g22 = pr::make_g22_like();
   EXPECT_EQ(g22.n, 2000u);
@@ -162,20 +176,20 @@ TEST(MaxCut, PublishedInstanceShapes) {
   EXPECT_EQ(g39.edges.size(), 11778u);
 }
 
-// FNV-1a, one 64-bit value at a time, over an edge list: its length, then
-// each edge's u, v and w in order.
+// FNV-1a, one 64-bit value at a time, over an instance's edges as
+// for_each_edge visits them: their count, then each edge's u, v and w.
 std::uint64_t edges_digest(const pr::MaxCutInstance& inst) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto mix = [&h](std::int64_t v) {
     h ^= static_cast<std::uint64_t>(v);
     h *= 0x100000001b3ULL;
   };
-  mix(static_cast<std::int64_t>(inst.edges.size()));
-  for (const pr::WeightedEdge& e : inst.edges) {
+  mix(static_cast<std::int64_t>(inst.edge_count()));
+  inst.for_each_edge([&](const pr::WeightedEdge& e) {
     mix(e.u);
     mix(e.v);
     mix(e.w);
-  }
+  });
   return h;
 }
 
@@ -209,35 +223,81 @@ TEST(MaxCut, RandomGeneratorGolden) {
   golden(pr::make_g39_like(), 0x863e29a18bd5cba3ULL);
 }
 
-// FNV-1a, one 64-bit value at a time, over every part of a built model:
-// diagonal, each row's couplings as for_each_coupling visits them (its
-// length, then its columns, then its weights), the dense matrix (when
-// present), delta_bound, max_degree, row width and backend.
-std::uint64_t model_digest(const QuboModel& m) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::int64_t v) {
-    h ^= static_cast<std::uint64_t>(v);
-    h *= 0x100000001b3ULL;
+// The complete graphs' weights, pinned while they were still an edge list:
+// the sign bits must keep every weight, in order, of the serial chain of
+// next_bit() draws.
+TEST(MaxCut, CompleteGeneratorGolden) {
+  const auto golden = [](const pr::MaxCutInstance& inst, std::uint64_t want) {
+    EXPECT_EQ(edges_digest(inst), want)
+        << inst.name << ": 0x" << std::hex << edges_digest(inst);
   };
-  const auto n = static_cast<VarIndex>(m.size());
-  mix(n);
-  for (VarIndex i = 0; i < n; ++i) {
-    mix(m.diag(i));
-    const auto row = testing::couplings(m, i);
-    mix(static_cast<std::int64_t>(row.size()));
-    for (const auto& [j, w] : row) mix(j);
-    for (const auto& [j, w] : row) mix(w);
+  golden(pr::make_k2000(), 0xc45ce273a09aa701ULL);
+  golden(pr::make_complete_maxcut(70, 5), 0x4bf938f0b3137f3aULL);
+}
+
+// The same graph as an edge list, read through for_each_edge.
+pr::MaxCutInstance as_edge_list(const pr::MaxCutInstance& inst) {
+  pr::MaxCutInstance out;
+  out.n = inst.n;
+  out.name = inst.name;
+  inst.for_each_edge(
+      [&](const pr::WeightedEdge& e) { out.edges.push_back(e); });
+  return out;
+}
+
+// Sign-bit instances at row lengths around the 64-bit word and the
+// 2048-draw chunk (n = 64 is all serial tail, 65 one chunk and a tail, 130
+// four chunks) agree with the same graph as an edge list on the cut, the
+// edge count and the model at every backend, and their bits are the serial
+// next_bit() chain's.
+TEST(MaxCutSignBits, MatchTheEdgeList) {
+  for (const std::size_t n : {2, 3, 63, 64, 65, 130}) {
+    SCOPED_TRACE(n);
+    const pr::MaxCutInstance signs = pr::make_complete_maxcut(n, 40 + n);
+    ASSERT_TRUE(signs.edges.empty());
+    ASSERT_EQ(signs.signs.size(), pr::MaxCutInstance::sign_words(n));
+    const pr::MaxCutInstance list = as_edge_list(signs);
+    EXPECT_EQ(signs.edge_count(), n * (n - 1) / 2);
+    EXPECT_EQ(list.edge_count(), signs.edge_count());
+
+    Rng serial(40 + n);
+    for (const pr::WeightedEdge& e : list.edges) {
+      ASSERT_EQ(e.w, serial.next_bit() ? 1 : -1) << e.u << ' ' << e.v;
+    }
+
+    Rng rng(n);
+    for (int p = 0; p < 20; ++p) {
+      BitVector x = testing::random_solution(n, rng);
+      if (p == 0) x = BitVector(n);
+      if (p == 1) x.fill(true);
+      EXPECT_EQ(signs.cut_value(x), list.cut_value(x)) << x.to_string();
+    }
+    for (const QuboBackend b : {QuboBackend::kAuto, QuboBackend::kCsr,
+                                QuboBackend::kDense}) {
+      EXPECT_EQ(model_digest(pr::maxcut_to_qubo(signs, b)),
+                model_digest(pr::maxcut_to_qubo(list, b)))
+          << static_cast<int>(b);
+    }
+
+    // Sign bits and a listed edge together are their union.
+    pr::MaxCutInstance both = signs;
+    both.edges.push_back({0, static_cast<VarIndex>(n - 1), 3});
+    pr::MaxCutInstance both_list = list;
+    both_list.edges.push_back(both.edges.back());
+    EXPECT_EQ(both.edge_count(), both_list.edge_count());
+    EXPECT_EQ(edges_digest(both), edges_digest(both_list));
+    const BitVector x = testing::random_solution(n, rng);
+    EXPECT_EQ(both.cut_value(x), both_list.cut_value(x));
+    EXPECT_EQ(model_digest(pr::maxcut_to_qubo(both)),
+              model_digest(pr::maxcut_to_qubo(both_list)));
   }
-  if (m.has_dense_rows()) {
-    m.with_dense_rows([&](const auto* w) {
-      for (std::size_t k = 0; k < std::size_t{n} * n; ++k) mix(w[k]);
-    });
-  }
-  mix(static_cast<std::int64_t>(m.delta_bound()));
-  mix(static_cast<std::int64_t>(m.max_degree()));
-  mix(static_cast<std::int64_t>(m.row_width()));
-  mix(static_cast<std::int64_t>(m.backend()));
-  return h;
+}
+
+TEST(MaxCutSignBits, RejectsAMismatchedSignVector) {
+  pr::MaxCutInstance inst = pr::make_complete_maxcut(70, 5);
+  inst.signs.pop_back();
+  EXPECT_THROW((void)inst.cut_value(BitVector(70)), std::invalid_argument);
+  EXPECT_THROW((void)pr::maxcut_to_qubo(inst), std::invalid_argument);
 }
 
 // A digest of the paper's K2000 model: any change to how it is encoded (a
@@ -324,7 +384,8 @@ void expect_same_encode(const pr::MaxCutInstance& inst,
 // Each edit below must give the model, or the exception, that a
 // QuboBuilder fed the same terms gives.
 TEST(MaxCutDenseEncode, MatchesTheTermPath) {
-  const pr::MaxCutInstance base = pr::make_complete_maxcut(70, 5);
+  const pr::MaxCutInstance base =
+      as_edge_list(pr::make_complete_maxcut(70, 5));
   const auto with = [&](std::vector<pr::WeightedEdge> extra) {
     pr::MaxCutInstance inst = base;
     inst.edges.insert(inst.edges.end(), extra.begin(), extra.end());

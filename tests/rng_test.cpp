@@ -5,6 +5,7 @@
 #include <set>
 #include <vector>
 
+#include "rng/draw_lanes.hpp"
 #include "rng/seeder.hpp"
 #include "rng/xorshift.hpp"
 
@@ -53,6 +54,36 @@ TEST(XorshiftJump, ChainedJumpsContinueTheSequence) {
   Rng jumped(77);
   jumped.reseed(jump(jump(jump(jumped.state()))));
   for (int i = 0; i < 10; ++i) EXPECT_EQ(jumped(), serial());
+}
+
+TEST(DrawLanes, ChunksAtHalfThresholdAreTheSerialBits) {
+  // 5,000 draws as the complete-graph generator makes them: chunks of 2048
+  // in the draw lanes at threshold 2^52, whose candidates are the draws
+  // with next_bit() 0, then a serial tail of 904.
+  constexpr std::size_t kDraws = 5000;
+  constexpr std::size_t kChunk = 2048;
+  const XorshiftJump jump(lane_length(kChunk));
+  ASSERT_EQ(jump.steps(), 128u);
+  for (const std::uint64_t seed : {1ull, 2000ull, ~0ull}) {
+    SCOPED_TRACE(seed);
+    Rng serial(seed);
+    std::vector<bool> want(kDraws);
+    for (std::size_t k = 0; k < kDraws; ++k) want[k] = serial.next_bit();
+
+    Rng lanes(seed);
+    std::vector<bool> got;
+    std::vector<std::uint64_t> cand(kChunk / 64);
+    for (std::size_t c = 0; c < kDraws / kChunk; ++c) {
+      draw_candidates(lanes, jump, kChunk, std::uint64_t{1} << 52,
+                      cand.data());
+      for (std::size_t k = 0; k < kChunk; ++k) {
+        got.push_back(((cand[k / 64] >> (k % 64)) & 1) == 0);
+      }
+    }
+    while (got.size() < kDraws) got.push_back(lanes.next_bit());
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(lanes.state(), serial.state());
+  }
 }
 
 TEST(Xorshift, AdvanceAndOutputComposeToADraw) {

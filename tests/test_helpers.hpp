@@ -51,6 +51,37 @@ inline std::vector<std::pair<VarIndex, Weight>> couplings(const QuboModel& m,
   return row;
 }
 
+/// FNV-1a, one 64-bit value at a time, over every part of a built model:
+/// diagonal, each row's couplings as for_each_coupling visits them (its
+/// length, then its columns, then its weights), the dense matrix (when
+/// present), delta_bound, max_degree, row width and backend.
+inline std::uint64_t model_digest(const QuboModel& m) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::int64_t v) {
+    h ^= static_cast<std::uint64_t>(v);
+    h *= 0x100000001b3ULL;
+  };
+  const auto n = static_cast<VarIndex>(m.size());
+  mix(n);
+  for (VarIndex i = 0; i < n; ++i) {
+    mix(m.diag(i));
+    const auto row = couplings(m, i);
+    mix(static_cast<std::int64_t>(row.size()));
+    for (const auto& [j, w] : row) mix(j);
+    for (const auto& [j, w] : row) mix(w);
+  }
+  if (m.has_dense_rows()) {
+    m.with_dense_rows([&](const auto* w) {
+      for (std::size_t k = 0; k < std::size_t{n} * n; ++k) mix(w[k]);
+    });
+  }
+  mix(static_cast<std::int64_t>(m.delta_bound()));
+  mix(static_cast<std::int64_t>(m.max_degree()));
+  mix(static_cast<std::int64_t>(m.row_width()));
+  mix(static_cast<std::int64_t>(m.backend()));
+  return h;
+}
+
 /// Naive O(n^2) evaluation of Eq. 2 straight off the weight accessor;
 /// deliberately independent of QuboModel::energy's CSR loop.
 inline Energy naive_energy(const QuboModel& m, const BitVector& x) {
