@@ -90,7 +90,6 @@ BENCHMARK_CAPTURE(BM_EncodeDecode, maxcut_g_style, "maxcut",
                   {{"n", "200"}, {"m", "2000"}});
 BENCHMARK_CAPTURE(BM_EncodeDecode, qap_grid_3x4, "qap",
                   {{"kind", "grid"}, {"rows", "3"}, {"cols", "4"}});
-BENCHMARK_CAPTURE(BM_EncodeDecode, tsp_12_cities, "tsp", {{"n", "12"}});
 BENCHMARK_CAPTURE(BM_EncodeDecode, qasp_p3_r16, "qasp",
                   {{"r", "16"}, {"m", "3"}});
 BENCHMARK_CAPTURE(BM_EncodeDecode, k2000, "k2000", {});

@@ -376,8 +376,7 @@ int main(int argc, char** argv) {
     for (const char* key : {"devices", "blocks", "s", "b", "pool"}) {
       if (const auto v = args.get(key)) opts.set(key, *v);
     }
-    // --threads is the bulk-mode flag; exhaustive's numeric "threads"
-    // option (a worker count) is reachable via --opt threads=<n>.
+    // --threads is the bulk-mode flag, so it forwards to dabs/abs only.
     // Campaigns keep trials synchronous (bit-reproducible statistics,
     // no devices x trials thread oversubscription), as they always have.
     if (args.get_bool("threads") && !campaign &&

@@ -6,8 +6,8 @@
 // The model is the paper's running setting in miniature: minimize
 // E(X) = sum W_ij x_i x_j + sum W_ii x_i over binary vectors X.
 // Every solver in the registry (dabs, abs, sa, tabu, greedy-restart,
-// path-relinking, subqubo, exhaustive) runs through the same
-// SolveRequest / SolveReport surface shown here.
+// subqubo, exhaustive) runs through the same SolveRequest / SolveReport
+// surface shown here.
 #include <iostream>
 
 #include "core/solve_report.hpp"

@@ -3,9 +3,9 @@
 //
 //   SolveRequest  — what to solve and when to stop: model + StopCondition +
 //                   seed + warm-start vectors + cancellation + progress.
-//   Solver        — the polymorphic interface all eight solvers implement
-//                   (dabs, abs, sa, tabu, greedy-restart, path-relinking,
-//                   subqubo, exhaustive; see core/solver_registry.hpp).
+//   Solver        — the polymorphic interface all seven solvers implement
+//                   (dabs, abs, sa, tabu, greedy-restart, subqubo,
+//                   exhaustive; see core/solver_registry.hpp).
 //   StopToken     — cooperative cancellation shared across threads.
 //   StopContext   — the one shared stop/progress protocol: every solver
 //                   polls it at a consistent per-iteration granularity

@@ -1,12 +1,12 @@
 #include "core/solver_registry.hpp"
 
 #include <charconv>
+#include <limits>
 #include <sstream>
 
 #include "baseline/abs_solver.hpp"
 #include "baseline/exhaustive.hpp"
 #include "baseline/greedy_restart.hpp"
-#include "baseline/path_relinking.hpp"
 #include "baseline/simulated_annealing.hpp"
 #include "baseline/subqubo_solver.hpp"
 #include "baseline/tabu_search.hpp"
@@ -45,6 +45,19 @@ std::uint64_t SolverOptions::get_u64(const std::string& key,
   const auto [ptr, ec] = std::from_chars(first, last, out);
   if (ec != std::errc{} || ptr != last) {
     bad_option(key, it->second, "an unsigned integer");
+  }
+  return out;
+}
+
+std::uint64_t SolverOptions::get_u64(const std::string& key,
+                                     std::uint64_t fallback,
+                                     std::uint64_t max) const {
+  const std::uint64_t out = get_u64(key, fallback);
+  if (out > max) {
+    std::ostringstream os;
+    os << "solver option '" << key << "': " << out << " exceeds the bound "
+       << max;
+    throw std::invalid_argument(os.str());
   }
   return out;
 }
@@ -145,6 +158,8 @@ std::vector<SolverInfo> SolverRegistry::list() const {
 
 namespace {
 
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+
 /// Shared option decoding for the two bulk solvers (dabs, abs).
 SolverConfig bulk_config(const SolverOptions& o) {
   SolverConfig cfg;
@@ -153,9 +168,9 @@ SolverConfig bulk_config(const SolverOptions& o) {
   // host generation stream) per device, so the two knobs are one number.
   cfg.devices = o.get_u64("islands", cfg.devices);
   cfg.device.blocks = static_cast<std::uint32_t>(
-      o.get_u64("blocks", cfg.device.blocks));
+      o.get_u64("blocks", cfg.device.blocks, kMaxU32));
   cfg.device.replicas = static_cast<std::uint32_t>(
-      o.get_u64("replicas", cfg.device.replicas));
+      o.get_u64("replicas", cfg.device.replicas, kMaxU32));
   cfg.device.batch.search_flip_factor =
       o.get_double("s", cfg.device.batch.search_flip_factor);
   cfg.device.batch.batch_flip_factor =
@@ -207,8 +222,8 @@ void register_builtin_solvers(SolverRegistry& reg) {
           [](const SolverOptions& o) -> std::unique_ptr<Solver> {
             TabuSearchParams p;
             p.iterations = o.get_u64("iterations", p.iterations);
-            p.tenure =
-                static_cast<std::uint32_t>(o.get_u64("tenure", p.tenure));
+            p.tenure = static_cast<std::uint32_t>(
+                o.get_u64("tenure", p.tenure, kMaxU32));
             p.seed = o.get_u64("seed", p.seed);
             return std::make_unique<TabuSearch>(p);
           });
@@ -219,16 +234,6 @@ void register_builtin_solvers(SolverRegistry& reg) {
             p.restarts = o.get_u64("restarts", p.restarts);
             p.seed = o.get_u64("seed", p.seed);
             return std::make_unique<GreedyRestart>(p);
-          });
-  reg.add("path-relinking",
-          "Greedy multistart + elite path relinking "
-          "[elite, relinks, seed]",
-          [](const SolverOptions& o) -> std::unique_ptr<Solver> {
-            PathRelinkingParams p;
-            p.elite_size = o.get_u64("elite", p.elite_size);
-            p.relinks = o.get_u64("relinks", p.relinks);
-            p.seed = o.get_u64("seed", p.seed);
-            return std::make_unique<PathRelinking>(p);
           });
   reg.add("subqubo",
           "SubQUBO hybrid: clamp + exact sub-solve + accept "
@@ -243,13 +248,10 @@ void register_builtin_solvers(SolverRegistry& reg) {
             return std::make_unique<SubQuboSolver>(p);
           });
   reg.add("exhaustive",
-          "Exact Gray-code enumeration (n <= max-bits) "
-          "[max-bits, threads]",
+          "Exact Gray-code enumeration (n <= max-bits) [max-bits]",
           [](const SolverOptions& o) -> std::unique_ptr<Solver> {
-            const std::size_t max_bits = o.get_u64("max-bits", 26);
-            const auto threads =
-                static_cast<std::uint32_t>(o.get_u64("threads", 1));
-            return std::make_unique<ExhaustiveSolver>(max_bits, threads);
+            return std::make_unique<ExhaustiveSolver>(
+                o.get_u64("max-bits", 26));
           });
 }
 

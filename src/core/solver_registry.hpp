@@ -9,8 +9,9 @@
 //   req.stop.time_limit_seconds = 5.0;
 //   SolveReport report = solver->solve(req);
 //
-// The global registry ships with the paper's eight solvers: dabs, abs, sa,
-// tabu, greedy-restart, path-relinking, subqubo, exhaustive.
+// The global registry ships with seven solvers: the paper's dabs and its
+// abs predecessor, the baselines its tables run (sa, tabu, greedy-restart,
+// subqubo), and the exhaustive enumerator they are checked against.
 #pragma once
 
 #include <functional>
@@ -47,6 +48,10 @@ class SolverOptions {
   /// std::invalid_argument on malformed values.
   std::string get(const std::string& key, const std::string& fallback) const;
   std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const;
+  /// get_u64 for options narrowed to a smaller type: also throws
+  /// std::invalid_argument, naming the bound, when the value exceeds `max`.
+  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback,
+                        std::uint64_t max) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 

@@ -39,7 +39,6 @@ void annotate_extras(const Problem& problem, const DomainSolution& solution,
     }
     extras["assignment"] = os.str();
   }
-  for (const auto& [k, v] : solution.extras) extras[k] = v;
 }
 
 }  // namespace dabs

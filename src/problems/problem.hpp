@@ -1,14 +1,14 @@
 // The unified problem surface — the mirror image of core/solver.hpp for the
 // *instance* side of a solve.  Every domain workload the paper evaluates
-// (MaxCut §II-A/§VI-A, QAP and TSP-as-QAP §II-B, QASP §II-C, minor-embedded
-// models §I-A, plus raw QUBO files) presents one interface:
+// (MaxCut §II-A/§VI-A, QAP §II-B, QASP §II-C, plus raw QUBO files)
+// presents one interface:
 //
 //   encode()   — instance -> QuboModel, reusing the existing reductions
-//                (maxcut_to_qubo, qap_to_qubo, ising_to_qubo, embed_qubo).
+//                (maxcut_to_qubo, qap_to_qubo, ising_to_qubo).
 //   decode()   — solution bits -> a DomainSolution carrying the *domain*
-//                objective (cut weight, assignment cost + layout, tour order
-//                + length, Ising energy) instead of the bare QUBO energy.
-//   verify()   — feasibility (one-hot rows/columns, intact chains) plus the
+//                objective (cut weight, assignment cost + layout, Ising
+//                energy) instead of the bare QUBO energy.
+//   verify()   — feasibility (one-hot rows/columns) plus the
 //                energy<->objective identity of the reduction (e.g.
 //                E(X) = -cut(X), E(X) = C(g_X) - n p) and, for penalty
 //                encodes, that the penalty is certified safe.
@@ -40,27 +40,21 @@ namespace dabs {
 /// A solution decoded back into domain terms.
 struct DomainSolution {
   /// Domain constraints hold (always true for unconstrained families like
-  /// MaxCut; one-hot rows/columns for QAP/TSP; intact chains for embeds).
+  /// MaxCut; one-hot rows/columns for QAP).
   bool feasible = false;
 
   /// The domain objective, valid when feasible: cut weight for MaxCut,
-  /// assignment cost for QAP, tour length for TSP, Ising Hamiltonian for
-  /// QASP, logical energy for embedded models, the QUBO energy itself for
-  /// raw models.
+  /// assignment cost for QAP, Ising Hamiltonian for QASP, the QUBO energy
+  /// itself for raw models.
   Energy objective = 0;
 
-  /// What `objective` measures ("cut", "assignment_cost", "tour_length",
-  /// "ising_energy", "logical_energy", "energy").
+  /// What `objective` measures ("cut", "assignment_cost", "ising_energy",
+  /// "energy").
   std::string objective_name;
 
-  /// Permutation-shaped decodes: the QAP assignment (facility -> location)
-  /// or the TSP tour (position -> city).  Empty when not applicable or
-  /// infeasible.
+  /// The QAP assignment (facility -> location).  Empty when not
+  /// applicable or infeasible.
   std::vector<VarIndex> assignment;
-
-  /// Extra decoded detail, merged verbatim into SolveReport::extras by the
-  /// front ends (e.g. "chains_intact" for embedded models).
-  std::map<std::string, std::string> extras;
 };
 
 /// Outcome of Problem::verify().
@@ -80,7 +74,7 @@ class Problem {
  public:
   virtual ~Problem() = default;
 
-  /// Domain family ("maxcut", "qap", "tsp", "qasp", "chimera", "qubo").
+  /// Domain family ("maxcut", "qap", "qasp", "qubo").
   /// Several registry entries may share one family: k2000, g22, and
   /// gset-loaded instances are all "maxcut".
   virtual std::string_view family() const noexcept = 0;
@@ -140,8 +134,7 @@ class ProblemBase : public Problem {
 /// Folds a decode + verify outcome into report extras — the one output
 /// schema the CLI and the batch front end share: "problem", "objective",
 /// "objective_name", "feasible", "verified" (+ "verify_message" on
-/// failure), "assignment" for small permutations, and the solution's own
-/// extras.
+/// failure), and "assignment" for small permutations.
 void annotate_extras(const Problem& problem, const DomainSolution& solution,
                      const VerifyResult& verdict,
                      std::map<std::string, std::string>& extras);

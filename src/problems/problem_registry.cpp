@@ -1,5 +1,6 @@
 #include "problems/problem_registry.hpp"
 
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <utility>
@@ -9,8 +10,6 @@
 #include "io/qubo_text.hpp"
 #include "problems/pegasus.hpp"
 #include "problems/standard_problems.hpp"
-#include "qubo/qubo_builder.hpp"
-#include "rng/xorshift.hpp"
 #include "util/assert.hpp"
 
 namespace dabs {
@@ -189,20 +188,13 @@ std::string path_stem(const std::string& path) {
   return path.substr(start, end - start);
 }
 
-/// The random dense logical model of the embedding example: no annealer
-/// has its (complete) topology natively, so it must be embedded.
-QuboModel random_dense_logical(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  QuboBuilder builder(n);
-  for (VarIndex i = 0; i < n; ++i) {
-    builder.add_linear(i, static_cast<Weight>(rng.next_index(9)) - 4);
-    for (VarIndex j = i + 1; j < n; ++j) {
-      builder.add_quadratic(i, j,
-                            static_cast<Weight>(rng.next_index(9)) - 4);
-    }
-  }
-  return builder.build();
-}
+// Bounds of the params narrowed to `int`/`Weight`: a larger value would
+// wrap in the cast.  The grid QAP draws flows from [0, max], and QASP draws
+// biases from [-4r, 4r] through a count of 8r, both in `int`.
+constexpr std::uint64_t kMaxWeight = std::numeric_limits<Weight>::max();
+constexpr std::uint64_t kMaxDrawBound = std::numeric_limits<int>::max() - 1;
+constexpr std::uint64_t kMaxQaspResolution =
+    std::numeric_limits<int>::max() / 8;
 
 void register_builtin_problems(ProblemRegistry& reg) {
   // -- MaxCut generators (paper §VI-A benchmark graphs) --------------------
@@ -259,7 +251,7 @@ void register_builtin_problems(ProblemRegistry& reg) {
                                         .str());
           });
 
-  // -- QAP / TSP generators (paper §II-B) ----------------------------------
+  // -- QAP generators (paper §II-B) ----------------------------------------
   reg.add("qap",
           "Synthetic QAP: kind=uniform (Taillard-style: n, max) or "
           "kind=grid (Nugent-style: rows, cols, max) [kind, n, rows, cols, "
@@ -268,19 +260,21 @@ void register_builtin_problems(ProblemRegistry& reg) {
             const std::string kind = o.get("kind", "uniform");
             const std::uint64_t seed = o.get_u64("seed", 1);
             const auto penalty =
-                static_cast<Weight>(o.get_u64("penalty", 0));
+                static_cast<Weight>(o.get_u64("penalty", 0, kMaxWeight));
             KeyBuilder key("qap");
             key.param("kind", kind);
             pr::QapInstance inst;
             if (kind == "uniform") {
               const std::uint64_t n = o.get_u64("n", 8);
-              const auto max = static_cast<int>(o.get_u64("max", 9));
+              const auto max =
+                  static_cast<int>(o.get_u64("max", 9, kMaxDrawBound));
               inst = pr::make_uniform_qap(n, max, seed, "uniform");
               key.param("n", n).param("max", max);
             } else if (kind == "grid") {
               const std::uint64_t rows = o.get_u64("rows", 3);
               const std::uint64_t cols = o.get_u64("cols", 4);
-              const auto max = static_cast<int>(o.get_u64("max", 10));
+              const auto max =
+                  static_cast<int>(o.get_u64("max", 10, kMaxDrawBound));
               inst = pr::make_grid_qap(rows, cols, max, seed, "grid");
               key.param("rows", rows).param("cols", cols).param("max", max);
             } else {
@@ -295,36 +289,15 @@ void register_builtin_problems(ProblemRegistry& reg) {
             return std::make_unique<pr::QapProblem>(std::move(inst), penalty,
                                                     key.str());
           });
-  reg.add("tsp",
-          "Random Euclidean TSP solved as a circular-flow QAP [n, grid, "
-          "seed, penalty]",
-          [](const SolverOptions& o) -> std::unique_ptr<Problem> {
-            const std::uint64_t n = o.get_u64("n", 10);
-            const auto grid = static_cast<int>(o.get_u64("grid", 100));
-            const std::uint64_t seed = o.get_u64("seed", 1);
-            const auto penalty =
-                static_cast<Weight>(o.get_u64("penalty", 0));
-            pr::TspInstance inst =
-                pr::make_euclidean_tsp(n, grid, seed, "euclid");
-            const Weight resolved =
-                penalty == 0 ? pr::min_safe_qap_penalty(pr::tsp_to_qap(inst))
-                             : penalty;
-            return std::make_unique<pr::TspProblem>(
-                std::move(inst), penalty, KeyBuilder("tsp")
-                                              .param("n", n)
-                                              .param("grid", grid)
-                                              .param("seed", seed)
-                                              .param("penalty", resolved)
-                                              .str());
-          });
 
-  // -- Annealer-shaped generators (paper §I-A, §II-C) ----------------------
+  // -- QASP generator (paper §II-C) -----------------------------------------
   reg.add("qasp",
           "Quantum Annealer Simulation Problem: random Ising on Pegasus "
           "P(m) at resolution r [r, m, nodes, graph-seed, value-seed]",
           [](const SolverOptions& o) -> std::unique_ptr<Problem> {
             pr::QaspParams p;
-            p.resolution = static_cast<int>(o.get_u64("r", 16));
+            p.resolution =
+                static_cast<int>(o.get_u64("r", 16, kMaxQaspResolution));
             p.pegasus_m = o.get_u64("m", 3);
             p.graph_seed = o.get_u64("graph-seed", 41);
             p.value_seed = o.get_u64("value-seed", 42);
@@ -342,23 +315,6 @@ void register_builtin_problems(ProblemRegistry& reg) {
                        .param("graph-seed", p.graph_seed)
                        .param("value-seed", p.value_seed)
                        .str());
-          });
-  reg.add("chimera",
-          "Random dense logical QUBO clique-embedded into Chimera C(m) "
-          "[n, m, seed, chain]",
-          [](const SolverOptions& o) -> std::unique_ptr<Problem> {
-            const std::uint64_t n = o.get_u64("n", 8);
-            const std::uint64_t m = o.get_u64("m", (n + 3) / 4);
-            const std::uint64_t seed = o.get_u64("seed", 7);
-            const auto chain = static_cast<Weight>(o.get_u64("chain", 0));
-            return std::make_unique<pr::EmbeddedQuboProblem>(
-                random_dense_logical(n, seed), m, chain, "chimera",
-                KeyBuilder("chimera")
-                    .param("n", n)
-                    .param("m", m)
-                    .param("seed", seed)
-                    .param("chain", chain)
-                    .str());
           });
 
   // -- File loaders (the legacy model formats) -----------------------------
@@ -390,7 +346,8 @@ void register_builtin_problems(ProblemRegistry& reg) {
       "qaplib", "QAPLIB .dat file (io/qaplib.hpp) [path, penalty]",
       [](const SolverOptions& o) -> std::unique_ptr<Problem> {
         const std::string path = require_path("qaplib", o);
-        const auto penalty = static_cast<Weight>(o.get_u64("penalty", 0));
+        const auto penalty =
+            static_cast<Weight>(o.get_u64("penalty", 0, kMaxWeight));
         // Keyed as given ("auto" when 0): resolving the bound here would
         // need the file; equal-content encodes still collapse at the
         // cache's content-interning layer.

@@ -12,7 +12,7 @@
 // One naming scheme covers generators and file loaders alike:
 //
 //   "<problem>"         a generator family ("k2000", "g22", "g39",
-//                       "maxcut", "qap", "tsp", "qasp", "chimera")
+//                       "maxcut", "qap", "qasp")
 //   "<problem>:<path>"  a file loader ("qubo", "gset", "qaplib"); the path
 //                       may also be passed as the "path" option.
 //

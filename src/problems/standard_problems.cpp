@@ -64,11 +64,7 @@ std::string MaxCutProblem::describe() const {
 // ---- QAP -----------------------------------------------------------------
 
 QapProblem::QapProblem(QapInstance inst, Weight penalty, std::string key)
-    : QapProblem("qap", std::move(inst), penalty, std::move(key)) {}
-
-QapProblem::QapProblem(std::string family, QapInstance inst, Weight penalty,
-                       std::string key)
-    : ProblemBase(std::move(family), inst.name, std::move(key)),
+    : ProblemBase("qap", inst.name, std::move(key)),
       inst_(std::move(inst)),
       min_safe_(min_safe_qap_penalty(inst_)) {
   penalty_ = penalty == 0 ? min_safe_ : penalty;
@@ -128,28 +124,6 @@ std::string QapProblem::describe() const {
   return os.str();
 }
 
-// ---- TSP -----------------------------------------------------------------
-
-TspProblem::TspProblem(TspInstance inst, Weight penalty, std::string key)
-    : QapProblem("tsp", tsp_to_qap(inst), penalty, std::move(key)),
-      tsp_(std::move(inst)) {}
-
-DomainSolution TspProblem::decode(const BitVector& x) const {
-  // The QAP assignment maps tour position -> city; its ordered cost under
-  // the circular flow is exactly the closed tour length.
-  DomainSolution sol = QapProblem::decode(x);
-  sol.objective_name = "tour_length";
-  if (sol.feasible) sol.objective = tsp_.tour_length(sol.assignment);
-  return sol;
-}
-
-std::string TspProblem::describe() const {
-  std::ostringstream os;
-  os << "TSP " << tsp_.name << ": " << tsp_.n
-     << " cities via circular-flow QAP, penalty " << penalty();
-  return os.str();
-}
-
 // ---- QASP ----------------------------------------------------------------
 
 namespace {
@@ -194,71 +168,6 @@ std::string QaspProblem::describe() const {
   std::ostringstream os;
   os << "QASP r=" << inst_.resolution << " on " << inst_.nodes
      << " Pegasus qubits, " << inst_.edge_count << " couplers";
-  return os.str();
-}
-
-// ---- Clique-embedded QUBO ------------------------------------------------
-
-EmbeddedQuboProblem::EmbeddedQuboProblem(QuboModel logical,
-                                         std::size_t chimera_m,
-                                         Weight chain_strength,
-                                         std::string name, std::string key)
-    : ProblemBase("chimera", std::move(name), std::move(key)),
-      logical_(std::move(logical)),
-      graph_(chimera_m),
-      embedding_(chimera_clique_embedding(graph_, logical_.size())),
-      chain_strength_(chain_strength) {
-  validate_clique_embedding(graph_, embedding_);
-}
-
-QuboModel EmbeddedQuboProblem::encode() const {
-  return embed_qubo(logical_, graph_, embedding_, chain_strength_);
-}
-
-DomainSolution EmbeddedQuboProblem::decode(const BitVector& x) const {
-  DomainSolution sol;
-  const BitVector logical_x = unembed(x, embedding_);
-  sol.feasible = chains_intact(x, embedding_);
-  sol.objective = logical_.energy(logical_x);
-  sol.objective_name = "logical_energy";
-  sol.extras["chains_intact"] = sol.feasible ? "true" : "false";
-  if (logical_x.size() <= 64) {
-    sol.extras["logical_solution"] = logical_x.to_string();
-  }
-  return sol;
-}
-
-VerifyResult EmbeddedQuboProblem::verify(
-    const BitVector& x, std::optional<Energy> model_energy) const {
-  VerifyResult v;
-  v.feasible = chains_intact(x, embedding_);
-  if (!v.feasible) {
-    v.message =
-        "at least one chain is broken (majority-vote decode is a heuristic "
-        "repair, not a certificate)";
-    return v;
-  }
-  // Unanimous chains: penalties vanish, the split linear weights re-sum,
-  // and each logical edge sits on exactly one physical coupler — so the
-  // physical energy equals the logical energy of the decoded vector.
-  const Energy e = model_energy_of(x, model_energy);
-  const Energy logical_e = logical_.energy(unembed(x, embedding_));
-  if (e != logical_e) {
-    v.message =
-        identity_mismatch("E_physical(X) = E_logical(decode(X))", e,
-                          logical_e);
-    return v;
-  }
-  v.ok = true;
-  return v;
-}
-
-std::string EmbeddedQuboProblem::describe() const {
-  std::ostringstream os;
-  os << "Embedded " << name() << ": " << logical_.size()
-     << " logical vars on Chimera C" << graph_.m() << " ("
-     << graph_.node_count() << " qubits, chains of length "
-     << embedding_.max_chain_length() << ")";
   return os.str();
 }
 

@@ -7,13 +7,10 @@
 #include <cstdint>
 #include <string>
 
-#include "problems/chimera.hpp"
-#include "problems/embedding.hpp"
 #include "problems/maxcut.hpp"
 #include "problems/problem.hpp"
 #include "problems/qap.hpp"
 #include "problems/qasp.hpp"
-#include "problems/tsp.hpp"
 
 namespace dabs::problems {
 
@@ -57,30 +54,10 @@ class QapProblem : public ProblemBase {
   Weight penalty() const noexcept { return penalty_; }
   Weight min_safe_penalty() const noexcept { return min_safe_; }
 
- protected:
-  QapProblem(std::string family, QapInstance inst, Weight penalty,
-             std::string key);
-
  private:
   QapInstance inst_;
   Weight penalty_;
   Weight min_safe_;
-};
-
-/// TSP through the circular-flow QAP (paper §II-B): the decoded assignment
-/// *is* the tour (position -> city) and C(g) its closed length.
-class TspProblem : public QapProblem {
- public:
-  explicit TspProblem(TspInstance inst, Weight penalty = 0,
-                      std::string key = "");
-
-  DomainSolution decode(const BitVector& x) const override;
-  std::string describe() const override;
-
-  const TspInstance& tsp() const noexcept { return tsp_; }
-
- private:
-  TspInstance tsp_;
 };
 
 /// QASP (paper §II-C): a random Ising model on the Pegasus working graph;
@@ -99,33 +76,6 @@ class QaspProblem : public ProblemBase {
 
  private:
   QaspInstance inst_;
-};
-
-/// An arbitrary-topology logical model clique-embedded into Chimera C(m)
-/// (paper §I-A): the solver works the physical model; decode majority-votes
-/// each chain back to the logical vector.  Feasible = every chain intact,
-/// and then E_physical(X) = E_logical(decode(X)) exactly (chain penalties
-/// vanish on unanimous chains).
-class EmbeddedQuboProblem : public ProblemBase {
- public:
-  EmbeddedQuboProblem(QuboModel logical, std::size_t chimera_m,
-                      Weight chain_strength = 0, std::string name = "embedded",
-                      std::string key = "");
-
-  QuboModel encode() const override;
-  DomainSolution decode(const BitVector& x) const override;
-  VerifyResult verify(const BitVector& x,
-                      std::optional<Energy> model_energy) const override;
-  std::string describe() const override;
-
-  const QuboModel& logical() const noexcept { return logical_; }
-  const Embedding& embedding() const noexcept { return embedding_; }
-
- private:
-  QuboModel logical_;
-  ChimeraGraph graph_;
-  Embedding embedding_;
-  Weight chain_strength_;
 };
 
 /// A raw QUBO model as its own problem: the domain objective is the energy

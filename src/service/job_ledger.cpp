@@ -214,7 +214,6 @@ void apply_time_governed_budgets(const std::string& solver,
   fill("sa", "restarts", "1000000000");
   fill("greedy-restart", "restarts", "1000000000");
   fill("tabu", "iterations", "1000000000000");
-  fill("path-relinking", "relinks", "1000000000");
   fill("subqubo", "iterations", "1000000000");
 }
 

@@ -23,7 +23,7 @@
 //
 //   {"model": "k2000.txt",        // problem file, parsed once per path
 //    "format": "qubo",            // qubo | gset | qaplib (with "model")
-//    "problem": "tsp",            // OR: any ProblemRegistry spec, e.g.
+//    "problem": "qasp",           // OR: any ProblemRegistry spec, e.g.
 //                                 //     "qap", "g39", "gset:G22.txt"
 //    "params": {"n": 8},          // problem params (with "problem")
 //    "solver": "tabu",            // any registry name (default dabs)

@@ -1,10 +1,9 @@
 // Tests for the comparator solvers: exhaustive ground truth, SA, tabu
-// search, greedy restart, path relinking.
+// search, greedy restart.
 #include <gtest/gtest.h>
 
 #include "baseline/exhaustive.hpp"
 #include "baseline/greedy_restart.hpp"
-#include "baseline/path_relinking.hpp"
 #include "baseline/simulated_annealing.hpp"
 #include "baseline/tabu_search.hpp"
 #include "test_helpers.hpp"
@@ -119,28 +118,6 @@ TEST(GreedyRestartBaseline, BestIsAlwaysALocalMinimumEnergy) {
   for (VarIndex k = 0; k < m.size(); ++k) {
     EXPECT_GE(m.delta(r.best_solution, k), 0);
   }
-}
-
-TEST(PathRelinkingBaseline, FindsOptimumOnSmallModel) {
-  const QuboModel m = random_model(14, 0.6, 9, 5400);
-  const Energy truth = solve_on(ExhaustiveSolver(), m).best_energy;
-  PathRelinkingParams p;
-  p.elite_size = 8;
-  p.relinks = 200;
-  const SolveReport r = solve_on(PathRelinking(p), m);
-  EXPECT_EQ(r.best_energy, truth);
-}
-
-TEST(PathRelinkingBaseline, AtLeastAsGoodAsItsEliteSeeds) {
-  const QuboModel m = random_model(40, 0.4, 9, 5401);
-  PathRelinkingParams pr_params;
-  pr_params.elite_size = 10;
-  pr_params.relinks = 50;
-  pr_params.seed = 7;
-  const SolveReport pr = solve_on(PathRelinking(pr_params), m);
-  const SolveReport gr =
-      solve_on(GreedyRestart({.restarts = 10, .seed = 7}), m);
-  EXPECT_LE(pr.best_energy, gr.best_energy);
 }
 
 TEST(EnergyGap, MatchesPaperConvention) {

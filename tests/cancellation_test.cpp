@@ -50,7 +50,6 @@ TEST(Cancellation, TokenHaltsEveryBaselineMidRun) {
       {"sa", {{"sweeps", "100000000"}, {"restarts", "100000000"}}},
       {"tabu", {{"iterations", "1000000000"}}},
       {"greedy-restart", {{"restarts", "1000000000"}}},
-      {"path-relinking", {{"relinks", "1000000000"}}},
       {"subqubo", {{"iterations", "100000000"}, {"restarts", "100000000"}}},
   };
   for (const auto& [name, options] : cases) {
@@ -95,8 +94,7 @@ TEST(Cancellation, TokenHaltsDabsInBothExecutionModes) {
 
 TEST(Cancellation, PreFiredTokenReturnsImmediately) {
   const QuboModel m = random_model(64, 0.5, 9, 12003);
-  for (const char* name :
-       {"dabs", "sa", "tabu", "greedy-restart", "path-relinking"}) {
+  for (const char* name : {"dabs", "sa", "tabu", "greedy-restart"}) {
     const std::unique_ptr<Solver> solver =
         SolverRegistry::global().create(name);
     SolveRequest req;

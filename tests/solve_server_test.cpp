@@ -115,7 +115,21 @@ TEST(JobApiTest, BadRequestsGet400) {
   JobApi api(fast_config());
   EXPECT_EQ(api.submit("{not json").status, 400);
   EXPECT_EQ(api.submit(R"({"params": {}})").status, 400);  // no problem/model
-  EXPECT_EQ(api.submit(R"({"problem": "no-such-problem"})").status, 400);
+  // Unknown names (including removed ones), unused options and
+  // out-of-range integers are all 400s.
+  for (const char* body : {
+           R"({"problem": "no-such-problem"})",
+           R"({"problem": "tsp"})",
+           R"({"problem": "chimera"})",
+           R"({"problem": "qap", "solver": "path-relinking"})",
+           R"({"problem": "qap", "solver": "exhaustive",)"
+           R"( "options": {"threads": 2}})",
+           R"({"problem": "qap", "params": {"penalty": 4294967296}})",
+           R"({"problem": "qasp", "params": {"r": 4294967312}})",
+           R"({"problem": "qap", "options": {"blocks": 4294967298}})",
+       }) {
+    EXPECT_EQ(api.submit(body).status, 400) << body;
+  }
   // The body carries the batch runner's validation message.
   const ApiReply reply = api.submit(R"({"problem": "no-such-problem"})");
   EXPECT_NE(parse(reply.body).find("error"), nullptr);

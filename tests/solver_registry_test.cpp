@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "baseline/exhaustive.hpp"
@@ -20,10 +21,9 @@ using testing::random_model;
 using testing::solve_on;
 
 const std::vector<std::string> kAllSolvers = {
-    "dabs", "abs", "sa", "tabu", "greedy-restart",
-    "path-relinking", "subqubo", "exhaustive"};
+    "dabs", "abs", "sa", "tabu", "greedy-restart", "subqubo", "exhaustive"};
 
-TEST(SolverRegistry, ListsAllEightSolvers) {
+TEST(SolverRegistry, ListsAllSevenSolvers) {
   const std::vector<SolverInfo> infos = SolverRegistry::global().list();
   std::vector<std::string> names;
   for (const SolverInfo& info : infos) {
@@ -65,10 +65,18 @@ TEST(SolverRegistry, RoundTripEveryRegisteredSolver) {
 }
 
 TEST(SolverRegistry, UnknownNameAndOptionsThrow) {
-  EXPECT_THROW((void)SolverRegistry::global().create("no-such-solver"),
-               std::invalid_argument);
+  // A removed solver is an unknown name.
+  for (const char* name : {"no-such-solver", "path-relinking"}) {
+    EXPECT_THROW((void)SolverRegistry::global().create(name),
+                 std::invalid_argument)
+        << name;
+  }
   EXPECT_THROW((void)SolverRegistry::global().create(
                    "tabu", {{"tenrue", "8"}}),  // misspelled key
+               std::invalid_argument);
+  // Exhaustive enumerates on the calling thread: no worker count.
+  EXPECT_THROW((void)SolverRegistry::global().create(
+                   "exhaustive", {{"threads", "2"}}),
                std::invalid_argument);
   EXPECT_THROW((void)SolverRegistry::global().create(
                    "tabu", {{"tenure", "eight"}}),  // malformed value
@@ -76,6 +84,25 @@ TEST(SolverRegistry, UnknownNameAndOptionsThrow) {
   EXPECT_THROW((void)SolverRegistry::global().create(
                    "dabs", {{"threads", "maybe"}}),
                std::invalid_argument);
+  // Options narrowed to 32 bits are range-checked: a cast would wrap
+  // blocks=2^32 + 2 to 2 blocks.
+  const std::pair<const char*, SolverOptions> too_large[] = {
+      {"dabs", {{"replicas", "4294967296"}}},
+      {"tabu", {{"tenure", "4294967304"}}},
+  };
+  for (const auto& [name, options] : too_large) {
+    EXPECT_THROW((void)SolverRegistry::global().create(name, options),
+                 std::invalid_argument)
+        << name << ' ' << options.values().begin()->first;
+  }
+  try {
+    (void)SolverRegistry::global().create("dabs", {{"blocks", "4294967298"}});
+    ADD_FAILURE() << "blocks=4294967298 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "solver option 'blocks': 4294967298 exceeds the bound "
+                 "4294967295");
+  }
 }
 
 TEST(SolverRegistry, WorkBudgetBoundsExhaustiveEnumeration) {

@@ -1,6 +1,6 @@
 // Tests for model transforms (variable fixing, sub-QUBO extraction), the
-// SubQUBO hybrid comparator, parallel exhaustive search, warm starts, the
-// TTS confidence formula, and the bit-permuted CyclicMin variant.
+// SubQUBO hybrid comparator, warm starts, the TTS confidence formula, and
+// the bit-permuted CyclicMin variant.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -119,29 +119,6 @@ TEST(SubQuboSolver, RejectsBadParams) {
                std::invalid_argument);
   EXPECT_THROW(SubQuboSolver(SubQuboParams{.iterations = 0}),
                std::invalid_argument);
-}
-
-TEST(ParallelExhaustive, MatchesSerialResult) {
-  const QuboModel m = random_model(14, 0.6, 9, 10007);
-  const SolveReport serial = solve_on(ExhaustiveSolver(26, 1), m);
-  for (const std::uint32_t threads : {2u, 4u, 8u}) {
-    const SolveReport parallel = solve_on(ExhaustiveSolver(26, threads), m);
-    EXPECT_EQ(parallel.best_energy, serial.best_energy) << threads;
-    EXPECT_EQ(m.energy(parallel.best_solution), parallel.best_energy);
-  }
-}
-
-TEST(ParallelExhaustive, WorkerFlipAccounting) {
-  const QuboModel m = random_model(10, 0.6, 5, 10008);
-  // 4 workers each enumerate 2^8 states with 2^8 - 1 flips.
-  const SolveReport r = solve_on(ExhaustiveSolver(26, 4), m);
-  EXPECT_EQ(r.flips, 4u * 255u);
-}
-
-TEST(ParallelExhaustive, OddThreadCountRoundsDown) {
-  const QuboModel m = random_model(8, 0.6, 5, 10009);
-  const SolveReport r = solve_on(ExhaustiveSolver(26, 3), m);  // -> 2 workers
-  EXPECT_EQ(r.best_energy, solve_on(ExhaustiveSolver(), m).best_energy);
 }
 
 TEST(WarmStart, SeedsPoolsAndGlobalBest) {
